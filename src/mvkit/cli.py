@@ -211,12 +211,17 @@ _CONFIG_TYPES = {
 }
 
 
+def _read_text(path: str, what: str) -> str:
+    """Read an input file; an unreadable one is an input error (exit 2)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {what}: {exc}") from None
+
+
 def _load_config_file(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from None
+    text = _read_text(path, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -247,11 +252,37 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
 
 def _load_scenario_dir(path: str) -> Scenario:
     base = Path(path)
-    return load_scenario(*(base / name for name in SCENARIO_FILES))
+    try:
+        return load_scenario(*(base / name for name in SCENARIO_FILES))
+    except OSError as exc:
+        raise CliError(f"cannot read scenario: {exc}") from None
 
 
-def _check_collisions(inputs: list[str | None], outputs: list[str | None]) -> None:
-    resolved_in = {Path(p).resolve() for p in inputs if p}
+def _load_model(path: str):
+    try:
+        return modelio.load_model(path)
+    except OSError as exc:
+        raise CliError(f"cannot read model: {exc}") from None
+
+
+def _input_paths(args: argparse.Namespace) -> list[str]:
+    """Every file a command reads, for the check that no output overwrites one.
+
+    These are the config file, --selection, --model, --dispatcher, a
+    template file, and the CSVs of --scenario and --train-scenario.
+    """
+    paths = [getattr(args, name, None) for name in ("config", "selection", "model", "dispatcher")]
+    if getattr(args, "template", None) != "-":  # "-" is the built-in template
+        paths.append(getattr(args, "template", None))
+    for name in ("scenario", "train_scenario"):
+        base = getattr(args, name, None)
+        if base is not None:
+            paths.extend(str(Path(base) / n) for n in SCENARIO_FILES)
+    return [p for p in paths if p]
+
+
+def _check_collisions(inputs: list[str], outputs: list[str | None]) -> None:
+    resolved_in = {Path(p).resolve() for p in inputs}
     for out in outputs:
         if out and Path(out).resolve() in resolved_in:
             raise CliError(f"output path {out} collides with an input path")
@@ -263,10 +294,7 @@ def _representative_ids(args: argparse.Namespace) -> tuple[int, ...]:
     if args.select_ids is not None:
         return tuple(sorted(set(args.select_ids)))
     if args.selection is not None:
-        try:
-            doc = reportmod.parse(Path(args.selection).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise CliError(f"cannot read selection report: {exc}") from None
+        doc = reportmod.parse(_read_text(args.selection, "selection report"))
         ids = doc.get("selected")
         return tuple(sorted(set(_id_list(ids)))) if ids else ()
     raise CliError("missing required option --selection or --select-ids")
@@ -334,10 +362,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     _require(args, ["scenario", "max_versions"])
+    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
-    _check_collisions(
-        [str(Path(args.scenario) / n) for n in SCENARIO_FILES], [args.out]
-    )
     constraints = Constraints(
         max_versions=args.max_versions,
         size_budget=args.size_budget if args.size_budget is not None else math.inf,
@@ -391,10 +417,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     _require(args, ["scenario", "out"])
     spec = _learner_spec(args)
+    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
-    _check_collisions(
-        [str(Path(args.scenario) / n) for n in SCENARIO_FILES], [args.out]
-    )
     representative = _representative_ids(args)
     matrix = speedups(scenario)
     if spec.is_dc:
@@ -420,6 +444,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     _require(args, ["scenario", "seed"])
     spec = _learner_spec(args)
     k = args.k if args.k is not None else 10
+    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
     representative = _representative_ids(args)
     matrix = speedups(scenario)
@@ -471,20 +496,22 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_emit(args: argparse.Namespace) -> int:
     _require(args, ["model", "out"])
-    _check_collisions([args.model], [args.out, args.rendered_out])
-    model = modelio.load_model(args.model)
+    rendered_path = None
+    if args.template is not None:
+        rendered_path = args.rendered_out or f"{args.out}.rendered"
+    _check_collisions(_input_paths(args), [args.out, rendered_path])
+    model = _load_model(args.model)
     if not isinstance(model, (TreeModel, RuleListModel)):
         raise CliError("only classifier models compile to dispatchers; PPM bundles drive `simulate --model`")
     spec = compile_dispatcher(model)
-    Path(args.out).write_text(serialize(spec), encoding="utf-8", newline="\n")
-    if args.template is not None:
-        template = (
-            DEFAULT_TEMPLATE
-            if args.template == "-"
-            else Path(args.template).read_text(encoding="utf-8")
-        )
+    # Render everything before writing anything, so a failure leaves no output.
+    document = serialize(spec)
+    rendered = None
+    if rendered_path is not None:
+        template = DEFAULT_TEMPLATE if args.template == "-" else _read_text(args.template, "template")
         rendered = render_template(spec, template)
-        rendered_path = args.rendered_out or f"{args.out}.rendered"
+    Path(args.out).write_text(document, encoding="utf-8", newline="\n")
+    if rendered is not None:
         Path(rendered_path).write_text(rendered, encoding="utf-8", newline="\n")
     return 0
 
@@ -494,13 +521,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     chosen = [name for name in ("dispatcher", "model", "selector") if getattr(args, name) is not None]
     if len(chosen) != 1:
         raise CliError("give exactly one of --dispatcher, --model, --selector")
+    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
     representative = _representative_ids(args)
 
     if args.dispatcher is not None:
-        selector = deserialize(Path(args.dispatcher).read_text(encoding="utf-8"))
+        selector = deserialize(_read_text(args.dispatcher, "dispatcher"))
     elif args.model is not None:
-        loaded = modelio.load_model(args.model)
+        loaded = _load_model(args.model)
         if isinstance(loaded, (TreeModel, RuleListModel)):
             selector = compile_dispatcher(loaded)
         else:

@@ -8,6 +8,13 @@ maximizes the rule's precision for the target class, until precision hits
 1.0 or stops improving. A finished rule is kept only when it covers at
 least ``min_cover`` samples at precision ``min_precision`` or better;
 covered samples then leave the pool.
+
+Each growth step takes its condition from the sort-and-sweep search in
+:mod:`.splits`: every feature of the covered samples is sorted once and
+swept with running hit and kept counts, so a step costs
+O(arity * n log n) rather than one pass per (threshold, direction).
+Precision is the integer quotient hits / kept, so the sweep picks exactly
+the condition a separate pass per candidate would.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .samples import LabeledSample, LearnError
+from .splits import best_condition, majority
 
 LE = "le"  # feature <= threshold
 GT = "gt"  # feature > threshold
@@ -70,19 +78,7 @@ class RuleListModel:
     config: RuleConfig
 
 
-def _majority(labels: Sequence[int]) -> int:
-    counts: dict[int, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    return min(counts, key=lambda lab: (-counts[lab], lab))
-
-
-def _midpoints(values: Sequence[float]) -> list[float]:
-    distinct = sorted(set(values))
-    return [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
-
-
-def _grow_rule(pool: list[LabeledSample], target: int, arity: int) -> tuple[Rule, list[int]]:
+def _grow_rule(pool: list[LabeledSample], target: int) -> tuple[Rule, list[int]]:
     """Greedily conjoin precision-maximizing conditions for one class.
 
     Returns the rule and the pool indices it covers. Ties go to higher
@@ -92,29 +88,15 @@ def _grow_rule(pool: list[LabeledSample], target: int, arity: int) -> tuple[Rule
     """
     conditions: list[Condition] = []
     covered = list(range(len(pool)))
-
-    def precision(indices: list[int]) -> float:
-        return sum(1 for i in indices if pool[i].label == target) / len(indices)
-
-    current = precision(covered)
+    current = sum(1 for s in pool if s.label == target) / len(pool)
     while current < 1.0:
-        best: tuple[float, int, int, float, int] | None = None
-        best_cond: Condition | None = None
-        best_covered: list[int] | None = None
-        for feature in range(arity):
-            for threshold in _midpoints([pool[i].features[feature] for i in covered]):
-                for op_rank, op in enumerate((LE, GT)):
-                    cond = Condition(feature, op, threshold)
-                    kept = [i for i in covered if cond.holds(pool[i].features)]
-                    if not kept:
-                        continue
-                    key = (-precision(kept), -len(kept), feature, threshold, op_rank)
-                    if best is None or key < best:
-                        best, best_cond, best_covered = key, cond, kept
+        best = best_condition([pool[i] for i in covered], target)
         if best is None or -best[0] <= current:
             break
-        conditions.append(best_cond)
-        covered = best_covered
+        _, _, feature, threshold, op_rank = best
+        cond = Condition(feature, (LE, GT)[op_rank], threshold)
+        conditions.append(cond)
+        covered = [i for i in covered if cond.holds(pool[i].features)]
         current = -best[0]
     return Rule(tuple(conditions), target), covered
 
@@ -139,7 +121,7 @@ def train_rule_list(
     rules: list[Rule] = []
     for target in classes:
         while any(s.label == target for s in pool):
-            rule, covered = _grow_rule(pool, target, arity)
+            rule, covered = _grow_rule(pool, target)
             kept = len(covered)
             hits = sum(1 for i in covered if pool[i].label == target)
             ok = (
@@ -153,7 +135,7 @@ def train_rule_list(
             covered_set = set(covered)
             pool = [s for i, s in enumerate(pool) if i not in covered_set]
 
-    default = _majority([s.label for s in pool]) if pool else _majority([s.label for s in samples])
+    default = majority([s.label for s in pool]) if pool else majority([s.label for s in samples])
     return RuleListModel(tuple(rules), default, arity, config)
 
 

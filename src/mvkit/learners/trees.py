@@ -8,6 +8,16 @@ maximizes information gain with entropy in bits and optionally applies
 reduced-error pruning against a stratified seeded holdout; the regressor
 maximizes the reduction in the sum of squared deviations and predicts the
 leaf mean.
+
+Each node's best split comes from the sort-and-sweep search in
+:mod:`.splits`: every feature is sorted once per node and swept with
+per-class counts (classifier) or running sums and squared sums
+(regressor), so a node costs O(arity * n log n) rather than one pass over
+its samples per candidate. Classifier gains are bitwise equal to scoring
+each candidate separately. The regressor's running sums only shortlist
+the candidates whose cost lies within a proven rounding bound (about
+8 * gamma(n+2) * n * max|t|^2) of the best; the shortlist is rescored with
+the two-pass squared error, so the chosen split is the same one.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from typing import Sequence
 
 from ..rng import Rng, mix_seed
 from .samples import LabeledSample, LearnError, RegressionSample
+from .splits import best_class_split, best_regression_split, majority
 
 CLASSIFIER = "classifier"
 REGRESSOR = "regressor"
@@ -99,37 +110,6 @@ class TreeModel:
 # --- shared induction machinery ----------------------------------------------
 
 
-def _midpoints(values: Sequence[float]) -> list[float]:
-    """Split candidates: midpoints of consecutive distinct sorted values."""
-    distinct = sorted(set(values))
-    return [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
-
-
-def _entropy_bits(labels: Sequence[int]) -> float:
-    n = len(labels)
-    counts: dict[int, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    h = 0.0
-    for c in counts.values():
-        p = c / n
-        h -= p * math.log2(p)
-    return h
-
-
-def _majority(labels: Sequence[int]) -> int:
-    counts: dict[int, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    return min(counts, key=lambda lab: (-counts[lab], lab))
-
-
-def _sse(targets: Sequence[float]) -> float:
-    n = len(targets)
-    mean = sum(targets) / n
-    return sum((t - mean) ** 2 for t in targets)
-
-
 def _check_samples(samples: Sequence[LabeledSample] | Sequence[RegressionSample]) -> int:
     if not samples:
         raise LearnError("no training data", "need at least one sample")
@@ -156,7 +136,7 @@ def _grow(
     samples: list,
     depth: int,
     config: TreeConfig,
-    score_split,
+    best_split,
     make_leaf,
     is_pure,
 ) -> int:
@@ -168,14 +148,7 @@ def _grow(
     ):
         return grown.add(make_leaf(samples))
 
-    arity = len(samples[0].features)
-    best: tuple[float, int, float] | None = None  # (score, feature, threshold)
-    for j in range(arity):
-        for thr in _midpoints([s.features[j] for s in samples]):
-            score = score_split(samples, j, thr)
-            key = (score, j, thr)
-            if best is None or score > best[0] or (score == best[0] and (j, thr) < (best[1], best[2])):
-                best = key
+    best = best_split(samples)  # (score, feature, threshold)
     if best is None or best[0] <= 0.0:
         return grown.add(make_leaf(samples))
 
@@ -183,8 +156,8 @@ def _grow(
     left_samples = [s for s in samples if s.features[feature] <= threshold]
     right_samples = [s for s in samples if s.features[feature] > threshold]
     index = grown.add(TreeBranch(feature, threshold, -1, -1))  # children patched below
-    left = _grow(grown, left_samples, depth + 1, config, score_split, make_leaf, is_pure)
-    right = _grow(grown, right_samples, depth + 1, config, score_split, make_leaf, is_pure)
+    left = _grow(grown, left_samples, depth + 1, config, best_split, make_leaf, is_pure)
+    right = _grow(grown, right_samples, depth + 1, config, best_split, make_leaf, is_pure)
     grown.nodes[index] = TreeBranch(feature, threshold, left, right)
     return index
 
@@ -200,16 +173,6 @@ def _tree_depth(nodes: Sequence[TreeBranch | TreeLeaf], index: int = 0, depth: i
 
 
 # --- classifier ---------------------------------------------------------------
-
-
-def _information_gain(samples: list[LabeledSample], feature: int, threshold: float) -> float:
-    left = [s.label for s in samples if s.features[feature] <= threshold]
-    right = [s.label for s in samples if s.features[feature] > threshold]
-    if not left or not right:
-        return 0.0
-    n = len(samples)
-    parent = _entropy_bits([s.label for s in samples])
-    return parent - (len(left) / n) * _entropy_bits(left) - (len(right) / n) * _entropy_bits(right)
 
 
 def train_tree_classifier(
@@ -241,8 +204,8 @@ def _train_unpruned(samples: list[LabeledSample], config: TreeConfig) -> TreeMod
         samples,
         0,
         config,
-        _information_gain,
-        lambda ss: TreeLeaf(_majority([s.label for s in ss])),
+        best_class_split,
+        lambda ss: TreeLeaf(majority([s.label for s in ss])),
         lambda ss: len({s.label for s in ss}) == 1,
     )
     nodes = tuple(grown.nodes)
@@ -311,12 +274,12 @@ def _reduced_error_prune(
         prune(node.right)
         here_hold = hold_at.get(index, [])
         here_grow = grow_at.get(index, [])
-        majority = _majority([s.label for s in here_grow]) if here_grow else None
-        if majority is None:
+        leaf_label = majority([s.label for s in here_grow]) if here_grow else None
+        if leaf_label is None:
             return
-        as_leaf_errors = sum(1 for s in here_hold if s.label != majority)
+        as_leaf_errors = sum(1 for s in here_hold if s.label != leaf_label)
         if as_leaf_errors <= subtree_errors(index, here_hold):
-            nodes[index] = TreeLeaf(majority)
+            nodes[index] = TreeLeaf(leaf_label)
 
     prune(0)
     compacted = _compact(nodes)
@@ -365,14 +328,6 @@ def predict_tree(model: TreeModel, x: Sequence[float]) -> tuple[float, int]:
 # --- regression tree ----------------------------------------------------------
 
 
-def _sse_reduction(samples: list[RegressionSample], feature: int, threshold: float) -> float:
-    left = [s.target for s in samples if s.features[feature] <= threshold]
-    right = [s.target for s in samples if s.features[feature] > threshold]
-    if not left or not right:
-        return 0.0
-    return _sse([s.target for s in samples]) - _sse(left) - _sse(right)
-
-
 def train_regression_tree(
     samples: Sequence[RegressionSample], config: TreeConfig = REGTREE_DEFAULTS
 ) -> TreeModel:
@@ -389,7 +344,7 @@ def train_regression_tree(
         samples,
         0,
         config,
-        _sse_reduction,
+        best_regression_split,
         lambda ss: TreeLeaf(sum(s.target for s in ss) / len(ss)),
         lambda ss: len({s.target for s in ss}) == 1,
     )

@@ -242,3 +242,54 @@ class TestTrainCvEmitSimulate:
         r = run_mvkit("emit", "--model", staged / "model.txt", "--out", staged / "model.txt",
                       cwd=staged)
         assert r.returncode == 2
+
+
+class TestInputsAndOutputs:
+    def test_missing_scenario_exits_2(self, tmp_path):
+        r = run_mvkit("select", "--scenario", "nope", "--max-versions", "2", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot read scenario" in r.stderr
+
+    def test_missing_model_exits_2(self, tmp_path):
+        r = run_mvkit("emit", "--model", "missing.mv", "--out", "disp.txt", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot read model" in r.stderr
+        assert not (tmp_path / "disp.txt").exists()
+
+    def test_missing_template_exits_2_and_writes_nothing(self, staged, tmp_path):
+        r = run_mvkit("emit", "--model", staged / "model.txt", "--out", "disp.txt",
+                      "--template", "missing.tpl", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot read template" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_template_exits_2_and_writes_nothing(self, staged, tmp_path):
+        (tmp_path / "bad.tpl").write_text("{{DISPATCH}}\n")
+        r = run_mvkit("emit", "--model", staged / "model.txt", "--out", "disp.txt",
+                      "--template", "bad.tpl", "--rendered-out", "disp.c", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "template error" in r.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.tpl"]
+
+    def test_cv_refuses_to_overwrite_its_scenario(self, staged, tmp_path):
+        scen = tmp_path / "scen"
+        scen.mkdir()
+        for name in SCENARIO_FILES[:3]:
+            (scen / name).write_bytes((staged / "scen" / name).read_bytes())
+        before = (scen / "runtimes.csv").read_bytes()
+        r = run_mvkit("cv", "--scenario", scen, "--selection", staged / "selection.txt",
+                      "--algorithm", "tree", "--seed", "5", "--out", scen / "runtimes.csv",
+                      cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "collides" in r.stderr
+        assert (scen / "runtimes.csv").read_bytes() == before
+
+    def test_simulate_refuses_to_overwrite_its_selection(self, staged, tmp_path):
+        sel = tmp_path / "sel.rep"
+        sel.write_bytes((staged / "selection.txt").read_bytes())
+        before = sel.read_bytes()
+        r = run_mvkit("simulate", "--scenario", staged / "scen" / "test", "--selection", sel,
+                      "--selector", "oracle", "--out", sel, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "collides" in r.stderr
+        assert sel.read_bytes() == before
