@@ -36,6 +36,7 @@ from .dispatch import (
     render_template,
     serialize,
 )
+from .errors import MvkitError
 from .learners import (
     CVReport,
     Condition,

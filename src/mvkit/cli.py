@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .rng import mix_seed
 from .scenario import Scenario, load_scenario, save_scenario, speedups
 from .selection import Constraints, evaluate_set, greedy_select
 from .simulate import simulate
-from .synthgen import SynthConfig, generate, generate_test, save_ground_truth
+from .synthgen import GroundTruth, SynthConfig, generate, generate_test, save_ground_truth
 
 SCENARIO_FILES = ("versions.csv", "datasets.csv", "runtimes.csv")
 
@@ -168,47 +169,23 @@ def _learner_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-precision", dest="min_precision", type=float)
 
 
-# Converters for config-file values, keyed by argparse dest.
-_CONFIG_TYPES = {
-    "versions": int,
-    "datasets": int,
-    "features": int,
-    "regions": int,
-    "seed": int,
-    "noise_sigma": float,
-    "winner_range": _pair,
-    "loser_range": _pair,
-    "base_range": _pair,
-    "size_range": _int_pair,
-    "feature_range": _int_pair,
-    "test_seed": int,
-    "test_datasets": int,
-    "out_dir": str,
-    "scenario": str,
-    "max_versions": int,
-    "size_budget": float,
-    "loss_tol": float,
-    "min_gain": float,
-    "mode": str,
-    "report_mode": str,
-    "out": str,
-    "selection": str,
-    "select_ids": _id_list,
-    "algorithm": str,
-    "min_split": int,
-    "max_depth": int,
-    "prune": lambda s: s.strip() == "1",
-    "prune_holdout": float,
-    "min_cover": int,
-    "min_precision": float,
-    "k": int,
-    "model": str,
-    "template": str,
-    "rendered_out": str,
-    "dispatcher": str,
-    "selector": str,
-    "train_scenario": str,
-}
+def _config_types(parser: argparse.ArgumentParser) -> dict[str, object]:
+    """Config-file value converters keyed by dest, read off every subcommand's flags.
+
+    A flag's converter is its ``type`` (text as is when it has none); a
+    flag that takes no value (``--prune``) is set by the value ``1``.
+    """
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    types: dict[str, object] = {}
+    for command in commands.choices.values():
+        for action in command._actions:
+            if action.dest in ("config", "help"):
+                continue
+            if action.nargs == 0:
+                types[action.dest] = lambda s: s.strip() == "1"
+            else:
+                types[action.dest] = action.type or str
+    return types
 
 
 def _read_text(path: str, what: str) -> str:
@@ -219,7 +196,7 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what}: {exc}") from None
 
 
-def _load_config_file(path: str) -> dict[str, object]:
+def _load_config_file(path: str, types: dict[str, object]) -> dict[str, object]:
     values: dict[str, object] = {}
     text = _read_text(path, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -228,10 +205,10 @@ def _load_config_file(path: str) -> dict[str, object]:
             continue
         key, eq, value = stripped.partition("=")
         key = key.strip()
-        if not eq or key not in _CONFIG_TYPES:
+        if not eq or key not in types:
             raise CliError(f"{path}:{lineno}: unknown config entry {stripped!r}")
         try:
-            values[key] = _CONFIG_TYPES[key](value.strip())
+            values[key] = types[key](value.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -300,11 +277,43 @@ def _representative_ids(args: argparse.Namespace) -> tuple[int, ...]:
     raise CliError("missing required option --selection or --select-ids")
 
 
+def _write_files(outputs: list[tuple[str, str]]) -> None:
+    """Write every (path, text) pair, or none of them.
+
+    Each text goes to a temporary file beside its target; only when all
+    are written are they renamed into place, so a failed write leaves no
+    output behind. A path that cannot be written is a bad flag (exit 2).
+    """
+    temps: list[Path] = []
+    try:
+        for i, (path, text) in enumerate(outputs):
+            target = Path(path)
+            temp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+                temps.append(temp)
+                fh.write(text)
+        for (path, _), temp in zip(outputs, temps):
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        _write_files([(out, text)])
     else:
         sys.stdout.write(text)
+
+
+def _save_generated(directory: Path, scenario: Scenario, truth: GroundTruth) -> None:
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        save_scenario(scenario, *(directory / name for name in SCENARIO_FILES))
+        save_ground_truth(truth, scenario, directory / "ground_truth.csv")
+    except OSError as exc:
+        raise CliError(f"cannot write {directory}: {exc.strerror or exc}") from None
 
 
 def _learner_spec(args: argparse.Namespace) -> LearnerSpec:
@@ -346,17 +355,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     config = SynthConfig(**kwargs)
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    scenario, truth = generate(config)
-    save_scenario(scenario, *(out / name for name in SCENARIO_FILES))
-    save_ground_truth(truth, scenario, out / "ground_truth.csv")
-
+    _save_generated(out, *generate(config))
     if args.test_seed is not None:
-        test_dir = out / "test"
-        test_dir.mkdir(parents=True, exist_ok=True)
-        test_scenario, test_truth = generate_test(config, args.test_seed, args.test_datasets)
-        save_scenario(test_scenario, *(test_dir / name for name in SCENARIO_FILES))
-        save_ground_truth(test_truth, test_scenario, test_dir / "ground_truth.csv")
+        _save_generated(out / "test", *generate_test(config, args.test_seed, args.test_datasets))
     return 0
 
 
@@ -436,7 +437,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         if not model:
             raise CliError("PPM training needs a non-empty representative set")
-    modelio.save_model(model, args.out)
+    _write_files([(args.out, modelio.dumps(model))])
     return 0
 
 
@@ -505,14 +506,11 @@ def cmd_emit(args: argparse.Namespace) -> int:
         raise CliError("only classifier models compile to dispatchers; PPM bundles drive `simulate --model`")
     spec = compile_dispatcher(model)
     # Render everything before writing anything, so a failure leaves no output.
-    document = serialize(spec)
-    rendered = None
+    outputs = [(args.out, serialize(spec))]
     if rendered_path is not None:
         template = DEFAULT_TEMPLATE if args.template == "-" else _read_text(args.template, "template")
-        rendered = render_template(spec, template)
-    Path(args.out).write_text(document, encoding="utf-8", newline="\n")
-    if rendered is not None:
-        Path(rendered_path).write_text(rendered, encoding="utf-8", newline="\n")
+        outputs.append((rendered_path, render_template(spec, template)))
+    _write_files(outputs)
     return 0
 
 
@@ -582,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _merge_config(args, _load_config_file(args.config))
+            _merge_config(args, _load_config_file(args.config, _config_types(parser)))
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"mvkit {args.command}: error: {exc}", file=sys.stderr)

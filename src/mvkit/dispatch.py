@@ -1,8 +1,9 @@
 """Dispatcher compilation, serialization, templating, and size accounting.
 
-A dispatcher is the portable artifact that picks a version at run time: a
-flat array of branch nodes (feature <= threshold goes left) ending in
-version-id leaves. Decision trees map to it one to one; rule lists are
+A dispatcher is the portable artifact that picks a version at run time:
+the node array of :mod:`mvkit.nodes` (feature <= threshold goes left)
+ending in version-id leaves, the same array a classifier tree holds.
+Decision trees therefore compile by renumbering alone; rule lists are
 lowered to an equivalent strict tree by turning each rule into a chain of
 branches whose failure edges each receive their own copy of the
 fall-through logic (no shared subtrees, so the node array is a tree, not
@@ -19,11 +20,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
+from .errors import MvkitError
 from .learners.rules import GT, LE, RuleListModel
-from .learners.trees import CLASSIFIER, TreeBranch, TreeLeaf, TreeModel
+from .learners.trees import CLASSIFIER, TreeModel
+from .nodes import Branch, Leaf, Node, depth_of, format_nodes, g17, parse_nodes, preorder, route
 
 KIND_TREE = "tree"
 KIND_RULES = "rules-lowered-to-tree"
@@ -31,27 +34,11 @@ KIND_RULES = "rules-lowered-to-tree"
 HEADER_PREFIX = "MVDISPATCH v1"
 
 
-class DispatchError(ValueError):
-    """Dispatcher failure with a stable machine-checkable ``category``."""
-
-    def __init__(self, category: str, message: str) -> None:
-        super().__init__(f"{category}: {message}")
-        self.category = category
+class DispatchError(MvkitError):
+    """Dispatcher failure."""
 
 
-@dataclass(frozen=True)
-class Branch:
-    """features[feature] <= threshold routes to left, else to right."""
-
-    feature: int
-    threshold: float
-    left: int
-    right: int
-
-
-@dataclass(frozen=True)
-class Leaf:
-    version_id: int
+_INVALID = partial(DispatchError, "invalid dispatcher")
 
 
 @dataclass(frozen=True)
@@ -63,7 +50,7 @@ class DispatcherSpec:
     """
 
     feature_arity: int
-    nodes: tuple[Branch | Leaf, ...]
+    nodes: tuple[Node, ...]
     entry_index: int
     model_kind: str
 
@@ -77,22 +64,10 @@ class DispatcherSpec:
 
     @cached_property
     def depth(self) -> int:
-        return _depth_from(self.nodes, self.entry_index, set())
+        return depth_of(self.nodes, self.entry_index, _INVALID)
 
     def leaf_versions(self) -> frozenset[int]:
-        return frozenset(n.version_id for n in self.nodes if isinstance(n, Leaf))
-
-
-def _depth_from(nodes: Sequence[Branch | Leaf], index: int, seen: set[int]) -> int:
-    if index < 0 or index >= len(nodes) or index in seen:
-        raise DispatchError("invalid dispatcher", f"node index {index} out of range or cyclic")
-    node = nodes[index]
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(
-        _depth_from(nodes, node.left, seen | {index}),
-        _depth_from(nodes, node.right, seen | {index}),
-    )
+        return frozenset(n.value for n in self.nodes if isinstance(n, Leaf))
 
 
 # --- compilation ---------------------------------------------------------------
@@ -103,17 +78,12 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
     if isinstance(model, TreeModel):
         if model.kind != CLASSIFIER:
             raise DispatchError("model kind", "only classifier trees compile to dispatchers")
-        nodes: list[Branch | Leaf] = []
         for node in model.nodes:
-            if isinstance(node, TreeBranch):
-                if not 0 <= node.feature < model.arity:
-                    raise DispatchError(
-                        "feature range", f"feature index {node.feature} outside arity {model.arity}"
-                    )
-                nodes.append(Branch(node.feature, node.threshold, node.left, node.right))
-            else:
-                nodes.append(Leaf(int(node.value)))
-        return _canonical(DispatcherSpec(model.arity, tuple(nodes), 0, KIND_TREE))
+            if isinstance(node, Branch) and not 0 <= node.feature < model.arity:
+                raise DispatchError(
+                    "feature range", f"feature index {node.feature} outside arity {model.arity}"
+                )
+        return DispatcherSpec(model.arity, preorder(model.nodes, 0, _INVALID), 0, KIND_TREE)
     if isinstance(model, RuleListModel):
         return _compile_rules(model)
     raise DispatchError("model kind", f"cannot compile {type(model).__name__}")
@@ -123,7 +93,7 @@ def _compile_rules(model: RuleListModel) -> DispatcherSpec:
     """Each rule becomes a chain of branches; every failed condition falls
     through to a private copy of the remaining rules, ending at the
     default leaf, so the result is a strict tree."""
-    nodes: list[Branch | Leaf] = []
+    nodes: list[Node] = []
 
     def emit(rule_index: int) -> int:
         if rule_index == len(model.rules):
@@ -151,39 +121,7 @@ def _compile_rules(model: RuleListModel) -> DispatcherSpec:
         return next_on_pass
 
     entry = emit(0)
-    return _canonical(DispatcherSpec(model.arity, tuple(nodes), entry, KIND_RULES))
-
-
-def _canonical(spec: DispatcherSpec) -> DispatcherSpec:
-    """Renumber nodes in pre-order from the entry; entry becomes index 0.
-
-    Also validates reachability bookkeeping: every walked index must be in
-    range and visited at most once (strict tree).
-    """
-    order: list[int] = []
-    remap: dict[int, int] = {}
-
-    def visit(index: int) -> None:
-        if not 0 <= index < len(spec.nodes):
-            raise DispatchError("invalid dispatcher", f"node index {index} out of range")
-        if index in remap:
-            raise DispatchError("invalid dispatcher", f"node {index} reached twice; not a tree")
-        remap[index] = len(order)
-        order.append(index)
-        node = spec.nodes[index]
-        if isinstance(node, Branch):
-            visit(node.left)
-            visit(node.right)
-
-    visit(spec.entry_index)
-    out: list[Branch | Leaf] = []
-    for old in order:
-        node = spec.nodes[old]
-        if isinstance(node, Branch):
-            out.append(Branch(node.feature, node.threshold, remap[node.left], remap[node.right]))
-        else:
-            out.append(node)
-    return DispatcherSpec(spec.feature_arity, tuple(out), 0, spec.model_kind)
+    return DispatcherSpec(model.arity, preorder(nodes, entry, _INVALID), 0, KIND_RULES)
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -199,26 +137,11 @@ def eval_dispatcher(spec: DispatcherSpec, x: Sequence[float]) -> tuple[int, int]
         raise DispatchError(
             "feature arity", f"expected arity {spec.feature_arity}, got {len(x)}"
         )
-    index = spec.entry_index
-    comparisons = 0
-    for _ in range(len(spec.nodes) + 1):
-        if not 0 <= index < len(spec.nodes):
-            raise DispatchError("invalid dispatcher", f"node index {index} out of range")
-        node = spec.nodes[index]
-        if isinstance(node, Leaf):
-            return node.version_id, comparisons
-        if not 0 <= node.feature < spec.feature_arity:
-            raise DispatchError("invalid dispatcher", f"feature index {node.feature} out of range")
-        comparisons += 1
-        index = node.left if x[node.feature] <= node.threshold else node.right
-    raise DispatchError("invalid dispatcher", "evaluation exceeded node count; cycle suspected")
+    index, comparisons = route(spec.nodes, x, _INVALID, spec.entry_index)
+    return spec.nodes[index].value, comparisons
 
 
 # --- canonical text form --------------------------------------------------------
-
-
-def _format_threshold(value: float) -> str:
-    return format(value, ".17g")
 
 
 def serialize(spec: DispatcherSpec) -> str:
@@ -226,40 +149,17 @@ def serialize(spec: DispatcherSpec) -> str:
 
     Serializing a deserialized document reproduces it byte for byte.
     """
-    canon = spec if _is_canonical(spec) else _canonical(spec)
-    lines = [f"{HEADER_PREFIX}; arity={canon.feature_arity}; nodes={len(canon.nodes)}"]
-    for node in canon.nodes:
-        if isinstance(node, Branch):
-            lines.append(
-                f"B {node.feature} {_format_threshold(node.threshold)} {node.left} {node.right}"
-            )
-        else:
-            lines.append(f"L {node.version_id}")
-    return "\n".join(lines) + "\n"
-
-
-def _is_canonical(spec: DispatcherSpec) -> bool:
-    if spec.entry_index != 0:
-        return False
-    expected = 0
-
-    def visit(index: int) -> bool:
-        nonlocal expected
-        if index != expected:
-            return False
-        expected += 1
-        node = spec.nodes[index]
-        if isinstance(node, Branch):
-            if not (0 <= node.left < len(spec.nodes) and 0 <= node.right < len(spec.nodes)):
-                raise DispatchError("invalid dispatcher", f"child index out of range at node {index}")
-            return visit(node.left) and visit(node.right)
-        return True
-
-    return visit(0) and expected == len(spec.nodes)
+    nodes = preorder(spec.nodes, spec.entry_index, _INVALID)
+    lines = [f"{HEADER_PREFIX}; arity={spec.feature_arity}; nodes={len(nodes)}"]
+    return "\n".join(lines + format_nodes(nodes, int)) + "\n"
 
 
 def deserialize(text: str) -> DispatcherSpec:
-    """Parse the canonical text form; errors name the offending line."""
+    """Parse the canonical text form; errors name the offending line.
+
+    A node array that is not a tree but whose walks end (shared children)
+    loads; a cycle or an entry out of range is "invalid dispatcher".
+    """
     lines = text.splitlines()
     if not lines:
         raise DispatchError("parse error", "line 1: empty dispatcher document")
@@ -271,36 +171,13 @@ def deserialize(text: str) -> DispatcherSpec:
     arity, count = int(header.group(1)), int(header.group(2))
     if arity < 1:
         raise DispatchError("parse error", "line 1: arity must be >= 1")
-    body = [ln for ln in lines[1:]]
-    if len(body) != count:
+    if len(lines) - 1 != count:
         raise DispatchError(
-            "parse error", f"line 1: header promises {count} nodes, found {len(body)}"
+            "parse error", f"line 1: header promises {count} nodes, found {len(lines) - 1}"
         )
-    nodes: list[Branch | Leaf] = []
-    for offset, line in enumerate(body, start=2):
-        parts = line.split()
-        if parts and parts[0] == "B" and len(parts) == 5:
-            try:
-                feature = int(parts[1])
-                threshold = float(parts[2])
-                left, right = int(parts[3]), int(parts[4])
-            except ValueError:
-                raise DispatchError("parse error", f"line {offset}: malformed branch {line!r}") from None
-            if not 0 <= feature < arity:
-                raise DispatchError("parse error", f"line {offset}: feature {feature} outside arity {arity}")
-            if not (0 <= left < count and 0 <= right < count):
-                raise DispatchError("parse error", f"line {offset}: child index out of range")
-            nodes.append(Branch(feature, threshold, left, right))
-        elif parts and parts[0] == "L" and len(parts) == 2:
-            try:
-                nodes.append(Leaf(int(parts[1])))
-            except ValueError:
-                raise DispatchError("parse error", f"line {offset}: malformed leaf {line!r}") from None
-        else:
-            raise DispatchError("parse error", f"line {offset}: unrecognized node {line!r}")
-    spec = DispatcherSpec(arity, tuple(nodes), 0, KIND_TREE)
-    _depth_from(spec.nodes, 0, set())  # rejects cycles and unreachable-entry malformations
-    return spec
+    nodes = parse_nodes(lines[1:], 2, arity, int, partial(DispatchError, "parse error"))
+    depth_of(nodes, 0, _INVALID)  # rejects cycles before anything routes through them
+    return DispatcherSpec(arity, nodes, 0, KIND_TREE)
 
 
 # --- template rendering ----------------------------------------------------------
@@ -395,9 +272,9 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
     def render_node(index: int) -> str:
         node = spec.nodes[index]
         if isinstance(node, Leaf):
-            return _substitute(fragments["VER"], {"id": str(node.version_id)})
+            return _substitute(fragments["VER"], {"id": str(node.value)})
         feat = _substitute(fragments["FEAT"], {"i": str(node.feature)})
-        cond = f"{feat} {fragments['CMP_LE']} {_format_threshold(node.threshold)}"
+        cond = f"{feat} {fragments['CMP_LE']} {g17(node.threshold)}"
         return _substitute(
             fragments["BRANCH"],
             {"cond": cond, "then": render_node(node.left), "else": render_node(node.right)},
@@ -453,7 +330,6 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
             take("{")
             if x[feature] <= threshold:
                 result = statement()
-                _skip_block_tail()
                 take("}")
                 take("else")
                 take("{")
@@ -465,7 +341,6 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
                 take("else")
                 take("{")
                 result = statement()
-                _skip_block_tail()
                 take("}")
             return result
         if tok == "return":
@@ -474,9 +349,6 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
             take(";")
             return value
         raise DispatchError("interpret error", f"unexpected token {tok!r}")
-
-    def _skip_block_tail() -> None:
-        pass  # statements are single; nothing trails them inside a block
 
     def _skip_statement() -> None:
         nonlocal pos

@@ -5,15 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import MvkitError
 from ..scenario import Scenario, SpeedupMatrix
 
 
-class LearnError(ValueError):
+class LearnError(MvkitError):
     """Learner failure with a stable machine-checkable ``category``."""
-
-    def __init__(self, category: str, message: str) -> None:
-        super().__init__(f"{category}: {message}")
-        self.category = category
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,19 @@ each candidate separately. The regressor's running sums only shortlist
 the candidates whose cost lies within a proven rounding bound (about
 8 * gamma(n+2) * n * max|t|^2) of the best; the shortlist is rescored with
 the two-pass squared error, so the chosen split is the same one.
+
+Trees are stored as the node array of :mod:`mvkit.nodes`, the same one a
+dispatcher holds; ``TreeBranch``/``TreeLeaf`` are its ``Branch``/``Leaf``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
+from ..nodes import Branch, Leaf, Node, depth_of, preorder, route
 from ..rng import Rng, mix_seed
 from .samples import LabeledSample, LearnError, RegressionSample
 from .splits import best_class_split, best_regression_split, majority
@@ -67,44 +72,35 @@ class TreeConfig:
 REGTREE_DEFAULTS = TreeConfig(min_split=4)
 
 
-@dataclass(frozen=True)
-class TreeBranch:
-    """Internal node: feature[feature] <= threshold goes left, else right."""
+# Public names for the shared node types of :mod:`mvkit.nodes`.
+TreeBranch, TreeLeaf = Branch, Leaf
 
-    feature: int
-    threshold: float
-    left: int
-    right: int
-
-
-@dataclass(frozen=True)
-class TreeLeaf:
-    """Terminal node: a version id (classifier) or a mean target (regressor)."""
-
-    value: float
+# Trees built here are well formed; a failed walk means a hand-built model is broken.
+_INVALID = partial(LearnError, "invalid tree")
 
 
 @dataclass(frozen=True)
 class TreeModel:
-    """Flat binary tree; node 0 is the root.
+    """Flat binary tree of :mod:`mvkit.nodes` nodes; node 0 is the root.
 
     ``kind`` is "classifier" (integer leaf values) or "regressor" (mean
     target leaves). ``arity`` is the feature-vector length every
-    prediction input must match.
+    prediction input must match. A classifier's node array is already a
+    dispatcher's.
     """
 
     kind: str
     arity: int
-    nodes: tuple[TreeBranch | TreeLeaf, ...]
+    nodes: tuple[Node, ...]
     depth: int
     config: TreeConfig
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if isinstance(n, TreeLeaf))
+        return sum(1 for n in self.nodes if isinstance(n, Leaf))
 
     def leaf_values(self) -> tuple[float, ...]:
-        return tuple(n.value for n in self.nodes if isinstance(n, TreeLeaf))
+        return tuple(n.value for n in self.nodes if isinstance(n, Leaf))
 
 
 # --- shared induction machinery ----------------------------------------------
@@ -124,9 +120,9 @@ def _check_samples(samples: Sequence[LabeledSample] | Sequence[RegressionSample]
 class _Grown:
     """Mutable tree under construction; frozen into a TreeModel at the end."""
 
-    nodes: list[TreeBranch | TreeLeaf] = field(default_factory=list)
+    nodes: list[Node] = field(default_factory=list)
 
-    def add(self, node: TreeBranch | TreeLeaf) -> int:
+    def add(self, node: Node) -> int:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
@@ -155,21 +151,11 @@ def _grow(
     _, feature, threshold = best
     left_samples = [s for s in samples if s.features[feature] <= threshold]
     right_samples = [s for s in samples if s.features[feature] > threshold]
-    index = grown.add(TreeBranch(feature, threshold, -1, -1))  # children patched below
+    index = grown.add(Branch(feature, threshold, -1, -1))  # children patched below
     left = _grow(grown, left_samples, depth + 1, config, best_split, make_leaf, is_pure)
     right = _grow(grown, right_samples, depth + 1, config, best_split, make_leaf, is_pure)
-    grown.nodes[index] = TreeBranch(feature, threshold, left, right)
+    grown.nodes[index] = Branch(feature, threshold, left, right)
     return index
-
-
-def _tree_depth(nodes: Sequence[TreeBranch | TreeLeaf], index: int = 0, depth: int = 0) -> int:
-    node = nodes[index]
-    if isinstance(node, TreeLeaf):
-        return depth
-    return max(
-        _tree_depth(nodes, node.left, depth + 1),
-        _tree_depth(nodes, node.right, depth + 1),
-    )
 
 
 # --- classifier ---------------------------------------------------------------
@@ -205,11 +191,11 @@ def _train_unpruned(samples: list[LabeledSample], config: TreeConfig) -> TreeMod
         0,
         config,
         best_class_split,
-        lambda ss: TreeLeaf(majority([s.label for s in ss])),
+        lambda ss: Leaf(majority([s.label for s in ss])),
         lambda ss: len({s.label for s in ss}) == 1,
     )
     nodes = tuple(grown.nodes)
-    return TreeModel(CLASSIFIER, arity, nodes, _tree_depth(nodes), config)
+    return TreeModel(CLASSIFIER, arity, nodes, depth_of(nodes, 0, _INVALID), config)
 
 
 def _stratified_holdout(
@@ -231,13 +217,6 @@ def _stratified_holdout(
     return grow, hold
 
 
-def _route(nodes: Sequence[TreeBranch | TreeLeaf], x: Sequence[float], index: int = 0) -> int:
-    while isinstance(nodes[index], TreeBranch):
-        node = nodes[index]
-        index = node.left if x[node.feature] <= node.threshold else node.right
-    return index
-
-
 def _reduced_error_prune(
     model: TreeModel,
     grow_set: list[LabeledSample],
@@ -252,7 +231,7 @@ def _reduced_error_prune(
 
     def distribute(index: int) -> None:
         node = nodes[index]
-        if isinstance(node, TreeLeaf):
+        if isinstance(node, Leaf):
             return
         for store in (grow_at, hold_at):
             here = store.get(index, [])
@@ -264,11 +243,13 @@ def _reduced_error_prune(
     distribute(0)
 
     def subtree_errors(index: int, samples: list[LabeledSample]) -> int:
-        return sum(1 for s in samples if nodes[_route(nodes, s.features, index)].value != s.label)
+        return sum(
+            1 for s in samples if nodes[route(nodes, s.features, _INVALID, index)[0]].value != s.label
+        )
 
     def prune(index: int) -> None:
         node = nodes[index]
-        if isinstance(node, TreeLeaf):
+        if isinstance(node, Leaf):
             return
         prune(node.left)
         prune(node.right)
@@ -279,49 +260,19 @@ def _reduced_error_prune(
             return
         as_leaf_errors = sum(1 for s in here_hold if s.label != leaf_label)
         if as_leaf_errors <= subtree_errors(index, here_hold):
-            nodes[index] = TreeLeaf(leaf_label)
+            nodes[index] = Leaf(leaf_label)
 
     prune(0)
-    compacted = _compact(nodes)
-    return TreeModel(CLASSIFIER, model.arity, compacted, _tree_depth(compacted), config)
-
-
-def _compact(nodes: list[TreeBranch | TreeLeaf]) -> tuple[TreeBranch | TreeLeaf, ...]:
-    """Drop nodes unreachable after pruning; renumber pre-order from the root."""
-    order: list[int] = []
-    remap: dict[int, int] = {}
-
-    def visit(index: int) -> None:
-        remap[index] = len(order)
-        order.append(index)
-        node = nodes[index]
-        if isinstance(node, TreeBranch):
-            visit(node.left)
-            visit(node.right)
-
-    visit(0)
-    out: list[TreeBranch | TreeLeaf] = []
-    for old in order:
-        node = nodes[old]
-        if isinstance(node, TreeBranch):
-            out.append(TreeBranch(node.feature, node.threshold, remap[node.left], remap[node.right]))
-        else:
-            out.append(node)
-    return tuple(out)
+    compacted = preorder(nodes, 0, _INVALID)
+    return TreeModel(CLASSIFIER, model.arity, compacted, depth_of(compacted, 0, _INVALID), config)
 
 
 def predict_tree(model: TreeModel, x: Sequence[float]) -> tuple[float, int]:
     """Route a feature vector to its leaf; returns (value, comparisons)."""
     if len(x) != model.arity:
         raise LearnError("feature arity", f"expected arity {model.arity}, got {len(x)}")
-    index = 0
-    comparisons = 0
-    while isinstance(model.nodes[index], TreeBranch):
-        node = model.nodes[index]
-        comparisons += 1
-        index = node.left if x[node.feature] <= node.threshold else node.right
-    leaf = model.nodes[index]
-    value = leaf.value
+    index, comparisons = route(model.nodes, x, _INVALID)
+    value = model.nodes[index].value
     return (int(value) if model.kind == CLASSIFIER else float(value)), comparisons
 
 
@@ -345,8 +296,8 @@ def train_regression_tree(
         0,
         config,
         best_regression_split,
-        lambda ss: TreeLeaf(sum(s.target for s in ss) / len(ss)),
+        lambda ss: Leaf(sum(s.target for s in ss) / len(ss)),
         lambda ss: len({s.target for s in ss}) == 1,
     )
     nodes = tuple(grown.nodes)
-    return TreeModel(REGRESSOR, arity, nodes, _tree_depth(nodes), config)
+    return TreeModel(REGRESSOR, arity, nodes, depth_of(nodes, 0, _INVALID), config)

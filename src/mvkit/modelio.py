@@ -2,53 +2,40 @@
 
 One text format (`MVMODEL v1`) covers all four learner families:
 classifier trees, rule lists, and per-version regressor bundles
-(regression trees or linear models). Thresholds, targets, and
-coefficients print with 17 significant digits, so save -> load -> save is
-byte-stable.
+(regression trees or linear models). Tree nodes use the ``B``/``L`` node
+lines of :mod:`mvkit.nodes`, the same ones a dispatcher document holds.
+Thresholds, targets, and coefficients print with 17 significant digits,
+so save -> load -> save is byte-stable.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
+from .errors import MvkitError
 from .learners.linear import LinearModel
 from .learners.rules import Condition, GT, LE, Rule, RuleConfig, RuleListModel
-from .learners.trees import CLASSIFIER, REGRESSOR, TreeBranch, TreeConfig, TreeLeaf, TreeModel
+from .learners.trees import CLASSIFIER, REGRESSOR, TreeConfig, TreeModel
+from .nodes import depth_of, format_nodes, g17, parse_nodes
 
 HEADER_PREFIX = "MVMODEL v1"
 
 AnyModel = TreeModel | RuleListModel | dict[int, TreeModel] | dict[int, LinearModel]
 
 
-class ModelIOError(ValueError):
-    """Model document failure with a stable ``category``."""
-
-    def __init__(self, category: str, message: str) -> None:
-        super().__init__(f"{category}: {message}")
-        self.category = category
+class ModelIOError(MvkitError):
+    """Model document failure."""
 
 
-def _g17(value: float) -> str:
-    return format(value, ".17g")
+_PARSE_ERROR = partial(ModelIOError, "parse error")
 
 
 def _header(algorithm: str, arity: int, extra: dict[str, str]) -> str:
     parts = [HEADER_PREFIX, f"algorithm={algorithm}", f"arity={arity}"]
     parts.extend(f"{k}={v}" for k, v in extra.items())
     return "; ".join(parts)
-
-
-def _tree_lines(model: TreeModel) -> list[str]:
-    lines: list[str] = []
-    for node in model.nodes:
-        if isinstance(node, TreeBranch):
-            lines.append(f"B {node.feature} {_g17(node.threshold)} {node.left} {node.right}")
-        elif model.kind == CLASSIFIER:
-            lines.append(f"L {int(node.value)}")
-        else:
-            lines.append(f"L {_g17(float(node.value))}")
-    return lines
 
 
 def _tree_config_extra(config: TreeConfig) -> dict[str, str]:
@@ -69,7 +56,7 @@ def dumps(model: AnyModel) -> str:
                 "model kind", "a lone regression tree is not a dispatch model; save a bundle"
             )
         extra = {"nodes": str(len(model.nodes))} | _tree_config_extra(model.config)
-        return "\n".join([_header("tree", model.arity, extra), *_tree_lines(model)]) + "\n"
+        return "\n".join([_header("tree", model.arity, extra), *format_nodes(model.nodes, int)]) + "\n"
     if isinstance(model, RuleListModel):
         cfg = model.config
         extra = {
@@ -82,7 +69,7 @@ def dumps(model: AnyModel) -> str:
         for rule in model.rules:
             parts = [f"R {rule.label} {len(rule.conditions)}"]
             for cond in rule.conditions:
-                parts.append(f"{cond.feature} {cond.op} {_g17(cond.threshold)}")
+                parts.append(f"{cond.feature} {cond.op} {g17(cond.threshold)}")
             lines.append(" ".join(parts))
         lines.append(f"D {model.default_label}")
         return "\n".join(lines) + "\n"
@@ -100,7 +87,7 @@ def dumps(model: AnyModel) -> str:
                 if not isinstance(sub, TreeModel) or sub.kind != REGRESSOR:
                     raise ModelIOError("model kind", "regtree bundle must hold regression trees only")
                 lines.append(f"V {v}; nodes={len(sub.nodes)}")
-                lines.extend(_tree_lines(sub))
+                lines.extend(format_nodes(sub.nodes, g17))
             return "\n".join(lines) + "\n"
         arity = first.arity
         lines = [_header("linreg-bundle", arity, {"versions": str(len(versions))})]
@@ -108,9 +95,9 @@ def dumps(model: AnyModel) -> str:
             sub = model[v]
             if not isinstance(sub, LinearModel):
                 raise ModelIOError("model kind", "linreg bundle must hold linear models only")
-            coeffs = " ".join(_g17(c) for c in sub.coefficients)
+            coeffs = " ".join(g17(c) for c in sub.coefficients)
             lines.append(f"V {v}")
-            lines.append(f"C {_g17(sub.intercept)} {coeffs}".rstrip())
+            lines.append(f"C {g17(sub.intercept)} {coeffs}".rstrip())
         return "\n".join(lines) + "\n"
     raise ModelIOError("model kind", f"cannot serialize {type(model).__name__}")
 
@@ -150,50 +137,15 @@ def _tree_config_from(attrs: dict[str, str]) -> TreeConfig:
         raise ModelIOError("parse error", f"line 1: bad tree config ({exc})") from None
 
 
-def _parse_tree_nodes(
-    lines: list[str], start: int, count: int, arity: int, kind: str
-) -> tuple[TreeBranch | TreeLeaf, ...]:
-    nodes: list[TreeBranch | TreeLeaf] = []
-    for offset in range(count):
-        lineno = start + offset + 1
-        if start + offset >= len(lines):
-            raise ModelIOError("parse error", f"line {lineno}: expected {count} nodes, text ended")
-        parts = lines[start + offset].split()
-        try:
-            if parts and parts[0] == "B" and len(parts) == 5:
-                feature, threshold = int(parts[1]), float(parts[2])
-                left, right = int(parts[3]), int(parts[4])
-                if not 0 <= feature < arity:
-                    raise ModelIOError(
-                        "parse error", f"line {lineno}: feature {feature} outside arity {arity}"
-                    )
-                if not (0 <= left < count and 0 <= right < count):
-                    raise ModelIOError("parse error", f"line {lineno}: child index out of range")
-                nodes.append(TreeBranch(feature, threshold, left, right))
-            elif parts and parts[0] == "L" and len(parts) == 2:
-                value = int(parts[1]) if kind == CLASSIFIER else float(parts[1])
-                nodes.append(TreeLeaf(value))
-            else:
-                raise ModelIOError(
-                    "parse error", f"line {lineno}: unrecognized node {lines[start + offset]!r}"
-                )
-        except ValueError:
-            raise ModelIOError(
-                "parse error", f"line {lineno}: malformed node {lines[start + offset]!r}"
-            ) from None
-    return tuple(nodes)
-
-
-def _tree_depth(nodes: tuple[TreeBranch | TreeLeaf, ...], index: int = 0, depth: int = 0, seen: frozenset[int] = frozenset()) -> int:
-    if index in seen or not 0 <= index < len(nodes):
-        raise ModelIOError("parse error", f"node graph is cyclic or out of range at {index}")
-    node = nodes[index]
-    if isinstance(node, TreeLeaf):
-        return depth
-    return max(
-        _tree_depth(nodes, node.left, depth + 1, seen | {index}),
-        _tree_depth(nodes, node.right, depth + 1, seen | {index}),
-    )
+def _parse_tree(
+    lines: list[str], start: int, count: int, arity: int, kind: str, config: TreeConfig
+) -> TreeModel:
+    """The ``count`` node lines from ``lines[start]`` on, as a tree of ``kind``."""
+    if start + count > len(lines):
+        raise ModelIOError("parse error", f"line {len(lines) + 1}: expected {count} nodes, text ended")
+    leaf = int if kind == CLASSIFIER else float
+    nodes = parse_nodes(lines[start : start + count], start + 1, arity, leaf, _PARSE_ERROR)
+    return TreeModel(kind, arity, nodes, depth_of(nodes, 0, _PARSE_ERROR), config)
 
 
 def loads(text: str) -> AnyModel:
@@ -209,10 +161,10 @@ def loads(text: str) -> AnyModel:
 
     if algorithm == "tree":
         count = _attr_int(attrs, "nodes")
-        nodes = _parse_tree_nodes(lines, 1, count, arity, CLASSIFIER)
+        model = _parse_tree(lines, 1, count, arity, CLASSIFIER, _tree_config_from(attrs))
         if len(lines) != 1 + count:
             raise ModelIOError("parse error", f"line {count + 2}: trailing content after nodes")
-        return TreeModel(CLASSIFIER, arity, nodes, _tree_depth(nodes), _tree_config_from(attrs))
+        return model
 
     if algorithm == "rules":
         n_rules = _attr_int(attrs, "rules")
@@ -270,8 +222,7 @@ def loads(text: str) -> AnyModel:
                 count = int(head[1].strip().partition("=")[2])
             except (IndexError, ValueError):
                 raise ModelIOError("parse error", f"line {at + 1}: malformed version header {lines[at]!r}") from None
-            nodes = _parse_tree_nodes(lines, at + 1, count, arity, REGRESSOR)
-            bundle[version] = TreeModel(REGRESSOR, arity, nodes, _tree_depth(nodes), config)
+            bundle[version] = _parse_tree(lines, at + 1, count, arity, REGRESSOR, config)
             at += 1 + count
         if at != len(lines):
             raise ModelIOError("parse error", f"line {at + 1}: trailing content after bundle")

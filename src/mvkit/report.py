@@ -20,18 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import MvkitError
+
 HEADER_PREFIX = "MVREPORT v1"
 
 MACHINE = "machine"
 HUMAN = "human"
 
 
-class ReportError(ValueError):
+class ReportError(MvkitError):
     """Report envelope failure with a stable ``category``."""
-
-    def __init__(self, category: str, message: str) -> None:
-        super().__init__(f"{category}: {message}")
-        self.category = category
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,6 @@ class Rng:
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
 
-    def fork(self) -> "Rng":
-        """Independent child stream, consumes one draw from this stream."""
-        return Rng(self.next_u64())
-
 
 def mix_seed(seed: int, salt: int) -> int:
     """Stable derived seed for sub-streams (e.g. one per CV fold)."""

@@ -21,17 +21,15 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import MvkitError
 
-class ScenarioError(ValueError):
+
+class ScenarioError(MvkitError):
     """Invariant violation or parse failure in scenario tables.
 
     ``category`` is a stable machine-checkable tag, e.g. "duplicate id",
     "incomplete matrix", "non-positive measurement", "baseline count".
     """
-
-    def __init__(self, category: str, message: str) -> None:
-        super().__init__(f"{category}: {message}")
-        self.category = category
 
 
 @dataclass(frozen=True)

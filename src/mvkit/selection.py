@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MvkitError
 from .scenario import SpeedupMatrix
 
 PERF_PRIORITY = "perf_priority"
@@ -33,12 +34,8 @@ SIZE_PRIORITY = "size_priority"
 ORACLE_LIMIT = 20  # exhaustive_select refuses larger candidate pools
 
 
-class SelectionError(ValueError):
+class SelectionError(MvkitError):
     """Selection failure with a stable machine-checkable ``category``."""
-
-    def __init__(self, category: str, message: str) -> None:
-        super().__init__(f"{category}: {message}")
-        self.category = category
 
 
 @dataclass(frozen=True)

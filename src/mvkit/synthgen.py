@@ -26,16 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import MvkitError
 from .rng import Rng, mix_seed
 from .scenario import DatasetRecord, Scenario, Version
 
 
-class SynthError(ValueError):
+class SynthError(MvkitError):
     """Generator configuration failure with a stable ``category``."""
-
-    def __init__(self, category: str, message: str) -> None:
-        super().__init__(f"{category}: {message}")
-        self.category = category
 
 
 @dataclass(frozen=True)

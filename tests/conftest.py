@@ -39,6 +39,37 @@ def run_mvkit(*args, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
+DEEP = 3000  # branches in a deep chain: far past the default recursion limit
+
+
+def chain_node_lines(branches: int, versions: int = 4) -> list[str]:
+    """B/L lines, in pre-order, of a chain of ``branches`` branches on feature 0.
+
+    Branch k sends x <= k to a leaf for version k % versions and the rest
+    down the chain; the last leaf holds version branches % versions.
+    """
+    lines: list[str] = []
+    for k in range(branches):
+        lines += [f"B 0 {k} {2 * k + 1} {2 * k + 2}", f"L {k % versions}"]
+    return lines + [f"L {branches % versions}"]
+
+
+MODEL_HEADER = (
+    "MVMODEL v1; algorithm=tree; arity=1; nodes={n}; "
+    "min_split=2; max_depth=64; prune=0; prune_holdout=0.2; seed=-"
+)
+
+
+def dispatcher_text(node_lines: list[str]) -> str:
+    """An arity-1 MVDISPATCH document holding ``node_lines``."""
+    return "\n".join([f"MVDISPATCH v1; arity=1; nodes={len(node_lines)}", *node_lines]) + "\n"
+
+
+def model_text(node_lines: list[str]) -> str:
+    """An arity-1 MVMODEL classifier-tree document holding ``node_lines``."""
+    return "\n".join([MODEL_HEADER.format(n=len(node_lines)), *node_lines]) + "\n"
+
+
 TOY_SPEEDUPS = {1: (2.0, 1.0, 1.0), 2: (1.0, 2.0, 1.0), 3: (1.5, 1.5, 1.0)}
 
 

@@ -5,8 +5,16 @@ from pathlib import Path
 import pytest
 
 from mvkit import deserialize, eval_dispatcher, parse, save_scenario
+from mvkit.cli import _config_types, build_parser
 
-from conftest import make_toy_scenario, run_mvkit
+from conftest import (
+    DEEP,
+    chain_node_lines,
+    dispatcher_text,
+    make_toy_scenario,
+    model_text,
+    run_mvkit,
+)
 
 GEN_ARGS = [
     "gen",
@@ -20,6 +28,14 @@ GEN_ARGS = [
     "--test-datasets", "80",
 ]
 SCENARIO_FILES = ("versions.csv", "datasets.csv", "runtimes.csv", "ground_truth.csv")
+CONFIG_KEYS = {
+    "versions", "datasets", "features", "regions", "seed", "noise_sigma", "winner_range",
+    "loser_range", "base_range", "size_range", "feature_range", "test_seed", "test_datasets",
+    "out_dir", "scenario", "max_versions", "size_budget", "loss_tol", "min_gain", "mode",
+    "report_mode", "out", "selection", "select_ids", "algorithm", "min_split", "max_depth",
+    "prune", "prune_holdout", "min_cover", "min_precision", "k", "model", "template",
+    "rendered_out", "dispatcher", "selector", "train_scenario",
+}
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +124,15 @@ class TestSelect:
         r2 = run_mvkit("select", "--config", conf, "--scenario", pipeline_dir / "scen",
                        "--max-versions", "1", cwd=pipeline_dir)
         assert "n_selected=1" in r2.stdout
+
+    def test_config_keys_are_the_flag_dests(self):
+        types = _config_types(build_parser())
+        assert set(types) == CONFIG_KEYS
+        assert types["prune"]("1") is True and types["prune"]("0") is False
+        assert types["seed"]("5") == 5
+        assert types["winner_range"]("1,2") == (1.0, 2.0)
+        assert types["select_ids"]("3,1") == (3, 1)
+        assert types["out"]("x.rep") == "x.rep"
 
     def test_unknown_config_key_exits_2(self, pipeline_dir, tmp_path):
         conf = tmp_path / "bad.txt"
@@ -293,3 +318,51 @@ class TestInputsAndOutputs:
         assert r.returncode == 2, r.stderr
         assert "collides" in r.stderr
         assert sel.read_bytes() == before
+
+    def test_unwritable_report_out_exits_2(self, staged, tmp_path):
+        r = run_mvkit("select", "--scenario", staged / "scen", "--max-versions", "2",
+                      "--out", "nodir/x.rep", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot write nodir/x.rep" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_model_out_exits_2(self, staged, tmp_path):
+        r = run_mvkit("train", "--scenario", staged / "scen", "--selection", staged / "selection.txt",
+                      "--algorithm", "tree", "--out", "nodir/m.mv", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot write nodir/m.mv" in r.stderr
+
+    def test_unwritable_out_dir_exits_2(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        r = run_mvkit(*GEN_ARGS, "--out-dir", tmp_path / "file" / "scen", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot write" in r.stderr
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [["nodir/d.txt"], ["d.txt", "--template", "--rendered-out", "nodir/d.c"]],
+        ids=["dispatcher", "rendered"],
+    )
+    def test_emit_failed_write_leaves_no_output(self, staged, tmp_path, outputs):
+        r = run_mvkit("emit", "--model", staged / "model.txt", "--out", *outputs, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot write nodir/" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDeepDocuments:
+    def test_simulate_deep_chain_dispatcher(self, tmp_path):
+        scen = tmp_path / "toy"
+        scen.mkdir()
+        save_scenario(make_toy_scenario(), *(scen / n for n in SCENARIO_FILES[:3]))
+        (tmp_path / "chain.txt").write_text(dispatcher_text(chain_node_lines(DEEP)))
+        r = run_mvkit("simulate", "--scenario", scen, "--select-ids", "1,2,3",
+                      "--dispatcher", "chain.txt", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert parse(r.stdout).get("selector_kind") == "dispatcher"
+
+    def test_emit_deep_model_tree(self, tmp_path):
+        (tmp_path / "deep.mv").write_text(model_text(chain_node_lines(DEEP)))
+        r = run_mvkit("emit", "--model", "deep.mv", "--out", "disp.txt", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "disp.txt").read_text() == dispatcher_text(chain_node_lines(DEEP))

@@ -1,0 +1,101 @@
+"""The shared node array: deep chains, shared children and cycles in both formats."""
+
+import pytest
+
+from mvkit import (
+    DispatchError,
+    DispatcherSpec,
+    ModelIOError,
+    compile_dispatcher,
+    deserialize,
+    eval_dispatcher,
+    predict_tree,
+    serialize,
+)
+from mvkit import modelio
+from mvkit.dispatch import Branch, Leaf
+from mvkit.learners.trees import TreeBranch, TreeLeaf
+from mvkit.nodes import parse_nodes
+
+from conftest import DEEP, chain_node_lines, dispatcher_text, model_text
+
+
+def diamond_lines(levels: int) -> list[str]:
+    """Branch k sends both ways to branch k + 1: 2**levels paths, levels + 1 nodes."""
+    return [f"B 0 {k} {k + 1} {k + 1}" for k in range(levels)] + ["L 1"]
+
+
+class CountingNodes(tuple):
+    """A node tuple that counts how often a walk indexes it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_tree_node_names_are_the_dispatcher_node_types():
+    assert TreeBranch is Branch and TreeLeaf is Leaf
+
+
+class TestDeepChain:
+    def test_dispatcher_round_trips_and_routes(self):
+        text = dispatcher_text(chain_node_lines(DEEP))
+        spec = deserialize(text)
+        assert serialize(spec) == text
+        assert spec.depth == DEEP
+        assert eval_dispatcher(spec, (DEEP - 0.5,)) == (DEEP % 4, DEEP)
+        assert eval_dispatcher(spec, (7.0,)) == (7 % 4, 8)
+
+    def test_model_tree_loads_compiles_and_predicts(self):
+        text = model_text(chain_node_lines(DEEP))
+        model = modelio.loads(text)
+        assert model.depth == DEEP
+        assert modelio.dumps(model) == text
+        assert predict_tree(model, (DEEP - 0.5,)) == (DEEP % 4, DEEP)
+        spec = compile_dispatcher(model)
+        assert spec.nodes == model.nodes
+        assert serialize(spec) == dispatcher_text(chain_node_lines(DEEP))
+
+
+class TestSharedChildren:
+    def test_diamond_depth_reads_each_node_a_bounded_number_of_times(self):
+        nodes = CountingNodes(deserialize(dispatcher_text(diamond_lines(20))).nodes)
+        assert DispatcherSpec(1, nodes, 0, "tree").depth == 20
+        assert nodes.reads <= 4 * len(nodes)
+
+    def test_diamond_loads_in_both_formats_but_is_not_a_tree(self):
+        spec = deserialize(dispatcher_text(diamond_lines(20)))
+        assert spec.depth == 20
+        assert eval_dispatcher(spec, (0.0,)) == (1, 20)
+        assert modelio.loads(model_text(diamond_lines(20))).depth == 20
+        with pytest.raises(DispatchError) as exc:
+            serialize(spec)
+        assert exc.value.category == "invalid dispatcher"
+
+
+CYCLES = {
+    "self-loop": ["B 0 1 0 0"],
+    # Node 1 is a shared child of node 0 and sits on the cycle 1 -> 2 -> 1.
+    "two-node cycle through a shared child": ["B 0 1 1 1", "B 0 1 2 3", "B 0 1 1 3", "L 0"],
+}
+
+
+@pytest.mark.parametrize("lines", CYCLES.values(), ids=CYCLES.keys())
+class TestCyclesRejected:
+    def test_dispatcher_document(self, lines):
+        with pytest.raises(DispatchError) as exc:
+            deserialize(dispatcher_text(lines))
+        assert exc.value.category == "invalid dispatcher"
+
+    def test_model_document(self, lines):
+        with pytest.raises(ModelIOError) as exc:
+            modelio.loads(model_text(lines))
+        assert exc.value.category == "parse error"
+
+    def test_routing_a_hand_built_spec(self, lines):
+        nodes = parse_nodes(lines, 1, 1, int, ValueError)
+        with pytest.raises(DispatchError) as exc:
+            eval_dispatcher(DispatcherSpec(1, nodes, 0, "tree"), (0.0,))
+        assert exc.value.category == "invalid dispatcher"
