@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import modelio, report as reportmod
@@ -172,8 +173,9 @@ def _learner_args(p: argparse.ArgumentParser) -> None:
 def _config_types(parser: argparse.ArgumentParser) -> dict[str, object]:
     """Config-file value converters keyed by dest, read off every subcommand's flags.
 
-    A flag's converter is its ``type`` (text as is when it has none); a
-    flag that takes no value (``--prune``) is set by the value ``1``.
+    A flag's converter is its ``type`` (text as is when it has none),
+    checked against its ``choices`` when it has them; a flag that takes
+    no value (``--prune``) is set by the value ``1``.
     """
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     types: dict[str, object] = {}
@@ -184,8 +186,18 @@ def _config_types(parser: argparse.ArgumentParser) -> dict[str, object]:
             if action.nargs == 0:
                 types[action.dest] = lambda s: s.strip() == "1"
             else:
-                types[action.dest] = action.type or str
+                types[action.dest] = partial(_convert, action.type or str, action.choices)
     return types
+
+
+def _convert(convert, choices, text: str):
+    """``convert(text)``, refused unless it is among ``choices`` (when there are any)."""
+    value = convert(text)
+    if choices is not None and value not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice {value!r} (choose from {', '.join(map(str, choices))})"
+        )
+    return value
 
 
 def _read_text(path: str, what: str) -> str:

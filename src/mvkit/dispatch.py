@@ -1,19 +1,20 @@
 """Dispatcher compilation, serialization, templating, and size accounting.
 
 A dispatcher is the portable artifact that picks a version at run time:
-the node array of :mod:`mvkit.nodes` (feature <= threshold goes left)
-ending in version-id leaves, the same array a classifier tree holds.
-Decision trees therefore compile by renumbering alone; rule lists are
-lowered to an equivalent strict tree by turning each rule into a chain of
-branches whose failure edges each receive their own copy of the
-fall-through logic (no shared subtrees, so the node array is a tree, not
-a DAG).
+the acyclic node array of :mod:`mvkit.nodes` (feature <= threshold goes
+left) ending in version-id leaves, the same array a classifier tree
+holds. Decision trees therefore compile by renumbering alone; a rule
+list is lowered to one chain of branches per rule, where every failure
+edge of a rule points at the one entry of the next rule (its shared
+fall-through), so n rules with c_i conditions take sum(c_i + 1) + 1 nodes.
 
-The canonical text form (`MVDISPATCH v1`) lists nodes in pre-order from
-the entry, one per line, with thresholds at 17 significant digits; it is
-byte-stable and serves as the dispatcher's size measure. A rendered
-source-code view is produced from a fragment template, and a reference
-interpreter for the default C-like template closes the loop in tests.
+The canonical text form (`MVDISPATCH v1`) lists nodes in first-visit
+pre-order from the entry (node 0), one per line, with thresholds at 17
+significant digits; it is byte-stable and serves as the dispatcher's
+size measure. A rendered source-code view is produced from a fragment
+template, which expands a shared node at each of its parents, and a
+reference interpreter for the default C-like template closes the loop in
+tests.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .learners.rules import GT, LE, RuleListModel
 from .learners.trees import CLASSIFIER, TreeModel
 from .nodes import Branch, Leaf, Node, depth_of, format_nodes, g17, parse_nodes, preorder, route
 
-KIND_TREE = "tree"
-KIND_RULES = "rules-lowered-to-tree"
-
 HEADER_PREFIX = "MVDISPATCH v1"
 
 
@@ -43,7 +41,7 @@ _INVALID = partial(DispatchError, "invalid dispatcher")
 
 @dataclass(frozen=True)
 class DispatcherSpec:
-    """Immutable compiled dispatcher; ``entry_index`` starts evaluation.
+    """Immutable compiled dispatcher; evaluation starts at node 0.
 
     ``byte_size`` is the length of the canonical serialization and stands
     in for the selection mechanism's code-size cost.
@@ -51,8 +49,6 @@ class DispatcherSpec:
 
     feature_arity: int
     nodes: tuple[Node, ...]
-    entry_index: int
-    model_kind: str
 
     @cached_property
     def byte_size(self) -> int:
@@ -64,7 +60,7 @@ class DispatcherSpec:
 
     @cached_property
     def depth(self) -> int:
-        return depth_of(self.nodes, self.entry_index, _INVALID)
+        return depth_of(self.nodes, 0, _INVALID)
 
     def leaf_versions(self) -> frozenset[int]:
         return frozenset(n.value for n in self.nodes if isinstance(n, Leaf))
@@ -83,45 +79,39 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
                 raise DispatchError(
                     "feature range", f"feature index {node.feature} outside arity {model.arity}"
                 )
-        return DispatcherSpec(model.arity, preorder(model.nodes, 0, _INVALID), 0, KIND_TREE)
+        nodes = preorder(model.nodes, 0, _INVALID)
+        branches = sum(1 for n in nodes if isinstance(n, Branch))
+        if len(nodes) != 2 * branches + 1:  # a shared node would render once per path
+            raise _INVALID("tree model shares children; not a tree")
+        return DispatcherSpec(model.arity, nodes)
     if isinstance(model, RuleListModel):
         return _compile_rules(model)
     raise DispatchError("model kind", f"cannot compile {type(model).__name__}")
 
 
 def _compile_rules(model: RuleListModel) -> DispatcherSpec:
-    """Each rule becomes a chain of branches; every failed condition falls
-    through to a private copy of the remaining rules, ending at the
-    default leaf, so the result is a strict tree."""
-    nodes: list[Node] = []
-
-    def emit(rule_index: int) -> int:
-        if rule_index == len(model.rules):
-            nodes.append(Leaf(model.default_label))
-            return len(nodes) - 1
-        rule = model.rules[rule_index]
-        success = len(nodes)
+    """Each rule becomes a chain of branches ending at its label leaf;
+    every failed condition falls through to the one entry of the next
+    rule, and past the last rule to the default leaf."""
+    nodes: list[Node] = [Leaf(model.default_label)]
+    fall_through = 0
+    for rule in reversed(model.rules):
         nodes.append(Leaf(rule.label))
-        # Build the chain back to front: the last condition points at the
-        # success leaf, earlier conditions point at the next link.
-        next_on_pass = success
+        on_pass = len(nodes) - 1
         for cond in reversed(rule.conditions):
             if not 0 <= cond.feature < model.arity:
                 raise DispatchError(
                     "feature range", f"feature index {cond.feature} outside arity {model.arity}"
                 )
-            fail = emit(rule_index + 1)
             if cond.op == LE:
-                nodes.append(Branch(cond.feature, cond.threshold, next_on_pass, fail))
+                nodes.append(Branch(cond.feature, cond.threshold, on_pass, fall_through))
             elif cond.op == GT:
-                nodes.append(Branch(cond.feature, cond.threshold, fail, next_on_pass))
+                nodes.append(Branch(cond.feature, cond.threshold, fall_through, on_pass))
             else:
                 raise DispatchError("model kind", f"unknown condition op {cond.op!r}")
-            next_on_pass = len(nodes) - 1
-        return next_on_pass
-
-    entry = emit(0)
-    return DispatcherSpec(model.arity, preorder(nodes, entry, _INVALID), 0, KIND_RULES)
+            on_pass = len(nodes) - 1
+        fall_through = on_pass
+    return DispatcherSpec(model.arity, preorder(nodes, fall_through, _INVALID))
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -137,7 +127,7 @@ def eval_dispatcher(spec: DispatcherSpec, x: Sequence[float]) -> tuple[int, int]
         raise DispatchError(
             "feature arity", f"expected arity {spec.feature_arity}, got {len(x)}"
         )
-    index, comparisons = route(spec.nodes, x, _INVALID, spec.entry_index)
+    index, comparisons = route(spec.nodes, x, _INVALID)
     return spec.nodes[index].value, comparisons
 
 
@@ -145,11 +135,11 @@ def eval_dispatcher(spec: DispatcherSpec, x: Sequence[float]) -> tuple[int, int]
 
 
 def serialize(spec: DispatcherSpec) -> str:
-    """Canonical text: pre-order nodes, LF line ends, 17-digit thresholds.
+    """Canonical text: first-visit pre-order nodes, LF line ends, 17-digit thresholds.
 
     Serializing a deserialized document reproduces it byte for byte.
     """
-    nodes = preorder(spec.nodes, spec.entry_index, _INVALID)
+    nodes = preorder(spec.nodes, 0, _INVALID)
     lines = [f"{HEADER_PREFIX}; arity={spec.feature_arity}; nodes={len(nodes)}"]
     return "\n".join(lines + format_nodes(nodes, int)) + "\n"
 
@@ -157,8 +147,8 @@ def serialize(spec: DispatcherSpec) -> str:
 def deserialize(text: str) -> DispatcherSpec:
     """Parse the canonical text form; errors name the offending line.
 
-    A node array that is not a tree but whose walks end (shared children)
-    loads; a cycle or an entry out of range is "invalid dispatcher".
+    Nodes may be shared by several branches; a cycle is "invalid
+    dispatcher".
     """
     lines = text.splitlines()
     if not lines:
@@ -177,7 +167,7 @@ def deserialize(text: str) -> DispatcherSpec:
         )
     nodes = parse_nodes(lines[1:], 2, arity, int, partial(DispatchError, "parse error"))
     depth_of(nodes, 0, _INVALID)  # rejects cycles before anything routes through them
-    return DispatcherSpec(arity, nodes, 0, KIND_TREE)
+    return DispatcherSpec(arity, nodes)
 
 
 # --- template rendering ----------------------------------------------------------
@@ -260,7 +250,8 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
 
     The template must define all four fragments (BRANCH with cond/then/
     else slots, VER with an id slot, FEAT with an i slot, CMP_LE with no
-    slots) and place one {{DISPATCH}} marker in its body.
+    slots) and place one {{DISPATCH}} marker in its body. A shared node
+    is expanded again under each of its parents.
     """
     fragments, body = _parse_template(template)
     for name in FRAGMENT_NAMES:
@@ -280,7 +271,7 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
             {"cond": cond, "then": render_node(node.left), "else": render_node(node.right)},
         )
 
-    return _substitute(body, {"DISPATCH": render_node(spec.entry_index)}) + (
+    return _substitute(body, {"DISPATCH": render_node(0)}) + (
         "" if body.endswith("\n") else "\n"
     )
 

@@ -99,9 +99,6 @@ class TreeModel:
     def leaf_count(self) -> int:
         return sum(1 for n in self.nodes if isinstance(n, Leaf))
 
-    def leaf_values(self) -> tuple[float, ...]:
-        return tuple(n.value for n in self.nodes if isinstance(n, Leaf))
-
 
 # --- shared induction machinery ----------------------------------------------
 

@@ -1,10 +1,12 @@
-"""The flat binary tree shared by learned trees and dispatchers.
+"""The flat node array shared by learned trees and dispatchers.
 
-A tree is a sequence of nodes addressed by index: a :class:`Branch` sends
+The array is acyclic and addressed by index: a :class:`Branch` sends
 ``x[feature] <= threshold`` to ``left`` and everything else to ``right``;
 a :class:`Leaf` holds a version id (classifiers and dispatchers) or a mean
-target (regression trees). The walks here are iterative, so depth is
-bounded by memory rather than by the interpreter's recursion limit.
+target (regression trees). A node may be the child of several branches
+(a rule list's shared fall-through); a cycle is never valid. The walks
+here are iterative and linear in the node count, so depth is bounded by
+memory rather than by the interpreter's recursion limit.
 
 Every check takes ``error``, a callable that turns a message into the
 caller's exception (for example ``partial(DispatchError, "invalid
@@ -77,20 +79,20 @@ def depth_of(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> int:
 
 
 def preorder(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> tuple[Node, ...]:
-    """Reachable nodes renumbered in pre-order from ``entry``, which becomes 0.
+    """Reachable nodes renumbered in first-visit pre-order from ``entry``, which becomes 0.
 
-    Unreachable nodes are dropped. A node reached twice (a shared child
-    or a cycle), or an index outside ``nodes``, raises ``error``.
+    A node reached along several paths (a shared child) is listed once,
+    at its first visit; unreachable nodes are dropped. A cycle or an index
+    outside ``nodes`` raises ``error``.
     """
+    depth_of(nodes, entry, error)
     order: list[int] = []
     remap: dict[int, int] = {}
     stack = [entry]
     while stack:
         index = stack.pop()
-        if not 0 <= index < len(nodes):
-            raise error(f"node index {index} out of range")
         if index in remap:
-            raise error(f"node {index} reached twice; not a tree")
+            continue
         remap[index] = len(order)
         order.append(index)
         node = nodes[index]

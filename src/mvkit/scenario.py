@@ -98,10 +98,6 @@ class Scenario:
     def _version_index(self) -> dict[int, int]:
         return {v.id: i for i, v in enumerate(self.versions)}
 
-    @cached_property
-    def _dataset_index(self) -> dict[int, int]:
-        return {d.id: i for i, d in enumerate(self.datasets)}
-
     @property
     def feature_arity(self) -> int:
         return len(self.datasets[0].features) if self.datasets else 0
@@ -118,16 +114,8 @@ class Scenario:
             raise ScenarioError("baseline count", "scenario has no unique baseline")
         return base.code_size
 
-    def runtime(self, dataset_id: int, version_id: int) -> float:
-        return float(
-            self.runtimes[self._dataset_index[dataset_id], self._version_index[version_id]]
-        )
-
     def code_sizes(self) -> dict[int, int]:
         return {v.id: v.code_size for v in self.versions}
-
-    def features_of(self, dataset_id: int) -> tuple[float, ...]:
-        return self.datasets[self._dataset_index[dataset_id]].features
 
 
 @dataclass(frozen=True, eq=False)

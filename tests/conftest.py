@@ -54,6 +54,11 @@ def chain_node_lines(branches: int, versions: int = 4) -> list[str]:
     return lines + [f"L {branches % versions}"]
 
 
+def diamond_lines(levels: int) -> list[str]:
+    """Branch k sends both ways to branch k + 1: 2**levels paths, levels + 1 nodes."""
+    return [f"B 0 {k} {k + 1} {k + 1}" for k in range(levels)] + ["L 1"]
+
+
 MODEL_HEADER = (
     "MVMODEL v1; algorithm=tree; arity=1; nodes={n}; "
     "min_split=2; max_depth=64; prune=0; prune_holdout=0.2; seed=-"

@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 from mvkit import deserialize, eval_dispatcher, parse, save_scenario
-from mvkit.cli import _config_types, build_parser
+from mvkit.cli import _config_types, build_parser, main
 
 from conftest import (
     DEEP,
     chain_node_lines,
+    diamond_lines,
     dispatcher_text,
     make_toy_scenario,
     model_text,
@@ -133,6 +134,15 @@ class TestSelect:
         assert types["winner_range"]("1,2") == (1.0, 2.0)
         assert types["select_ids"]("3,1") == (3, 1)
         assert types["out"]("x.rep") == "x.rep"
+
+    def test_config_value_outside_choices_exits_2(self, pipeline_dir, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("mode=bogus\n")
+        rc = main(["select", "--config", str(conf), "--scenario", str(pipeline_dir / "scen"),
+                   "--max-versions", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{conf}:1: invalid choice 'bogus'" in err
 
     def test_unknown_config_key_exits_2(self, pipeline_dir, tmp_path):
         conf = tmp_path / "bad.txt"
@@ -366,3 +376,12 @@ class TestDeepDocuments:
         r = run_mvkit("emit", "--model", "deep.mv", "--out", "disp.txt", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "disp.txt").read_text() == dispatcher_text(chain_node_lines(DEEP))
+
+    @pytest.mark.parametrize("template", [[], ["--template"]], ids=["document", "rendered"])
+    def test_emit_refuses_diamond_model_tree(self, tmp_path, template):
+        (tmp_path / "diamond.mv").write_text(model_text(diamond_lines(20)))
+        r = run_mvkit("emit", "--model", "diamond.mv", "--out", "disp.txt", *template,
+                      cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "invalid dispatcher" in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diamond.mv"]

@@ -27,7 +27,7 @@ from mvkit import (
 )
 from mvkit.dispatch import Branch, Leaf
 from mvkit.learners import LabeledSample
-from mvkit.learners.rules import Condition, Rule, RuleListModel
+from mvkit.learners.rules import GT, LE, Condition, Rule, RuleListModel
 from mvkit.rng import Rng
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,8 +85,6 @@ class TestCompileAndEval:
             DispatcherSpec(
                 feature_arity=1,
                 nodes=(Branch(0, 1.0, 0, 0),),  # self-loop
-                entry_index=0,
-                model_kind="tree",
             ).depth
         assert "invalid dispatcher" in str(exc.value)
 
@@ -106,7 +104,6 @@ class TestRulesLowering:
     def test_lowered_kind_and_equivalence(self):
         model = self.rules_model()
         spec = compile_dispatcher(model)
-        assert spec.model_kind == "rules-lowered-to-tree"
         for x in (2.0, 3.0, 3.5, 6.0, 6.5, 7.0, 7.5, 100.0):
             assert predict_rules(model, (x,))[0] == eval_dispatcher(spec, (x,))[0]
 
@@ -121,6 +118,70 @@ class TestRulesLowering:
         for _ in range(2000):
             x = (rng.uniform(-1, 11), rng.uniform(-1, 11))
             assert predict_rules(model, x)[0] == eval_dispatcher(spec, x)[0]
+
+
+def random_rules(rules: int, conditions: int, arity: int, seed: int) -> RuleListModel:
+    """``rules`` rules of ``conditions`` random conditions each, labels 1..5, default 9."""
+    rng = Rng(seed)
+    return RuleListModel(
+        rules=tuple(
+            Rule(
+                tuple(
+                    Condition(rng.randint(0, arity - 1), (LE, GT)[rng.randint(0, 1)],
+                              rng.uniform(0, 10))
+                    for _ in range(conditions)
+                ),
+                rng.randint(1, 5),
+            )
+            for _ in range(rules)
+        ),
+        default_label=9,
+        arity=arity,
+        config=RuleConfig(),
+    )
+
+
+class TestLinearLowering:
+    """Every failure edge of a rule points at the one entry of the next rule."""
+
+    def test_five_rules_of_two_conditions_take_sixteen_nodes(self):
+        spec = compile_dispatcher(random_rules(5, 2, 2, seed=5))
+        assert len(spec.nodes) == 5 * (2 + 1) + 1
+
+    def test_forty_rules_of_three_conditions_agree_everywhere(self):
+        model = random_rules(40, 3, 3, seed=40)
+        spec = compile_dispatcher(model)
+        assert len(spec.nodes) == 40 * (3 + 1) + 1
+        text = serialize(spec)
+        again = deserialize(text)
+        assert serialize(again) == text
+        rng = Rng(4003)
+        for _ in range(2000):
+            x = tuple(rng.uniform(-1, 11) for _ in range(3))
+            want = predict_rules(model, x)[0]
+            assert eval_dispatcher(spec, x)[0] == want
+            assert eval_dispatcher(again, x)[0] == want
+
+    def test_two_rule_document_is_numbered_in_first_visit_preorder(self):
+        spec = compile_dispatcher(TestRulesLowering().rules_model())
+        assert serialize(spec) == (
+            "MVDISPATCH v1; arity=1; nodes=6\n"
+            "B 0 3 1 2\n"  # rule 0: x <= 3 returns 1, else rule 1
+            "L 1\n"
+            "B 0 6 3 4\n"  # rule 1: x > 6 ...
+            "L 9\n"  # the default, shared by both failure edges of rule 1
+            "B 0 7 5 3\n"  # ... and x <= 7 returns 2
+            "L 2\n"
+        )
+
+    @pytest.mark.parametrize("rules,conditions", [(1, 1), (2, 2), (5, 2)])
+    def test_rendered_source_agrees_with_the_rules(self, rules, conditions):
+        model = random_rules(rules, conditions, 2, seed=rules * 10 + conditions)
+        rendered = render_template(compile_dispatcher(model))
+        rng = Rng(rules)
+        for _ in range(500):
+            x = (rng.uniform(-1, 11), rng.uniform(-1, 11))
+            assert interpret_rendered(rendered, x) == predict_rules(model, x)[0]
 
 
 class TestSerialization:

@@ -17,12 +17,7 @@ from mvkit.dispatch import Branch, Leaf
 from mvkit.learners.trees import TreeBranch, TreeLeaf
 from mvkit.nodes import parse_nodes
 
-from conftest import DEEP, chain_node_lines, dispatcher_text, model_text
-
-
-def diamond_lines(levels: int) -> list[str]:
-    """Branch k sends both ways to branch k + 1: 2**levels paths, levels + 1 nodes."""
-    return [f"B 0 {k} {k + 1} {k + 1}" for k in range(levels)] + ["L 1"]
+from conftest import DEEP, chain_node_lines, diamond_lines, dispatcher_text, model_text
 
 
 class CountingNodes(tuple):
@@ -62,7 +57,7 @@ class TestDeepChain:
 class TestSharedChildren:
     def test_diamond_depth_reads_each_node_a_bounded_number_of_times(self):
         nodes = CountingNodes(deserialize(dispatcher_text(diamond_lines(20))).nodes)
-        assert DispatcherSpec(1, nodes, 0, "tree").depth == 20
+        assert DispatcherSpec(1, nodes).depth == 20
         assert nodes.reads <= 4 * len(nodes)
 
     def test_diamond_loads_in_both_formats_but_is_not_a_tree(self):
@@ -70,8 +65,16 @@ class TestSharedChildren:
         assert spec.depth == 20
         assert eval_dispatcher(spec, (0.0,)) == (1, 20)
         assert modelio.loads(model_text(diamond_lines(20))).depth == 20
+        text = serialize(spec)
+        assert text == dispatcher_text(diamond_lines(20))
+        again = deserialize(text)
+        assert serialize(again) == text
+        for x in (-1.0, 0.0, 9.5, 30.0):
+            assert eval_dispatcher(again, (x,)) == eval_dispatcher(spec, (x,))
+
+    def test_diamond_model_tree_does_not_compile(self):
         with pytest.raises(DispatchError) as exc:
-            serialize(spec)
+            compile_dispatcher(modelio.loads(model_text(diamond_lines(20))))
         assert exc.value.category == "invalid dispatcher"
 
 
@@ -94,8 +97,14 @@ class TestCyclesRejected:
             modelio.loads(model_text(lines))
         assert exc.value.category == "parse error"
 
+    def test_serializing_a_hand_built_spec(self, lines):
+        nodes = parse_nodes(lines, 1, 1, int, ValueError)
+        with pytest.raises(DispatchError) as exc:
+            serialize(DispatcherSpec(1, nodes))
+        assert exc.value.category == "invalid dispatcher"
+
     def test_routing_a_hand_built_spec(self, lines):
         nodes = parse_nodes(lines, 1, 1, int, ValueError)
         with pytest.raises(DispatchError) as exc:
-            eval_dispatcher(DispatcherSpec(1, nodes, 0, "tree"), (0.0,))
+            eval_dispatcher(DispatcherSpec(1, nodes), (0.0,))
         assert exc.value.category == "invalid dispatcher"

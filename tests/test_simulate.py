@@ -122,17 +122,13 @@ class TestGuards:
         assert exc.value.category == "unknown version"
 
     def test_dispatcher_leaf_outside_set_rejected(self, toy_scenario):
-        stray = DispatcherSpec(
-            feature_arity=1, nodes=(Leaf(3),), entry_index=0, model_kind="tree"
-        )
+        stray = DispatcherSpec(feature_arity=1, nodes=(Leaf(3),))
         with pytest.raises(DispatchError) as exc:
             simulate(toy_scenario, stray, (1, 2))
         assert exc.value.category == "unknown version"
 
     def test_dispatcher_may_fall_back_to_baseline(self, toy_scenario):
-        to_baseline = DispatcherSpec(
-            feature_arity=1, nodes=(Leaf(0),), entry_index=0, model_kind="tree"
-        )
+        to_baseline = DispatcherSpec(feature_arity=1, nodes=(Leaf(0),))
         rep = simulate(toy_scenario, to_baseline, (1, 2))
         assert rep.geomean_realized == pytest.approx(1.0, abs=1e-12)
 
