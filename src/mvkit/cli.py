@@ -16,6 +16,7 @@ identical inputs and seeds; human mode only rounds the numbers.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -300,6 +301,8 @@ def _write_files(outputs: list[tuple[str, str]]) -> None:
     try:
         for i, (path, text) in enumerate(outputs):
             target = Path(path)
+            if target.is_dir():  # os.replace would fail only after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             temp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
             with open(temp, "x", encoding="utf-8", newline="\n") as fh:
                 temps.append(temp)

@@ -12,9 +12,9 @@ The canonical text form (`MVDISPATCH v1`) lists nodes in first-visit
 pre-order from the entry (node 0), one per line, with thresholds at 17
 significant digits; it is byte-stable and serves as the dispatcher's
 size measure. A rendered source-code view is produced from a fragment
-template, which expands a shared node at each of its parents, and a
-reference interpreter for the default C-like template closes the loop in
-tests.
+template in one pass that writes every node once (a shared node right
+after the statement of its first parent), and a reference interpreter
+for the default C-like template closes the loop in tests.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
                 )
         nodes = preorder(model.nodes, 0, _INVALID)
         branches = sum(1 for n in nodes if isinstance(n, Branch))
-        if len(nodes) != 2 * branches + 1:  # a shared node would render once per path
+        if len(nodes) != 2 * branches + 1:  # a trained tree never shares a node
             raise _INVALID("tree model shares children; not a tree")
         return DispatcherSpec(model.arity, nodes)
     if isinstance(model, RuleListModel):
@@ -229,29 +229,20 @@ def _parse_template(template: str) -> tuple[dict[str, str], str]:
     return fragments, "\n".join(body_lines)
 
 
-def _substitute(fragment: str, slots: dict[str, str]) -> str:
-    """Replace {{slot}} markers, indenting multi-line values to the
-    marker's column so nested conditionals stay readable."""
-    out = fragment
-    for slot, value in slots.items():
-        marker = "{{" + slot + "}}"
-        while marker in out:
-            at = out.index(marker)
-            line_start = out.rfind("\n", 0, at) + 1
-            prefix = out[line_start:at]
-            indent = prefix if prefix.strip() == "" else ""
-            indented = value.replace("\n", "\n" + indent)
-            out = out[:at] + indented + out[at + len(marker):]
-    return out
-
-
 def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> str:
     """Expand the dispatcher into source text shaped by the template.
 
     The template must define all four fragments (BRANCH with cond/then/
     else slots, VER with an id slot, FEAT with an i slot, CMP_LE with no
-    slots) and place one {{DISPATCH}} marker in its body. A shared node
-    is expanded again under each of its parents.
+    slots) and place one {{DISPATCH}} marker in its body. A slot value
+    that starts on a line blank so far indents its later lines to match.
+
+    One pass over an explicit stack writes every node once and indents
+    each line once. A node with several parents is written right after the
+    statement of the first branch that reaches it, and every side inside
+    that statement leading to it stays empty, so control falls out to it.
+    Any other sharing (a node already written, or a shared node that is
+    not the innermost one waiting) is a "template error".
     """
     fragments, body = _parse_template(template)
     for name in FRAGMENT_NAMES:
@@ -259,21 +250,55 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
             raise DispatchError("template error", f"template missing required fragment {name}")
     if DISPATCH_MARK not in body:
         raise DispatchError("template error", "template missing required placeholder {{DISPATCH}}")
+    nodes = spec.nodes
+    parents = [1] + [0] * (len(nodes) - 1)  # {{DISPATCH}} is the entry's parent
+    for node in nodes:
+        if isinstance(node, Branch):
+            parents[node.left] += 1
+            parents[node.right] += 1
+    seen = bytearray(len(nodes))
+    waiting: list[int] = []  # shared nodes due after an open statement, innermost last
+    stack: list[tuple[str, str | int, bool]] = []  # (indent, text or node, fills a slot)
+    out: list[str] = []
+    line = ""  # the last output line so far
 
-    def render_node(index: int) -> str:
-        node = spec.nodes[index]
+    def push(fragment: str, slots: str, values: dict, indent: str) -> None:
+        parts = re.split(r"\{\{(" + slots + r")\}\}", fragment)
+        for k in reversed(range(len(parts))):
+            if k % 2 == 0:
+                stack.append((indent, parts[k], False))
+            elif values[parts[k]] is not None:
+                stack.append((indent, values[parts[k]], True))
+
+    push(body, "DISPATCH", {"DISPATCH": 0}, "")
+    while stack:
+        indent, item, fills_slot = stack.pop()
+        if fills_slot and not line.strip():
+            indent = line
+        if isinstance(item, str):
+            out.append(item.replace("\n", "\n" + indent))
+            line = (line + out[-1]).rpartition("\n")[2]
+            continue
+        if waiting[-1:] == [item]:
+            waiting.pop()
+        seen[item] = 1
+        node = nodes[item]
         if isinstance(node, Leaf):
-            return _substitute(fragments["VER"], {"id": str(node.value)})
-        feat = _substitute(fragments["FEAT"], {"i": str(node.feature)})
+            push(fragments["VER"], "id", {"id": str(node.value)}, indent)
+            continue
+        shared = {c for c in (node.left, node.right) if parents[c] > 1}
+        for child in shared:
+            if not seen[child]:
+                seen[child] = 1
+                waiting.append(child)
+                stack += [(indent, child, True), (indent, "\n", False)]
+        if shared - set(waiting[-1:]):
+            raise DispatchError("template error", f"node {item} cannot fall out to a shared child")
+        feat = fragments["FEAT"].replace("{{i}}", str(node.feature))
         cond = f"{feat} {fragments['CMP_LE']} {g17(node.threshold)}"
-        return _substitute(
-            fragments["BRANCH"],
-            {"cond": cond, "then": render_node(node.left), "else": render_node(node.right)},
-        )
-
-    return _substitute(body, {"DISPATCH": render_node(0)}) + (
-        "" if body.endswith("\n") else "\n"
-    )
+        then, other = (None if c in shared else c for c in (node.left, node.right))
+        push(fragments["BRANCH"], "cond|then|else", {"cond": cond, "then": then, "else": other}, indent)
+    return "".join(out) + ("" if body.endswith("\n") else "\n")
 
 
 # --- reference interpreter for the default template's output ---------------------
@@ -283,85 +308,63 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
     """Evaluate C-like rendered text (default template shape) at x.
 
     This is a test oracle, not a C parser: it understands exactly the
-    `if (x[i] <= t) { ... } else { ... }` / `return id;` nesting the
-    default template produces.
+    `if (x[i] <= t) { ... } else { ... }` / `return id;` statements the
+    default template produces, where a block runs its statements in order
+    and may be empty. One forward pass: a true test enters the then-block,
+    a false one skips to the else-block, leaving a then-block skips its
+    else-block, and the first `return` reached gives the version.
     """
     tokens = re.findall(
         r"x\[\d+\]|<=|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[(){};]|if|else|return|\w+",
-        rendered,
+        " ".join(rendered.split()),  # one space per gap: deep nesting is mostly indent
     )
     pos = 0
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
+    def take(*expected: str) -> str:
+        """Consume one token, or the expected ones in order; return the last."""
         nonlocal pos
-        if pos >= len(tokens):
-            raise DispatchError("interpret error", "unexpected end of rendered text")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise DispatchError("interpret error", f"expected {expected!r}, got {tok!r}")
-        pos += 1
+        for want in expected or (None,):
+            if pos >= len(tokens):
+                raise DispatchError("interpret error", "unexpected end of rendered text")
+            tok = tokens[pos]
+            if want is not None and tok != want:
+                raise DispatchError("interpret error", f"expected {want!r}, got {tok!r}")
+            pos += 1
         return tok
 
-    def statement() -> int:
-        tok = peek()
+    def skip_block() -> None:  # from just inside a '{' to just past its '}'
+        depth = 1
+        while depth:
+            tok = take()
+            depth += (tok == "{") - (tok == "}")
+
+    # Seek the function body: interpret from the first 'if' or 'return'.
+    while pos < len(tokens) and tokens[pos] not in ("if", "return"):
+        pos += 1
+    while True:
+        tok = take()
         if tok == "if":
-            take("if")
             take("(")
             feat_tok = take()
             m = re.fullmatch(r"x\[(\d+)\]", feat_tok)
             if not m:
                 raise DispatchError("interpret error", f"expected feature reference, got {feat_tok!r}")
-            feature = int(m.group(1))
             take("<=")
             threshold = float(take())
-            take(")")
-            take("{")
-            if x[feature] <= threshold:
-                result = statement()
-                take("}")
-                take("else")
-                take("{")
-                _skip_statement()
-                take("}")
-            else:
-                _skip_statement()
-                take("}")
-                take("else")
-                take("{")
-                result = statement()
-                take("}")
-            return result
-        if tok == "return":
-            take("return")
+            take(")", "{")
+            if not x[int(m.group(1))] <= threshold:
+                skip_block()
+                take("else", "{")
+        elif tok == "return":
             value = int(take())
             take(";")
             return value
-        raise DispatchError("interpret error", f"unexpected token {tok!r}")
-
-    def _skip_statement() -> None:
-        nonlocal pos
-        depth = 0
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok == "{":
-                depth += 1
-            elif tok == "}":
-                if depth == 0:
-                    return
-                depth -= 1
-            elif tok == ";" and depth == 0 and tokens[pos - 1] != "}":
-                # a bare return-statement ends at its semicolon
-                pos += 1
-                return
-            pos += 1
-
-    # Seek the function body: interpret from the first 'if' or 'return'.
-    while peek() is not None and peek() not in ("if", "return"):
-        take()
-    return statement()
+        elif tok == "}":
+            if pos < len(tokens) and tokens[pos] == "else":
+                take("else", "{")
+                skip_block()
+        else:
+            raise DispatchError("interpret error", f"unexpected token {tok!r}")
 
 
 # --- code growth ------------------------------------------------------------------

@@ -49,9 +49,6 @@ class Rule:
     conditions: tuple[Condition, ...]
     label: int
 
-    def matches(self, x: Sequence[float]) -> bool:
-        return all(c.holds(x) for c in self.conditions)
-
 
 @dataclass(frozen=True)
 class RuleConfig:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mvkit import deserialize, eval_dispatcher, parse, save_scenario
+from mvkit import deserialize, eval_dispatcher, interpret_rendered, parse, save_scenario
 from mvkit.cli import _config_types, build_parser, main
 
 from conftest import (
@@ -359,6 +359,15 @@ class TestInputsAndOutputs:
         assert "cannot write nodir/" in r.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_emit_onto_a_directory_leaves_no_output(self, staged, tmp_path):
+        (tmp_path / "out" / "d.c").mkdir(parents=True)
+        r = run_mvkit("emit", "--model", staged / "model.txt", "--out", "out/d.txt",
+                      "--template", "--rendered-out", "out/d.c", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "cannot write out/d.c" in r.stderr
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["d.c"]
+        assert list((tmp_path / "out" / "d.c").iterdir()) == []
+
 
 class TestDeepDocuments:
     def test_simulate_deep_chain_dispatcher(self, tmp_path):
@@ -376,6 +385,17 @@ class TestDeepDocuments:
         r = run_mvkit("emit", "--model", "deep.mv", "--out", "disp.txt", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "disp.txt").read_text() == dispatcher_text(chain_node_lines(DEEP))
+
+    def test_emit_deep_model_tree_with_template(self, tmp_path):
+        (tmp_path / "deep.mv").write_text(model_text(chain_node_lines(DEEP)))
+        r = run_mvkit("emit", "--model", "deep.mv", "--out", "disp.txt", "--template",
+                      "--rendered-out", "disp.c", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        spec = deserialize((tmp_path / "disp.txt").read_text())
+        rendered = (tmp_path / "disp.c").read_text()
+        assert len(rendered.splitlines()) == 4 * DEEP + 3
+        for x in (-1.0, 0.0, 1500.5, DEEP - 1.0, float(DEEP)):
+            assert interpret_rendered(rendered, (x,)) == eval_dispatcher(spec, (x,))[0]
 
     @pytest.mark.parametrize("template", [[], ["--template"]], ids=["document", "rendered"])
     def test_emit_refuses_diamond_model_tree(self, tmp_path, template):

@@ -25,10 +25,13 @@ from mvkit import (
     train_rule_list,
     train_tree_classifier,
 )
-from mvkit.dispatch import Branch, Leaf
+from mvkit.dispatch import FRAGMENT_NAMES, Branch, Leaf, _parse_template
 from mvkit.learners import LabeledSample
 from mvkit.learners.rules import GT, LE, Condition, Rule, RuleListModel
+from mvkit.nodes import g17
 from mvkit.rng import Rng
+
+from conftest import chain_node_lines, diamond_lines, dispatcher_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -271,6 +274,183 @@ class TestTemplate:
         assert "return 5;" in rendered
         assert "if" not in rendered.split("select_version")[1]
         assert interpret_rendered(rendered, (0.0,)) == 5
+
+
+# --- oracle: the recursive renderer that the one-pass renderer replaced ---------
+
+
+def _substitute(fragment, slots):
+    out = fragment
+    for slot, value in slots.items():
+        marker = "{{" + slot + "}}"
+        while marker in out:
+            at = out.index(marker)
+            line_start = out.rfind("\n", 0, at) + 1
+            prefix = out[line_start:at]
+            indent = prefix if prefix.strip() == "" else ""
+            indented = value.replace("\n", "\n" + indent)
+            out = out[:at] + indented + out[at + len(marker):]
+    return out
+
+
+def recursive_render(spec, template):
+    """Expand every node under each of its parents, one recursion per level."""
+    fragments, body = _parse_template(template)
+    assert all(name in fragments for name in FRAGMENT_NAMES)
+
+    def render_node(index):
+        node = spec.nodes[index]
+        if isinstance(node, Leaf):
+            return _substitute(fragments["VER"], {"id": str(node.value)})
+        feat = _substitute(fragments["FEAT"], {"i": str(node.feature)})
+        cond = f"{feat} {fragments['CMP_LE']} {g17(node.threshold)}"
+        return _substitute(
+            fragments["BRANCH"],
+            {"cond": cond, "then": render_node(node.left), "else": render_node(node.right)},
+        )
+
+    return _substitute(body, {"DISPATCH": render_node(0)}) + (
+        "" if body.endswith("\n") else "\n"
+    )
+
+
+PYTHON_TEMPLATE = """\
+# generated selector
+{{BRANCH cond then else}}
+if {{cond}}:
+    {{then}}
+else:
+  {{else}}
+{{END}}
+{{VER id}}
+return {{id}}
+{{END}}
+{{FEAT i}}
+x[{{i}}]
+{{END}}
+{{CMP_LE}}
+<=
+{{END}}
+def select_version(x):
+    {{DISPATCH}}
+"""
+
+
+def random_tree(seed: int, arity: int = 3) -> DispatcherSpec:
+    """A seeded random tree of up to 9 levels, nodes in pre-order."""
+    rng = Rng(seed)
+    nodes: list = []
+    todo = [0]  # depths of the subtrees still to write, next on top
+    while todo:
+        depth = todo.pop()
+        if depth >= 9 or rng.random() < 0.12 + 0.06 * depth:
+            nodes.append(Leaf(rng.randint(0, 6)))
+            continue
+        threshold = rng.uniform(-50, 50) * 10.0 ** rng.randint(-8, 8)
+        nodes.append(Branch(rng.randint(0, arity - 1), threshold, -1, -1))
+        todo += [depth + 1, depth + 1]
+    # Link each branch to its two subtrees: the left one starts right after it.
+    ends: dict[int, int] = {}
+    for index in reversed(range(len(nodes))):
+        node = nodes[index]
+        if isinstance(node, Leaf):
+            ends[index] = index + 1
+        else:
+            right = ends[index + 1]
+            nodes[index] = Branch(node.feature, node.threshold, index + 1, right)
+            ends[index] = ends[right]
+    return DispatcherSpec(arity, tuple(nodes))
+
+
+class TestOnePassRenderer:
+    @pytest.mark.parametrize("template", [DEFAULT_TEMPLATE, PYTHON_TEMPLATE], ids=["c", "python"])
+    def test_trees_render_byte_identically_to_the_recursive_renderer(self, template):
+        sizes = []
+        for seed in range(60):
+            spec = random_tree(seed)
+            assert serialize(deserialize(serialize(spec))) == serialize(spec)
+            rendered = render_template(spec, template)
+            assert rendered == recursive_render(spec, template), f"seed {seed}"
+            sizes.append(len(spec.nodes))
+        assert min(sizes) == 1 and max(sizes) > 100
+
+    def test_python_rendering_runs_as_python(self):
+        for seed in range(20):
+            spec = random_tree(seed)
+            scope: dict = {}
+            exec(render_template(spec, PYTHON_TEMPLATE), scope)
+            rng = Rng(seed)
+            for _ in range(50):
+                x = tuple(rng.uniform(-60, 60) * 10.0 ** rng.randint(-8, 8) for _ in range(3))
+                assert scope["select_version"](x) == eval_dispatcher(spec, x)[0]
+
+    def test_two_rule_list_renders_as_a_decision_list(self):
+        rendered = render_template(compile_dispatcher(TestRulesLowering().rules_model()))
+        assert rendered == (
+            "int select_version(const double *x) {\n"
+            "    if (x[0] <= 3) {\n"
+            "        return 1;\n"
+            "    } else {\n"
+            "        if (x[0] <= 6) {\n"
+            "            \n"  # x <= 6 fails rule 1: fall out to the default
+            "        } else {\n"
+            "            if (x[0] <= 7) {\n"
+            "                return 2;\n"
+            "            } else {\n"
+            "                \n"
+            "            }\n"
+            "        }\n"
+            "        return 9;\n"  # the shared default, written once
+            "    }\n"
+            "}\n"
+        )
+
+    @pytest.mark.parametrize("branches", [200, 400, 800, 1600])
+    def test_chain_lines_grow_linearly(self, branches):
+        spec = deserialize(dispatcher_text(chain_node_lines(branches)))
+        assert len(render_template(spec).splitlines()) == 4 * branches + 3
+
+    @pytest.mark.parametrize("rules", [10, 20, 40, 80])
+    def test_rule_list_lines_grow_linearly(self, rules):
+        spec = compile_dispatcher(random_rules(rules, 3, 3, seed=rules))
+        lines = render_template(spec).splitlines()
+        assert len(lines) <= 5 * len(spec.nodes) + 2
+        assert sum(line.strip().startswith("if (") for line in lines) == rules * 3
+
+    def test_forty_rules_of_three_conditions_render_and_agree(self):
+        model = random_rules(40, 3, 3, seed=40)
+        rendered = render_template(compile_dispatcher(model))
+        assert rendered.count("return ") == 40 + 1
+        rng = Rng(4040)
+        for _ in range(300):
+            x = tuple(rng.uniform(-1, 11) for _ in range(3))
+            assert interpret_rendered(rendered, x) == predict_rules(model, x)[0]
+
+    def test_diamond_writes_each_level_once_and_agrees(self):
+        spec = deserialize(dispatcher_text(diamond_lines(20)))
+        rendered = render_template(spec)
+        assert rendered.count("if (") == 20 and rendered.count("return ") == 1
+        for x in (-1.0, 0.0, 0.5, 7.0, 19.0, 19.5, 20.0, 1e9):
+            assert interpret_rendered(rendered, (x,)) == eval_dispatcher(spec, (x,))[0]
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            # the shared leaf 2 is reached from both subtrees of the root
+            (Branch(0, 5.0, 1, 4), Branch(0, 2.0, 2, 3), Leaf(7), Leaf(1),
+             Branch(0, 8.0, 2, 5), Leaf(3)),
+            # branch 2 reaches the root's waiting leaf 5 and a new shared leaf 3
+            (Branch(0, 5.0, 1, 5), Branch(0, 2.0, 2, 4), Branch(0, 1.0, 3, 5), Leaf(1),
+             Branch(0, 3.0, 3, 6), Leaf(7), Leaf(3)),
+        ],
+        ids=["siblings", "not-innermost"],
+    )
+    def test_sharing_that_cannot_be_written_once_is_template_error(self, nodes):
+        spec = DispatcherSpec(1, nodes)
+        assert spec.depth >= 2  # a valid, acyclic document
+        with pytest.raises(DispatchError) as exc:
+            render_template(spec)
+        assert exc.value.category == "template error"
 
 
 class TestCodeGrowth:
