@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .samples import LearnError, RegressionSample
+from .samples import LearnError, RegressionSample, check_samples
 
 RIDGE_JITTER = 1e-8  # diagonal boost applied only when the design is singular
 
@@ -29,12 +29,7 @@ def train_linear_regression(samples: Sequence[RegressionSample]) -> LinearModel:
     duplicated columns) gets a ridge jitter of 1e-8 on the diagonal, which
     always yields a finite solution.
     """
-    if not samples:
-        raise LearnError("no training data", "need at least one sample")
-    arity = len(samples[0].features)
-    for s in samples:
-        if len(s.features) != arity:
-            raise LearnError("feature arity", f"expected arity {arity}, got {len(s.features)}")
+    check_samples(samples)
     design = np.hstack(
         [np.ones((len(samples), 1)), np.array([s.features for s in samples], dtype=float)]
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .samples import LabeledSample, LearnError
+from .samples import LabeledSample, LearnError, check_samples
 from .splits import best_condition, majority
 
 LE = "le"  # feature <= threshold
@@ -102,12 +102,7 @@ def train_rule_list(
     samples: Sequence[LabeledSample], config: RuleConfig = RuleConfig()
 ) -> RuleListModel:
     """Sequential covering over version labels; see module docstring."""
-    if not samples:
-        raise LearnError("no training data", "need at least one sample")
-    arity = len(samples[0].features)
-    for s in samples:
-        if len(s.features) != arity:
-            raise LearnError("feature arity", f"expected arity {arity}, got {len(s.features)}")
+    arity = check_samples(samples)
 
     counts: dict[int, int] = {}
     for s in samples:

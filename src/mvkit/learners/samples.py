@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..errors import MvkitError
 from ..scenario import Scenario, SpeedupMatrix
@@ -31,6 +32,17 @@ class RegressionSample:
     def __post_init__(self) -> None:
         if not math.isfinite(self.target):
             raise LearnError("non-finite target", f"regression target is {self.target}")
+
+
+def check_samples(samples: Sequence[LabeledSample] | Sequence[RegressionSample]) -> int:
+    """Feature arity of a non-empty training set whose samples all share it."""
+    if not samples:
+        raise LearnError("no training data", "need at least one sample")
+    arity = len(samples[0].features)
+    for s in samples:
+        if len(s.features) != arity:
+            raise LearnError("feature arity", f"expected arity {arity}, got {len(s.features)}")
+    return arity
 
 
 def best_version(

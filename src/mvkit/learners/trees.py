@@ -19,6 +19,14 @@ the candidates whose cost lies within a proven rounding bound (about
 8 * gamma(n+2) * n * max|t|^2) of the best; the shortlist is rescored with
 the two-pass squared error, so the chosen split is the same one.
 
+Growth is one loop over an explicit stack that appends nodes in
+pre-order, so a tree may be as deep as it has samples without reaching
+the interpreter's recursion limit. Every node also records its would-be
+leaf and how many holdout samples reaching it that leaf gets wrong.
+Reduced-error pruning (Quinlan, *Simplifying Decision Trees*, 1987) is a
+bottom-up pass; children follow their parent in pre-order, so it is one
+reverse sweep over the node array.
+
 Trees are stored as the node array of :mod:`mvkit.nodes`, the same one a
 dispatcher holds; ``TreeBranch``/``TreeLeaf`` are its ``Branch``/``Leaf``.
 """
@@ -26,13 +34,14 @@ dispatcher holds; ``TreeBranch``/``TreeLeaf`` are its ``Branch``/``Leaf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Sequence
 
 from ..nodes import Branch, Leaf, Node, depth_of, preorder, route
 from ..rng import Rng, mix_seed
-from .samples import LabeledSample, LearnError, RegressionSample
+from .samples import LabeledSample, LearnError, RegressionSample, check_samples
 from .splits import best_class_split, best_regression_split, majority
 
 CLASSIFIER = "classifier"
@@ -45,9 +54,11 @@ class TreeConfig:
 
     ``prune`` selects reduced-error pruning for the classifier: a
     stratified ``prune_holdout`` fraction (seeded shuffle per class) is
-    withheld from growth and subtrees are collapsed bottom-up whenever
-    that does not increase holdout error. ``seed`` is required iff
-    ``prune`` is set; the regressor ignores both.
+    withheld from growth. A reverse sweep over the grown pre-order array
+    then collapses each branch to its majority leaf whenever that leaf's
+    holdout errors are no more than those of the branch's two already
+    swept children. ``seed`` is required iff ``prune`` is set; the
+    regressor ignores both.
     """
 
     min_split: int = 2
@@ -103,56 +114,59 @@ class TreeModel:
 # --- shared induction machinery ----------------------------------------------
 
 
-def _check_samples(samples: Sequence[LabeledSample] | Sequence[RegressionSample]) -> int:
-    if not samples:
-        raise LearnError("no training data", "need at least one sample")
-    arity = len(samples[0].features)
-    for s in samples:
-        if len(s.features) != arity:
-            raise LearnError("feature arity", f"expected arity {arity}, got {len(s.features)}")
-    return arity
-
-
-@dataclass
-class _Grown:
-    """Mutable tree under construction; frozen into a TreeModel at the end."""
-
-    nodes: list[Node] = field(default_factory=list)
-
-    def add(self, node: Node) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
-
-
 def _grow(
-    grown: _Grown,
     samples: list,
-    depth: int,
+    holdout: list[LabeledSample],
     config: TreeConfig,
     best_split,
-    make_leaf,
-    is_pure,
-) -> int:
-    """Recursive induction shared by both tree kinds; returns node index."""
-    if (
-        is_pure(samples)
-        or len(samples) < config.min_split
-        or depth >= config.max_depth
-    ):
-        return grown.add(make_leaf(samples))
+    target,
+    leaf_value,
+) -> tuple[list[Node], list[Leaf], list[int]]:
+    """Induction shared by both tree kinds: one explicit-stack loop in pre-order.
 
-    best = best_split(samples)  # (score, feature, threshold)
-    if best is None or best[0] <= 0.0:
-        return grown.add(make_leaf(samples))
-
-    _, feature, threshold = best
-    left_samples = [s for s in samples if s.features[feature] <= threshold]
-    right_samples = [s for s in samples if s.features[feature] > threshold]
-    index = grown.add(Branch(feature, threshold, -1, -1))  # children patched below
-    left = _grow(grown, left_samples, depth + 1, config, best_split, make_leaf, is_pure)
-    right = _grow(grown, right_samples, depth + 1, config, best_split, make_leaf, is_pure)
-    grown.nodes[index] = Branch(feature, threshold, left, right)
-    return index
+    ``target`` reads a sample's label or regression target; ``leaf_value``
+    turns the targets of a node's grow samples into its would-be leaf.
+    Returns the node array, each node's would-be leaf and how many of its
+    ``holdout`` samples that leaf gets wrong. A branch's left child is the
+    next node; its right index is patched in when the right child is popped.
+    """
+    nodes: list[Node] = []
+    leaves: list[Leaf] = []
+    errors: list[int] = []
+    # (grow samples, holdout samples, depth, branch whose right child this is or -1)
+    stack = [(samples, holdout, 0, -1)]
+    while stack:
+        here, held, depth, parent = stack.pop()
+        index = len(nodes)
+        if parent >= 0:
+            up = nodes[parent]
+            nodes[parent] = Branch(up.feature, up.threshold, up.left, index)
+        values = list(map(target, here))
+        leaf = Leaf(leaf_value(values))
+        leaves.append(leaf)
+        errors.append(sum(1 for s in held if target(s) != leaf.value))
+        best = None  # (score, feature, threshold)
+        if len(set(values)) > 1 and len(here) >= config.min_split and depth < config.max_depth:
+            best = best_split(here)
+        if best is None or best[0] <= 0.0:
+            nodes.append(leaf)
+            continue
+        _, feature, threshold = best
+        nodes.append(Branch(feature, threshold, index + 1, -1))
+        # The right side goes on first, so the left one is popped next as node index + 1.
+        stack.append((
+            [s for s in here if s.features[feature] > threshold],
+            [s for s in held if s.features[feature] > threshold],
+            depth + 1,
+            index,
+        ))
+        stack.append((
+            [s for s in here if s.features[feature] <= threshold],
+            [s for s in held if s.features[feature] <= threshold],
+            depth + 1,
+            -1,
+        ))
+    return nodes, leaves, errors
 
 
 # --- classifier ---------------------------------------------------------------
@@ -169,29 +183,24 @@ def train_tree_classifier(
     ``config.prune`` the tree is grown on a stratified 80% subset and
     reduced-error pruned against the remaining holdout.
     """
-    _check_samples(samples)
-    samples = list(samples)
+    arity = check_samples(samples)
+    samples, holdout = list(samples), []
     if config.prune:
-        # Every class keeps at least one grow sample, so grow_set is never empty.
-        grow_set, holdout = _stratified_holdout(samples, config.prune_holdout, config.seed)
-        model = _train_unpruned(grow_set, config)
-        return _reduced_error_prune(model, grow_set, holdout, config)
-    return _train_unpruned(samples, config)
-
-
-def _train_unpruned(samples: list[LabeledSample], config: TreeConfig) -> TreeModel:
-    arity = _check_samples(samples)
-    grown = _Grown()
-    _grow(
-        grown,
-        samples,
-        0,
-        config,
-        best_class_split,
-        lambda ss: Leaf(majority([s.label for s in ss])),
-        lambda ss: len({s.label for s in ss}) == 1,
-    )
-    nodes = tuple(grown.nodes)
+        # Every class keeps at least one grow sample, so the grow set is never empty.
+        samples, holdout = _stratified_holdout(samples, config.prune_holdout, config.seed)
+    nodes, leaves, errors = _grow(samples, holdout, config, best_class_split, attrgetter("label"), majority)
+    if config.prune:
+        # Children follow their parent in pre-order, so a reverse sweep is bottom-up.
+        for i in reversed(range(len(nodes))):
+            node = nodes[i]
+            if isinstance(node, Branch):
+                below = errors[node.left] + errors[node.right]
+                if errors[i] <= below:
+                    nodes[i] = leaves[i]
+                else:
+                    errors[i] = below
+        nodes = preorder(nodes, 0, _INVALID)
+    nodes = tuple(nodes)
     return TreeModel(CLASSIFIER, arity, nodes, depth_of(nodes, 0, _INVALID), config)
 
 
@@ -214,56 +223,6 @@ def _stratified_holdout(
     return grow, hold
 
 
-def _reduced_error_prune(
-    model: TreeModel,
-    grow_set: list[LabeledSample],
-    holdout: list[LabeledSample],
-    config: TreeConfig,
-) -> TreeModel:
-    """Bottom-up subtree collapse whenever holdout error does not increase."""
-    nodes = list(model.nodes)
-
-    grow_at: dict[int, list[LabeledSample]] = {0: list(grow_set)}
-    hold_at: dict[int, list[LabeledSample]] = {0: list(holdout)}
-
-    def distribute(index: int) -> None:
-        node = nodes[index]
-        if isinstance(node, Leaf):
-            return
-        for store in (grow_at, hold_at):
-            here = store.get(index, [])
-            store[node.left] = [s for s in here if s.features[node.feature] <= node.threshold]
-            store[node.right] = [s for s in here if s.features[node.feature] > node.threshold]
-        distribute(node.left)
-        distribute(node.right)
-
-    distribute(0)
-
-    def subtree_errors(index: int, samples: list[LabeledSample]) -> int:
-        return sum(
-            1 for s in samples if nodes[route(nodes, s.features, _INVALID, index)[0]].value != s.label
-        )
-
-    def prune(index: int) -> None:
-        node = nodes[index]
-        if isinstance(node, Leaf):
-            return
-        prune(node.left)
-        prune(node.right)
-        here_hold = hold_at.get(index, [])
-        here_grow = grow_at.get(index, [])
-        leaf_label = majority([s.label for s in here_grow]) if here_grow else None
-        if leaf_label is None:
-            return
-        as_leaf_errors = sum(1 for s in here_hold if s.label != leaf_label)
-        if as_leaf_errors <= subtree_errors(index, here_hold):
-            nodes[index] = Leaf(leaf_label)
-
-    prune(0)
-    compacted = preorder(nodes, 0, _INVALID)
-    return TreeModel(CLASSIFIER, model.arity, compacted, depth_of(compacted, 0, _INVALID), config)
-
-
 def predict_tree(model: TreeModel, x: Sequence[float]) -> tuple[float, int]:
     """Route a feature vector to its leaf; returns (value, comparisons)."""
     if len(x) != model.arity:
@@ -284,17 +243,9 @@ def train_regression_tree(
     Growth stops on zero variance, nodes smaller than ``min_split``,
     ``max_depth``, or when no split reduces the squared error.
     """
-    arity = _check_samples(samples)
-    samples = list(samples)
-    grown = _Grown()
-    _grow(
-        grown,
-        samples,
-        0,
-        config,
-        best_regression_split,
-        lambda ss: Leaf(sum(s.target for s in ss) / len(ss)),
-        lambda ss: len({s.target for s in ss}) == 1,
+    arity = check_samples(samples)
+    nodes, _, _ = _grow(
+        list(samples), [], config, best_regression_split, attrgetter("target"), lambda ts: sum(ts) / len(ts)
     )
-    nodes = tuple(grown.nodes)
+    nodes = tuple(nodes)
     return TreeModel(REGRESSOR, arity, nodes, depth_of(nodes, 0, _INVALID), config)

@@ -159,14 +159,13 @@ def loads(text: str) -> AnyModel:
     if arity < 1:
         raise ModelIOError("parse error", "line 1: arity must be >= 1")
 
+    # Each format parses its lines from lines[1] on and leaves ``at`` at the first line it did not use.
     if algorithm == "tree":
         count = _attr_int(attrs, "nodes")
         model = _parse_tree(lines, 1, count, arity, CLASSIFIER, _tree_config_from(attrs))
-        if len(lines) != 1 + count:
-            raise ModelIOError("parse error", f"line {count + 2}: trailing content after nodes")
-        return model
+        at = 1 + count
 
-    if algorithm == "rules":
+    elif algorithm == "rules":
         n_rules = _attr_int(attrs, "rules")
         try:
             config = RuleConfig(
@@ -177,13 +176,12 @@ def loads(text: str) -> AnyModel:
         except ValueError as exc:
             raise ModelIOError("parse error", f"line 1: bad rule config ({exc})") from None
         rules: list[Rule] = []
-        lineno = 2
-        for i in range(n_rules):
-            if i + 1 >= len(lines):
-                raise ModelIOError("parse error", f"line {lineno}: expected {n_rules} rules, text ended")
-            parts = lines[i + 1].split()
+        for at in range(1, n_rules + 1):
+            if at >= len(lines):
+                raise ModelIOError("parse error", f"line {at + 1}: expected {n_rules} rules, text ended")
+            parts = lines[at].split()
             if len(parts) < 3 or parts[0] != "R":
-                raise ModelIOError("parse error", f"line {lineno}: malformed rule {lines[i + 1]!r}")
+                raise ModelIOError("parse error", f"line {at + 1}: malformed rule {lines[at]!r}")
             try:
                 label, n_conditions = int(parts[1]), int(parts[2])
                 if len(parts) != 3 + 3 * n_conditions:
@@ -197,60 +195,67 @@ def loads(text: str) -> AnyModel:
                         raise ValueError
                     conditions.append(Condition(feature, op, threshold))
             except ValueError:
-                raise ModelIOError("parse error", f"line {lineno}: malformed rule {lines[i + 1]!r}") from None
+                raise ModelIOError("parse error", f"line {at + 1}: malformed rule {lines[at]!r}") from None
             rules.append(Rule(tuple(conditions), label))
-            lineno += 1
-        if n_rules + 1 >= len(lines) or not lines[n_rules + 1].startswith("D "):
-            raise ModelIOError("parse error", f"line {lineno}: missing default label line")
+        at = n_rules + 1
+        if at >= len(lines) or not lines[at].startswith("D "):
+            raise ModelIOError("parse error", f"line {at + 1}: missing default label line")
         try:
-            default = int(lines[n_rules + 1].split()[1])
-        except (IndexError, ValueError):
-            raise ModelIOError("parse error", f"line {lineno}: malformed default {lines[n_rules + 1]!r}") from None
-        return RuleListModel(tuple(rules), default, arity, config)
+            _, default_text = lines[at].split()
+            default = int(default_text)
+        except ValueError:
+            raise ModelIOError("parse error", f"line {at + 1}: malformed default {lines[at]!r}") from None
+        model = RuleListModel(tuple(rules), default, arity, config)
+        at += 1
 
-    if algorithm == "regtree-bundle":
+    elif algorithm == "regtree-bundle":
         n_versions = _attr_int(attrs, "versions")
         config = _tree_config_from(attrs)
-        bundle: dict[int, TreeModel] = {}
+        model = {}
         at = 1
         for _ in range(n_versions):
             if at >= len(lines) or not lines[at].startswith("V "):
                 raise ModelIOError("parse error", f"line {at + 1}: expected version header")
-            head = lines[at].split(";")
             try:
-                version = int(head[0].split()[1])
-                count = int(head[1].strip().partition("=")[2])
-            except (IndexError, ValueError):
+                head, attr = lines[at].split(";")
+                _, version_text = head.split()
+                key, _, count_text = attr.strip().partition("=")
+                if key != "nodes":
+                    raise ValueError(key)
+                version, count = int(version_text), int(count_text)
+            except ValueError:
                 raise ModelIOError("parse error", f"line {at + 1}: malformed version header {lines[at]!r}") from None
-            bundle[version] = _parse_tree(lines, at + 1, count, arity, REGRESSOR, config)
+            model[version] = _parse_tree(lines, at + 1, count, arity, REGRESSOR, config)
             at += 1 + count
-        if at != len(lines):
-            raise ModelIOError("parse error", f"line {at + 1}: trailing content after bundle")
-        return bundle
 
-    if algorithm == "linreg-bundle":
+    elif algorithm == "linreg-bundle":
         n_versions = _attr_int(attrs, "versions")
-        bundle_lin: dict[int, LinearModel] = {}
+        model = {}
         at = 1
         for _ in range(n_versions):
             if at + 1 >= len(lines) or not lines[at].startswith("V ") or not lines[at + 1].startswith("C "):
                 raise ModelIOError("parse error", f"line {at + 1}: expected V/C line pair")
             try:
-                version = int(lines[at].split()[1])
+                _, version_text = lines[at].split()
+                version = int(version_text)
+            except ValueError:
+                raise ModelIOError("parse error", f"line {at + 1}: malformed version line {lines[at]!r}") from None
+            try:
                 numbers = [float(x) for x in lines[at + 1].split()[1:]]
-            except (IndexError, ValueError):
+            except ValueError:
                 raise ModelIOError("parse error", f"line {at + 2}: malformed coefficients") from None
             if len(numbers) != arity + 1:
                 raise ModelIOError(
                     "parse error", f"line {at + 2}: expected {arity + 1} numbers, got {len(numbers)}"
                 )
-            bundle_lin[version] = LinearModel(numbers[0], tuple(numbers[1:]))
+            model[version] = LinearModel(numbers[0], tuple(numbers[1:]))
             at += 2
-        if at != len(lines):
-            raise ModelIOError("parse error", f"line {at + 1}: trailing content after bundle")
-        return bundle_lin
 
-    raise ModelIOError("parse error", f"line 1: unknown algorithm {algorithm!r}")
+    else:
+        raise ModelIOError("parse error", f"line 1: unknown algorithm {algorithm!r}")
+    if at != len(lines):
+        raise ModelIOError("parse error", f"line {at + 1}: trailing content after the model")
+    return model
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:

@@ -2,10 +2,12 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mvkit import deserialize, eval_dispatcher, interpret_rendered, parse, save_scenario
+from mvkit import deserialize, eval_dispatcher, interpret_rendered, modelio, parse, save_scenario
 from mvkit.cli import _config_types, build_parser, main
+from mvkit.scenario import DatasetRecord, Scenario, Version
 
 from conftest import (
     DEEP,
@@ -291,6 +293,16 @@ class TestInputsAndOutputs:
         assert "cannot read model" in r.stderr
         assert not (tmp_path / "disp.txt").exists()
 
+    def test_emit_refuses_trailing_content_in_rules_model(self, tmp_path):
+        (tmp_path / "rules.mv").write_text(
+            "MVMODEL v1; algorithm=rules; arity=1; rules=1; min_cover=2; min_precision=0.7; "
+            "seed=-\nR 1 1 0 le 5.5\nD 2\nR 2 1 0 gt 9.5\n"
+        )
+        r = run_mvkit("emit", "--model", "rules.mv", "--out", "disp.txt", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "line 4: trailing content" in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rules.mv"]
+
     def test_missing_template_exits_2_and_writes_nothing(self, staged, tmp_path):
         r = run_mvkit("emit", "--model", staged / "model.txt", "--out", "disp.txt",
                       "--template", "missing.tpl", cwd=tmp_path)
@@ -396,6 +408,38 @@ class TestDeepDocuments:
         assert len(rendered.splitlines()) == 4 * DEEP + 3
         for x in (-1.0, 0.0, 1500.5, DEEP - 1.0, float(DEEP)):
             assert interpret_rendered(rendered, (x,)) == eval_dispatcher(spec, (x,))[0]
+
+    def test_learners_grow_a_chain_as_deep_as_the_data(self, tmp_path):
+        # f0 = i and v1 wins exactly on odd i: every split peels off one
+        # dataset, so both trees are a chain of n - 1 branches.
+        n = 1500
+        runtimes = np.ones((n, 2))
+        runtimes[:, 1] = [0.5 if i % 2 else 2.0 for i in range(n)]
+        scenario = Scenario(
+            versions=(Version(0, "baseline", 100, True), Version(1, "v1", 100, False)),
+            datasets=tuple(DatasetRecord(i, (float(i),)) for i in range(n)),
+            runtimes=runtimes,
+        )
+        scen = tmp_path / "alt"
+        scen.mkdir()
+        save_scenario(scenario, *(scen / name for name in SCENARIO_FILES[:3]))
+        common = ("train", "--scenario", scen, "--select-ids", "1", "--max-depth", "5000")
+        r = run_mvkit(*common, "--algorithm", "tree", "--out", "tree.mv", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_mvkit(*common, "--algorithm", "regtree", "--min-split", "2", "--out", "reg.mv",
+                      cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        tree = modelio.load_model(tmp_path / "tree.mv")
+        bundle = modelio.load_model(tmp_path / "reg.mv")
+        assert (tree.depth, len(tree.nodes)) == (n - 1, 2 * n - 1)
+        assert {v: m.depth for v, m in bundle.items()} == {1: n - 1}
+        r = run_mvkit("emit", "--model", "tree.mv", "--out", "disp.txt", "--template",
+                      cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_mvkit("simulate", "--scenario", scen, "--select-ids", "1",
+                      "--dispatcher", "disp.txt", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert float(parse(r.stdout).get("fraction_of_representative_oracle")) == 1.0
 
     @pytest.mark.parametrize("template", [[], ["--template"]], ids=["document", "rendered"])
     def test_emit_refuses_diamond_model_tree(self, tmp_path, template):

@@ -1,7 +1,11 @@
 """The shared node array: deep chains, shared children and cycles in both formats."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import mvkit
 from mvkit import (
     DispatchError,
     DispatcherSpec,
@@ -28,6 +32,50 @@ class CountingNodes(tuple):
     def __getitem__(self, index):
         self.reads += 1
         return super().__getitem__(index)
+
+
+def self_calls(source: str, filename: str) -> list[str]:
+    """``file:line name`` of every function whose body calls its own name.
+
+    A call counts when the callee is the bare name, or the same name on
+    ``self`` or ``cls``; a nested function calling the outer one counts too.
+    """
+    found = []
+    for func in ast.walk(ast.parse(source, filename)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(func):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            if (isinstance(callee, ast.Name) and callee.id == func.name) or (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == func.name
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id in ("self", "cls")
+            ):
+                found.append(f"{filename}:{call.lineno} {func.name}")
+    return found
+
+
+class TestNoRecursion:
+    """Every walk in the package is iterative, so depth is bounded by memory."""
+
+    def test_no_function_in_the_package_calls_itself(self):
+        root = Path(mvkit.__file__).parent
+        files = sorted(root.rglob("*.py"))
+        assert len(files) > 10
+        found = [hit for f in files for hit in self_calls(f.read_text(encoding="utf-8"), str(f))]
+        assert found == []
+
+    def test_detector_finds_direct_and_nested_self_calls(self):
+        source = (
+            "def walk(n):\n    return walk(n - 1)\n"
+            "class T:\n    def visit(self):\n        self.visit()\n"
+            "def outer():\n    def inner():\n        outer()\n"
+            "def load(path):\n    return json.load(path)\n"
+        )
+        assert sorted(self_calls(source, "x.py")) == ["x.py:2 walk", "x.py:5 visit", "x.py:8 outer"]
 
 
 def test_tree_node_names_are_the_dispatcher_node_types():

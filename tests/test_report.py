@@ -96,7 +96,53 @@ class TestReportFormat:
             parse(text)
 
 
+TREE_DOC = (
+    "MVMODEL v1; algorithm=tree; arity=1; nodes=1; min_split=2; max_depth=64; prune=0; "
+    "prune_holdout=0.2; seed=-\nL 1\n"
+)
+RULES_DOC = (
+    "MVMODEL v1; algorithm=rules; arity=1; rules=1; min_cover=2; min_precision=0.7; seed=-\n"
+    "R 1 1 0 le 5.5\nD 2\n"
+)
+REGTREE_DOC = (
+    "MVMODEL v1; algorithm=regtree-bundle; arity=1; versions=1; min_split=4; max_depth=64; "
+    "prune=0; prune_holdout=0.2; seed=-\nV 3; nodes=1\nL 1\n"
+)
+LINREG_DOC = "MVMODEL v1; algorithm=linreg-bundle; arity=1; versions=1\nV 3\nC 0 1\n"
+
+
 class TestModelDocuments:
+    @pytest.mark.parametrize(
+        "text", [TREE_DOC, RULES_DOC, REGTREE_DOC, LINREG_DOC], ids=["tree", "rules", "regtree", "linreg"]
+    )
+    def test_unedited_documents_round_trip(self, text):
+        assert modelio.dumps(modelio.loads(text)) == text
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (TREE_DOC + "L 2\n", "line 3: trailing content"),
+            (RULES_DOC + "R 1 1 0 le 5.5\n", "line 4: trailing content"),
+            (RULES_DOC + "garbage\n", "line 4: trailing content"),
+            (RULES_DOC.replace("D 2", "D 2 extra"), "line 3: malformed default"),
+            (REGTREE_DOC + "L 2\n", "line 4: trailing content"),
+            (REGTREE_DOC.replace("nodes=1", "nodes=1; whatever=9"), "line 2: malformed version header"),
+            (REGTREE_DOC.replace("nodes=1", "count=1"), "line 2: malformed version header"),
+            (LINREG_DOC.replace("V 3", "V 3 junk"), "line 2: malformed version line"),
+            (LINREG_DOC + "C 0 1\n", "line 4: trailing content"),
+        ],
+        ids=[
+            "tree-trailing", "rules-extra-rule", "rules-garbage", "rules-default-extra",
+            "regtree-trailing", "regtree-extra-attr", "regtree-renamed-attr",
+            "linreg-version-extra", "linreg-trailing",
+        ],
+    )
+    def test_extra_content_is_a_parse_error_naming_the_line(self, text, where):
+        with pytest.raises(ModelIOError) as exc:
+            modelio.loads(text)
+        assert exc.value.category == "parse error"
+        assert where in str(exc.value)
+
     def test_tree_round_trip(self):
         model = train_tree_classifier(FOUR)
         text = modelio.dumps(model)
