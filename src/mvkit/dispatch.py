@@ -165,7 +165,7 @@ def deserialize(text: str) -> DispatcherSpec:
         raise DispatchError(
             "parse error", f"line 1: header promises {count} nodes, found {len(lines) - 1}"
         )
-    nodes = parse_nodes(lines[1:], 2, arity, int, partial(DispatchError, "parse error"))
+    nodes = parse_nodes(lines[1:], range(2, len(lines) + 1), arity, int, partial(DispatchError, "parse error"))
     depth_of(nodes, 0, _INVALID)  # rejects cycles before anything routes through them
     return DispatcherSpec(arity, nodes)
 

@@ -45,19 +45,32 @@ def check_samples(samples: Sequence[LabeledSample] | Sequence[RegressionSample])
     return arity
 
 
+def _tie_order(matrix: SpeedupMatrix, candidates: Sequence[int], sizes: dict[int, int]) -> tuple[list, list]:
+    """Candidates by (code_size, id), and their rows in ``matrix``."""
+    ordered = sorted(candidates, key=lambda v: (sizes.get(v, 0), v))
+    return ordered, [matrix._version_index[v] for v in ordered]
+
+
+def best_versions(matrix: SpeedupMatrix, candidates: Sequence[int], code_sizes: dict[int, int]) -> list[int]:
+    """Argmax-speedup version of every dataset column, in column order.
+
+    ``candidates`` must include the baseline if it is eligible. Ties go to
+    the smaller code_size, then the smaller id: ``argmax`` keeps the first
+    maximum, and the rows are in that order.
+    """
+    ordered, rows = _tie_order(matrix, candidates, code_sizes)
+    return [ordered[k] for k in matrix.entries[rows].argmax(axis=0).tolist()]
+
+
 def best_version(
     matrix: SpeedupMatrix,
     dataset_index: int,
-    candidates: tuple[int, ...],
+    candidates: Sequence[int],
     code_sizes: dict[int, int],
 ) -> int:
-    """Argmax-speedup version for one dataset column.
-
-    ``candidates`` must include the baseline if it is eligible. Ties go to
-    the smaller code_size, then the smaller id.
-    """
-    col = {v: float(matrix.entries[matrix._version_index[v], dataset_index]) for v in candidates}
-    return min(candidates, key=lambda v: (-col[v], code_sizes.get(v, 0), v))
+    """:func:`best_versions` for the one column ``dataset_index``."""
+    ordered, rows = _tie_order(matrix, candidates, code_sizes)
+    return ordered[int(matrix.entries[rows, dataset_index].argmax())]
 
 
 def make_dc_labels(
@@ -78,12 +91,8 @@ def make_dc_labels(
         if v not in known:
             raise LearnError("unknown version", f"representative version {v} not in matrix")
     pool = tuple(sorted(representative)) + (matrix.baseline_id,)
-    sizes = scenario.code_sizes()
-    samples: list[LabeledSample] = []
-    for i, d in enumerate(scenario.datasets):
-        label = best_version(matrix, i, pool, sizes)
-        samples.append(LabeledSample(features=d.features, label=label))
-    return samples
+    labels = best_versions(matrix, pool, scenario.code_sizes())
+    return [LabeledSample(d.features, label) for d, label in zip(scenario.datasets, labels)]
 
 
 def make_ppm_samples(scenario: Scenario, matrix: SpeedupMatrix, version_id: int) -> list[RegressionSample]:

@@ -102,29 +102,30 @@ def dumps(model: AnyModel) -> str:
     raise ModelIOError("model kind", f"cannot serialize {type(model).__name__}")
 
 
-def _parse_header(line: str) -> dict[str, str]:
+def _parse_header(line: str, head: int) -> dict[str, str]:
+    """The attributes of the header ``line``; ``head`` is its line number."""
     parts = [p.strip() for p in line.split(";")]
     if not parts or parts[0] != HEADER_PREFIX:
-        raise ModelIOError("parse error", f"line 1: expected {HEADER_PREFIX!r} header")
+        raise ModelIOError("parse error", f"line {head}: expected {HEADER_PREFIX!r} header")
     attrs: dict[str, str] = {}
     for part in parts[1:]:
         key, eq, value = part.partition("=")
         if not eq:
-            raise ModelIOError("parse error", f"line 1: malformed header attribute {part!r}")
+            raise ModelIOError("parse error", f"line {head}: malformed header attribute {part!r}")
         attrs[key] = value
     return attrs
 
 
-def _attr_int(attrs: dict[str, str], key: str) -> int:
+def _attr_int(attrs: dict[str, str], key: str, head: int) -> int:
     try:
         return int(attrs[key])
     except KeyError:
-        raise ModelIOError("parse error", f"line 1: header missing {key}") from None
+        raise ModelIOError("parse error", f"line {head}: header missing {key}") from None
     except ValueError:
-        raise ModelIOError("parse error", f"line 1: {key} must be an integer") from None
+        raise ModelIOError("parse error", f"line {head}: {key} must be an integer") from None
 
 
-def _tree_config_from(attrs: dict[str, str]) -> TreeConfig:
+def _tree_config_from(attrs: dict[str, str], head: int) -> TreeConfig:
     try:
         return TreeConfig(
             min_split=int(attrs.get("min_split", "2")),
@@ -134,39 +135,52 @@ def _tree_config_from(attrs: dict[str, str]) -> TreeConfig:
             seed=None if attrs.get("seed", "-") == "-" else int(attrs["seed"]),
         )
     except ValueError as exc:
-        raise ModelIOError("parse error", f"line 1: bad tree config ({exc})") from None
+        raise ModelIOError("parse error", f"line {head}: bad tree config ({exc})") from None
 
 
 def _parse_tree(
-    lines: list[str], start: int, count: int, arity: int, kind: str, config: TreeConfig
+    lines: list[str], linenos: list[int], start: int, count: int, arity: int, kind: str, config: TreeConfig
 ) -> TreeModel:
     """The ``count`` node lines from ``lines[start]`` on, as a tree of ``kind``."""
-    if start + count > len(lines):
-        raise ModelIOError("parse error", f"line {len(lines) + 1}: expected {count} nodes, text ended")
+    end = start + count
+    if end > len(lines):
+        raise ModelIOError("parse error", f"line {linenos[-1]}: expected {count} nodes, text ended")
     leaf = int if kind == CLASSIFIER else float
-    nodes = parse_nodes(lines[start : start + count], start + 1, arity, leaf, _PARSE_ERROR)
+    nodes = parse_nodes(lines[start:end], linenos[start:end], arity, leaf, _PARSE_ERROR)
     return TreeModel(kind, arity, nodes, depth_of(nodes, 0, _PARSE_ERROR), config)
 
 
+def _check_new_version(model: dict, version: int, lineno: int) -> None:
+    if version in model:
+        raise ModelIOError("parse error", f"line {lineno}: version {version} appears twice in the bundle")
+
+
 def loads(text: str) -> AnyModel:
-    """Parse an MVMODEL document back into its model object."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse an MVMODEL document back into its model object.
+
+    Blank lines are skipped; errors name a line by its number in ``text``.
+    """
+    physical = text.splitlines()
+    linenos = [n for n, ln in enumerate(physical, start=1) if ln.strip()]
+    lines = [physical[n - 1] for n in linenos]
+    linenos.append(len(physical) + 1)  # where the text ends
     if not lines:
         raise ModelIOError("parse error", "line 1: empty model document")
-    attrs = _parse_header(lines[0])
+    head = linenos[0]
+    attrs = _parse_header(lines[0], head)
     algorithm = attrs.get("algorithm")
-    arity = _attr_int(attrs, "arity")
+    arity = _attr_int(attrs, "arity", head)
     if arity < 1:
-        raise ModelIOError("parse error", "line 1: arity must be >= 1")
+        raise ModelIOError("parse error", f"line {head}: arity must be >= 1")
 
     # Each format parses its lines from lines[1] on and leaves ``at`` at the first line it did not use.
     if algorithm == "tree":
-        count = _attr_int(attrs, "nodes")
-        model = _parse_tree(lines, 1, count, arity, CLASSIFIER, _tree_config_from(attrs))
+        count = _attr_int(attrs, "nodes", head)
+        model = _parse_tree(lines, linenos, 1, count, arity, CLASSIFIER, _tree_config_from(attrs, head))
         at = 1 + count
 
     elif algorithm == "rules":
-        n_rules = _attr_int(attrs, "rules")
+        n_rules = _attr_int(attrs, "rules", head)
         try:
             config = RuleConfig(
                 min_cover=int(attrs.get("min_cover", "2")),
@@ -174,14 +188,14 @@ def loads(text: str) -> AnyModel:
                 seed=None if attrs.get("seed", "-") == "-" else int(attrs["seed"]),
             )
         except ValueError as exc:
-            raise ModelIOError("parse error", f"line 1: bad rule config ({exc})") from None
+            raise ModelIOError("parse error", f"line {head}: bad rule config ({exc})") from None
         rules: list[Rule] = []
         for at in range(1, n_rules + 1):
             if at >= len(lines):
-                raise ModelIOError("parse error", f"line {at + 1}: expected {n_rules} rules, text ended")
+                raise ModelIOError("parse error", f"line {linenos[at]}: expected {n_rules} rules, text ended")
             parts = lines[at].split()
             if len(parts) < 3 or parts[0] != "R":
-                raise ModelIOError("parse error", f"line {at + 1}: malformed rule {lines[at]!r}")
+                raise ModelIOError("parse error", f"line {linenos[at]}: malformed rule {lines[at]!r}")
             try:
                 label, n_conditions = int(parts[1]), int(parts[2])
                 if len(parts) != 3 + 3 * n_conditions:
@@ -195,66 +209,68 @@ def loads(text: str) -> AnyModel:
                         raise ValueError
                     conditions.append(Condition(feature, op, threshold))
             except ValueError:
-                raise ModelIOError("parse error", f"line {at + 1}: malformed rule {lines[at]!r}") from None
+                raise ModelIOError("parse error", f"line {linenos[at]}: malformed rule {lines[at]!r}") from None
             rules.append(Rule(tuple(conditions), label))
         at = n_rules + 1
         if at >= len(lines) or not lines[at].startswith("D "):
-            raise ModelIOError("parse error", f"line {at + 1}: missing default label line")
+            raise ModelIOError("parse error", f"line {linenos[at]}: missing default label line")
         try:
             _, default_text = lines[at].split()
             default = int(default_text)
         except ValueError:
-            raise ModelIOError("parse error", f"line {at + 1}: malformed default {lines[at]!r}") from None
+            raise ModelIOError("parse error", f"line {linenos[at]}: malformed default {lines[at]!r}") from None
         model = RuleListModel(tuple(rules), default, arity, config)
         at += 1
 
     elif algorithm == "regtree-bundle":
-        n_versions = _attr_int(attrs, "versions")
-        config = _tree_config_from(attrs)
+        n_versions = _attr_int(attrs, "versions", head)
+        config = _tree_config_from(attrs, head)
         model = {}
         at = 1
         for _ in range(n_versions):
             if at >= len(lines) or not lines[at].startswith("V "):
-                raise ModelIOError("parse error", f"line {at + 1}: expected version header")
+                raise ModelIOError("parse error", f"line {linenos[at]}: expected version header")
             try:
-                head, attr = lines[at].split(";")
-                _, version_text = head.split()
+                version_part, attr = lines[at].split(";")
+                _, version_text = version_part.split()
                 key, _, count_text = attr.strip().partition("=")
                 if key != "nodes":
                     raise ValueError(key)
                 version, count = int(version_text), int(count_text)
             except ValueError:
-                raise ModelIOError("parse error", f"line {at + 1}: malformed version header {lines[at]!r}") from None
-            model[version] = _parse_tree(lines, at + 1, count, arity, REGRESSOR, config)
+                raise ModelIOError("parse error", f"line {linenos[at]}: malformed version header {lines[at]!r}") from None
+            _check_new_version(model, version, linenos[at])
+            model[version] = _parse_tree(lines, linenos, at + 1, count, arity, REGRESSOR, config)
             at += 1 + count
 
     elif algorithm == "linreg-bundle":
-        n_versions = _attr_int(attrs, "versions")
+        n_versions = _attr_int(attrs, "versions", head)
         model = {}
         at = 1
         for _ in range(n_versions):
             if at + 1 >= len(lines) or not lines[at].startswith("V ") or not lines[at + 1].startswith("C "):
-                raise ModelIOError("parse error", f"line {at + 1}: expected V/C line pair")
+                raise ModelIOError("parse error", f"line {linenos[at]}: expected V/C line pair")
             try:
                 _, version_text = lines[at].split()
                 version = int(version_text)
             except ValueError:
-                raise ModelIOError("parse error", f"line {at + 1}: malformed version line {lines[at]!r}") from None
+                raise ModelIOError("parse error", f"line {linenos[at]}: malformed version line {lines[at]!r}") from None
+            _check_new_version(model, version, linenos[at])
             try:
                 numbers = [float(x) for x in lines[at + 1].split()[1:]]
             except ValueError:
-                raise ModelIOError("parse error", f"line {at + 2}: malformed coefficients") from None
+                raise ModelIOError("parse error", f"line {linenos[at + 1]}: malformed coefficients") from None
             if len(numbers) != arity + 1:
                 raise ModelIOError(
-                    "parse error", f"line {at + 2}: expected {arity + 1} numbers, got {len(numbers)}"
+                    "parse error", f"line {linenos[at + 1]}: expected {arity + 1} numbers, got {len(numbers)}"
                 )
             model[version] = LinearModel(numbers[0], tuple(numbers[1:]))
             at += 2
 
     else:
-        raise ModelIOError("parse error", f"line 1: unknown algorithm {algorithm!r}")
+        raise ModelIOError("parse error", f"line {head}: unknown algorithm {algorithm!r}")
     if at != len(lines):
-        raise ModelIOError("parse error", f"line {at + 1}: trailing content after the model")
+        raise ModelIOError("parse error", f"line {linenos[at]}: trailing content after the model")
     return model
 
 

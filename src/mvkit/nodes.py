@@ -142,7 +142,7 @@ def format_nodes(nodes: Sequence[Node], leaf: Callable[[float], object]) -> list
 
 def parse_nodes(
     lines: Sequence[str],
-    first_lineno: int,
+    linenos: Sequence[int],
     arity: int,
     leaf: Callable[[str], float],
     error: ErrorFactory,
@@ -150,10 +150,10 @@ def parse_nodes(
     """Parse ``B``/``L`` lines; ``leaf`` parses a leaf's value.
 
     Features must lie in ``[0, arity)`` and child indices among ``lines``.
-    Errors name the line, counting ``lines[0]`` as ``first_lineno``.
+    Errors name ``lines[k]`` as line ``linenos[k]``.
     """
     nodes: list[Node] = []
-    for lineno, line in enumerate(lines, start=first_lineno):
+    for lineno, line in zip(linenos, lines):
         parts = line.split()
         shape = (parts[0], len(parts)) if parts else None
         if shape not in (("B", 5), ("L", 2)):

@@ -6,8 +6,13 @@ datasets and a complete matrix of measured runtimes. Speedups are always
 the baseline runtime divided by the version runtime, so the baseline row
 is exactly 1.0 and values below 1.0 are slowdowns.
 
-Scenarios are ingested from three CSV files (see ``load_scenario``). All
-types are immutable after construction and safe to share across threads.
+Scenarios are ingested from three CSV files (see ``load_scenario``). The
+path is columnar: each table is read once, its columns are converted in
+bulk, runtime rows land in the ``(dataset, version)`` matrix by one index
+assignment, and validation runs masks over whole columns. Only a faulty
+table is read again, row by row, to name the physical line of its first
+fault. All types are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,6 +167,12 @@ class SpeedupMatrix:
         return {vid: i for i, vid in enumerate(self.version_ids)}
 
     @cached_property
+    def _dataset_index(self) -> dict[int, int]:
+        # Reversed, so that the first of two equal ids keeps its column.
+        n = len(self.dataset_ids)
+        return dict(zip(reversed(self.dataset_ids), range(n - 1, -1, -1)))
+
+    @cached_property
     def candidate_ids(self) -> tuple[int, ...]:
         return tuple(v for v in self.version_ids if v != self.baseline_id)
 
@@ -168,9 +181,7 @@ class SpeedupMatrix:
         return len(self.dataset_ids)
 
     def speedup(self, version_id: int, dataset_id: int) -> float:
-        return float(
-            self.entries[self._version_index[version_id], self.dataset_ids.index(dataset_id)]
-        )
+        return float(self.entries[self._version_index[version_id], self._dataset_index[dataset_id]])
 
     def log_row(self, version_id: int) -> np.ndarray:
         return self.log_entries[self._version_index[version_id]]
@@ -207,131 +218,154 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
     Violations are data, not failures: the report is stably ordered by
     table (versions, datasets, runtimes, scenario) and then by id, so two
-    runs over the same scenario produce identical reports.
+    runs over the same scenario produce identical reports. Each table's
+    checks are columns of one fault mask, and ``np.argwhere`` walks a mask
+    in row-major order, which is the report's order.
     """
+    versions, datasets, runtimes = scenario.versions, scenario.datasets, scenario.runtimes
     violations: list[Violation] = []
-
-    baseline_ids = [v.id for v in scenario.versions if v.is_baseline]
+    baseline_ids = sorted(v.id for v in versions if v.is_baseline)
     if len(baseline_ids) != 1:
-        violations.append(
-            Violation(
-                "versions",
-                tuple(sorted(baseline_ids)),
-                "baseline count",
-                f"expected exactly 1 baseline, found {len(baseline_ids)}",
-            )
-        )
-    seen: set[int] = set()
-    for v in scenario.versions:
-        if v.id < 0:
-            violations.append(
-                Violation("versions", (v.id,), "invalid id", f"version id {v.id} is negative")
-            )
-        if v.id in seen:
-            violations.append(
-                Violation("versions", (v.id,), "duplicate id", f"version id {v.id} appears twice")
-            )
-        seen.add(v.id)
-        if v.code_size < 1:
-            violations.append(
-                Violation(
-                    "versions",
-                    (v.id,),
-                    "non-positive measurement",
-                    f"version {v.id} has code_size {v.code_size} < 1",
-                )
-            )
+        message = f"expected exactly 1 baseline, found {len(baseline_ids)}"
+        violations.append(Violation("versions", tuple(baseline_ids), "baseline count", message))
 
-    arity = scenario.datasets[0].features.__len__() if scenario.datasets else 0
-    seen = set()
-    for d in scenario.datasets:
-        if d.id < 0:
-            violations.append(
-                Violation("datasets", (d.id,), "invalid id", f"dataset id {d.id} is negative")
-            )
-        if d.id in seen:
-            violations.append(
-                Violation("datasets", (d.id,), "duplicate id", f"dataset id {d.id} appears twice")
-            )
-        seen.add(d.id)
-        if len(d.features) != arity or arity < 1:
-            violations.append(
-                Violation(
-                    "datasets",
-                    (d.id,),
-                    "feature arity",
-                    f"dataset {d.id} has arity {len(d.features)}, expected {max(arity, 1)}",
-                )
-            )
-        for j, x in enumerate(d.features):
-            if not math.isfinite(x):
-                violations.append(
-                    Violation(
-                        "datasets",
-                        (d.id, j),
-                        "non-finite feature",
-                        f"dataset {d.id} feature f{j} is {x}",
-                    )
-                )
+    # Feature vectors padded with zeros into one matrix, so ragged ones are checked too.
+    lengths = np.array([len(d.features) for d in datasets], dtype=np.intp)
+    arity = int(lengths[0]) if datasets else 0
+    present = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    values = np.zeros(present.shape)
+    values[present] = list(chain.from_iterable(d.features for d in datasets))
 
-    for i, d in enumerate(scenario.datasets):
-        for j, v in enumerate(scenario.versions):
-            t = scenario.runtimes[i, j]
-            if math.isnan(t):
-                violations.append(
-                    Violation(
-                        "runtimes",
-                        (d.id, v.id),
-                        "incomplete matrix",
-                        f"runtime for (dataset {d.id}, version {v.id}) is missing",
-                    )
-                )
-            elif not math.isfinite(t) or t <= 0:
-                violations.append(
-                    Violation(
-                        "runtimes",
-                        (d.id, v.id),
-                        "non-positive measurement",
-                        f"runtime for (dataset {d.id}, version {v.id}) is {t}",
-                    )
-                )
+    def version_fault(v: Version, k: int) -> tuple[tuple[int, ...], str, str]:
+        if k < 2:
+            return _id_fault("version", v.id, k)
+        return (v.id,), "non-positive measurement", f"version {v.id} has code_size {v.code_size} < 1"
 
-    if len(scenario.versions) < 2 or len(scenario.datasets) < 1:
-        violations.append(
-            Violation(
-                "scenario",
-                (),
-                "scenario size",
-                f"need at least 2 versions and 1 dataset, found "
-                f"{len(scenario.versions)} and {len(scenario.datasets)}",
-            )
-        )
+    def dataset_fault(d: DatasetRecord, k: int) -> tuple[tuple[int, ...], str, str]:
+        if k < 2:
+            return _id_fault("dataset", d.id, k)
+        if k == 2:
+            message = f"dataset {d.id} has arity {len(d.features)}, expected {max(arity, 1)}"
+            return (d.id,), "feature arity", message
+        return (d.id, k - 3), "non-finite feature", f"dataset {d.id} feature f{k - 3} is {d.features[k - 3]}"
+
+    # Columns: negative id, repeated id, then the table's own checks.
+    for table, records, checks, fault in (
+        ("versions", versions, [[v.code_size < 1 for v in versions]], version_fault),
+        ("datasets", datasets, [(lengths != arity) | (arity < 1), ~np.isfinite(values)], dataset_fault),
+    ):
+        ids = [r.id for r in records]
+        mask = np.column_stack([[i < 0 for i in ids], _repeats(ids), *checks])
+        violations.extend(Violation(table, *fault(records[i], k)) for i, k in np.argwhere(mask).tolist())
+
+    for i, j in np.argwhere(~(np.isfinite(runtimes) & (runtimes > 0))).tolist():
+        d, v, t = datasets[i].id, versions[j].id, runtimes[i, j]
+        cell = f"runtime for (dataset {d}, version {v})"
+        if math.isnan(t):
+            violations.append(Violation("runtimes", (d, v), "incomplete matrix", f"{cell} is missing"))
+        else:
+            violations.append(Violation("runtimes", (d, v), "non-positive measurement", f"{cell} is {t}"))
+
+    if len(versions) < 2 or len(datasets) < 1:
+        message = f"need at least 2 versions and 1 dataset, found {len(versions)} and {len(datasets)}"
+        violations.append(Violation("scenario", (), "scenario size", message))
     return violations
+
+
+def _id_fault(noun: str, id_: int, k: int) -> tuple[tuple[int, ...], str, str]:
+    if k == 0:
+        return (id_,), "invalid id", f"{noun} id {id_} is negative"
+    return (id_,), "duplicate id", f"{noun} id {id_} appears twice"
+
+
+def _repeats(keys: list) -> np.ndarray:
+    """Mask of the entries of ``keys`` equal to an earlier one; ids of any size compare exactly."""
+    first = np.fromiter(map({}.setdefault, keys, range(len(keys))), dtype=np.intp, count=len(keys))
+    return first != np.arange(len(keys))
 
 
 # --- CSV ingestion -----------------------------------------------------------
 
 _VERSIONS_HEADER = ["id", "name", "code_size", "is_baseline"]
 _RUNTIMES_HEADER = ["dataset_id", "version_id", "runtime_seconds"]
+_EXPECTED = {int: "integer", float: "number"}
+
+Row = Sequence[str]
+Spec = Sequence[tuple[int, Callable[[str], object]]]  # (column, converter), in check order
+Fault = tuple[str, str]  # (category, message) of one rejected row
+RowCheck = Callable[[Row], Fault | None]
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _read_rows(path: str | Path, header: list[str] | None = None) -> list[Row]:
+    """Every row of a table that holds something other than whitespace.
+
+    Rows are kept as tuples: the collector stops tracking a tuple of
+    strings, but scans every live list again on each full collection.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+        rows = list(map(tuple, csv.reader(fh)))
+    rows = list(compress(rows, map(str.strip, map("".join, rows))))
+    if header and (not rows or [c.strip() for c in rows[0]] != header):
+        raise ScenarioError("parse error", f"{path}: expected header {','.join(header)}")
+    return rows
 
 
-def _parse_int(text: str, where: str) -> int:
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"is_baseline must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _row_fault(row: Row, width: int, spec: Spec) -> Fault | None:
+    """The first fault of ``row``: its field count, then each cell ``spec`` checks."""
+    if len(row) != width:
+        return "parse error", f"expected {width} fields, got {len(row)}"
+    for j, convert in spec:
+        try:
+            convert(row[j].strip())
+        except ValueError as exc:
+            found = str(exc) if convert is _flag else f"expected {_EXPECTED[convert]}, got {row[j]!r}"
+            return "parse error", found
+    return None
+
+
+def _first_fault(path: str | Path, fault: RowCheck) -> ScenarioError:
+    """The error for the first body row of ``path`` that ``fault`` rejects.
+
+    Only this error path reads a table row by row, to name the row's
+    physical line, blank lines included.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = (row for row in reader if "".join(row).strip())
+        next(rows, None)  # the header, checked before
+        for row in rows:
+            found = fault(row)
+            if found:
+                return ScenarioError(found[0], f"{path}:{reader.line_num}: {found[1]}")
+    return ScenarioError("parse error", f"{path}: the table changed while it was read")
+
+
+def _columns(path: str | Path, rows: list[Row], spec: Spec, fault: RowCheck | None = None) -> list[list]:
+    """The body columns ``spec`` names, in its order, stripped and converted.
+
+    A wrong field count or a cell that does not convert raises the error
+    :func:`_first_fault` finds with ``fault`` (by default, ``spec``'s checks).
+    """
+    body, width = rows[1:], len(spec)
+    fault = fault or (lambda row: _row_fault(row, width, spec))
+    if not set(map(len, body)) <= {width}:
+        raise _first_fault(path, fault)
     try:
-        return int(text.strip())
+        return [list(map(convert, map(str.strip, map(itemgetter(j), body)))) for j, convert in spec]
     except ValueError:
-        raise ScenarioError("parse error", f"{where}: expected integer, got {text!r}") from None
+        raise _first_fault(path, fault) from None
 
 
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ScenarioError("parse error", f"{where}: expected number, got {text!r}") from None
+def _positions(ids: list[int], keys: list[int]) -> np.ndarray:
+    """Index of every key in ``ids``, or -1 for a key not among them."""
+    index = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
 
 
 def load_scenario(
@@ -350,96 +384,59 @@ def load_scenario(
     * ``runtimes.csv``: ``dataset_id,version_id,runtime_seconds`` with one
       row for every (dataset, version) pair.
 
-    Raises :class:`ScenarioError` on the first violation, in stable table
-    order (versions, then datasets, then runtimes).
+    Each table is read once and converted column by column. Raises
+    :class:`ScenarioError` on the first violation, in stable table order
+    (versions, then datasets, then runtimes, each in row order); a fault
+    in a row names the row's physical line in the file.
     """
-    vrows = _read_rows(versions_path)
-    if not vrows or [c.strip() for c in vrows[0]] != _VERSIONS_HEADER:
-        raise ScenarioError(
-            "parse error", f"{versions_path}: expected header {','.join(_VERSIONS_HEADER)}"
-        )
-    versions: list[Version] = []
-    for lineno, row in enumerate(vrows[1:], start=2):
-        where = f"{versions_path}:{lineno}"
-        if len(row) != 4:
-            raise ScenarioError("parse error", f"{where}: expected 4 fields, got {len(row)}")
-        flag = row[3].strip()
-        if flag not in ("0", "1"):
-            raise ScenarioError("parse error", f"{where}: is_baseline must be 0 or 1, got {flag!r}")
-        versions.append(
-            Version(
-                id=_parse_int(row[0], where),
-                name=row[1].strip(),
-                code_size=_parse_int(row[2], where),
-                is_baseline=flag == "1",
-            )
-        )
+    vrows = _read_rows(versions_path, _VERSIONS_HEADER)
+    flags, ids, names, sizes = _columns(versions_path, vrows, ((3, _flag), (0, int), (1, str), (2, int)))
+    versions = list(map(Version, ids, names, sizes, flags))
 
     drows = _read_rows(datasets_path)
-    if not drows or not drows[0] or drows[0][0].strip() != "id":
+    if not drows or drows[0][0].strip() != "id":
         raise ScenarioError("parse error", f"{datasets_path}: expected header id,f0,f1,...")
     feat_names = [c.strip() for c in drows[0][1:]]
     if feat_names != [f"f{i}" for i in range(len(feat_names))] or not feat_names:
         raise ScenarioError("parse error", f"{datasets_path}: expected feature columns f0,f1,...")
-    datasets: list[DatasetRecord] = []
-    for lineno, row in enumerate(drows[1:], start=2):
-        where = f"{datasets_path}:{lineno}"
-        if len(row) != 1 + len(feat_names):
-            raise ScenarioError(
-                "parse error", f"{where}: expected {1 + len(feat_names)} fields, got {len(row)}"
-            )
-        datasets.append(
-            DatasetRecord(
-                id=_parse_int(row[0], where),
-                features=tuple(_parse_float(c, where) for c in row[1:]),
-            )
-        )
+    ids, *features = _columns(datasets_path, drows, [(0, int)] + [(j, float) for j in range(1, len(drows[0]))])
+    datasets = list(map(DatasetRecord, ids, zip(*features)))
 
-    rrows = _read_rows(runtimes_path)
-    if not rrows or [c.strip() for c in rrows[0]] != _RUNTIMES_HEADER:
-        raise ScenarioError(
-            "parse error", f"{runtimes_path}: expected header {','.join(_RUNTIMES_HEADER)}"
-        )
-    cells: dict[tuple[int, int], float] = {}
-    for lineno, row in enumerate(rrows[1:], start=2):
-        where = f"{runtimes_path}:{lineno}"
-        if len(row) != 3:
-            raise ScenarioError("parse error", f"{where}: expected 3 fields, got {len(row)}")
-        key = (_parse_int(row[0], where), _parse_int(row[1], where))
-        if key in cells:
-            raise ScenarioError(
-                "duplicate cell",
-                f"{where}: runtime for (dataset {key[0]}, version {key[1]}) appears twice",
-            )
-        cells[key] = _parse_float(row[2], where)
+    rrows = _read_rows(runtimes_path, _RUNTIMES_HEADER)
+    seen: set[tuple[int, int]] = set()
 
-    return _assemble(versions, datasets, cells)
+    def runtime_fault(row: Row) -> Fault | None:
+        found = _row_fault(row, 3, ((0, int), (1, int)))
+        if found:
+            return found
+        key = (int(row[0].strip()), int(row[1].strip()))
+        if key in seen:
+            return "duplicate cell", f"runtime for (dataset {key[0]}, version {key[1]}) appears twice"
+        seen.add(key)
+        return _row_fault(row, 3, ((2, float),))
 
-
-def _assemble(
-    versions: list[Version],
-    datasets: list[DatasetRecord],
-    cells: dict[tuple[int, int], float],
-) -> Scenario:
-    version_ids = {v.id for v in versions}
-    dataset_ids = {d.id for d in datasets}
-    for (did, vid) in cells:
-        if did not in dataset_ids:
-            raise ScenarioError("unknown id", f"runtimes reference unknown dataset id {did}")
-        if vid not in version_ids:
-            raise ScenarioError("unknown id", f"runtimes reference unknown version id {vid}")
+    dataset_col, version_col, times = _columns(
+        runtimes_path, rrows, ((0, int), (1, int), (2, float)), runtime_fault
+    )
+    rows = _positions([d.id for d in datasets], dataset_col)
+    cols = _positions([v.id for v in versions], version_col)
+    known = (rows >= 0) & (cols >= 0)
+    if not known.all() or np.bincount(rows * len(versions) + cols).max(initial=0) > 1:
+        # A repeated cell is a fault of its row, so it wins over an
+        # unknown id; compare the ids themselves, known or not.
+        if _repeats(list(zip(dataset_col, version_col))).any():
+            raise _first_fault(runtimes_path, runtime_fault)
+        k = int(known.argmin())
+        if rows[k] < 0:
+            raise ScenarioError("unknown id", f"runtimes reference unknown dataset id {dataset_col[k]}")
+        raise ScenarioError("unknown id", f"runtimes reference unknown version id {version_col[k]}")
 
     matrix = np.full((len(datasets), len(versions)), np.nan)
-    for i, d in enumerate(datasets):
-        for j, v in enumerate(versions):
-            if (d.id, v.id) in cells:
-                matrix[i, j] = cells[(d.id, v.id)]
-
+    matrix[rows, cols] = times
     scenario = Scenario(tuple(versions), tuple(datasets), matrix)
     violations = validate_scenario(scenario)
     if violations:
-        first = violations[0]
-        raise ScenarioError(first.category, first.message)
+        raise ScenarioError(violations[0].category, violations[0].message)
     return scenario
 
 

@@ -7,6 +7,10 @@ representative set (a perfect predictor) and the unrestricted full
 oracle over every measured version. A pick counts as wrong only when it
 realizes less speedup than the in-set ideal for that dataset; picking a
 different version that performs identically is not a mispick.
+
+Both oracles are one column-wise argmax over the speedup matrix (see
+``best_versions``) and every speedup lookup is O(1), so a run costs O(D)
+lookups plus the selector's own work over D test datasets.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from .dispatch import CodeGrowth, DispatcherSpec, DispatchError, code_growth, eval_dispatcher
 from .learners.ppm import Regressor, ppm_select
-from .learners.samples import best_version
+from .learners.samples import best_versions
 from .scenario import Scenario, SpeedupMatrix, speedups
 
 ORACLE = "oracle"
@@ -62,24 +66,19 @@ def _selector_fn(
     matrix: SpeedupMatrix,
     representative: tuple[int, ...],
     code_sizes: dict[int, int],
-) -> tuple[Callable[[int, Sequence[float]], tuple[int, int]], str, DispatcherSpec | None]:
-    """Normalize every selector flavor to (dataset_index, features) -> (version, comparisons)."""
-    pool = representative + (matrix.baseline_id,)
+    in_set: list[int],
+) -> tuple[Callable[[int, Sequence[float]], tuple[int, int]], str]:
+    """Normalize every selector flavor to (dataset_index, features) -> (version, comparisons).
+
+    The oracle picks ``in_set[i]``, the in-set best version of dataset ``i``.
+    """
     if isinstance(selector, DispatcherSpec):
-        return (
-            lambda i, x: eval_dispatcher(selector, x),
-            "dispatcher",
-            selector,
-        )
+        return lambda i, x: eval_dispatcher(selector, x), "dispatcher"
     if isinstance(selector, str):
         if selector == ORACLE:
-            return (
-                lambda i, x: (best_version(matrix, i, pool, code_sizes), 0),
-                ORACLE,
-                None,
-            )
+            return lambda i, x: (in_set[i], 0), ORACLE
         if selector == BASELINE:
-            return lambda i, x: (matrix.baseline_id, 0), BASELINE, None
+            return lambda i, x: (matrix.baseline_id, 0), BASELINE
         raise DispatchError("unknown selector", f"selector {selector!r} is not recognized")
     if isinstance(selector, Mapping):
         return (
@@ -88,9 +87,8 @@ def _selector_fn(
                 0,
             ),
             "ppm",
-            None,
         )
-    return lambda i, x: (selector(x), 0), "callable", None
+    return lambda i, x: (selector(x), 0), "callable"
 
 
 def simulate(
@@ -115,16 +113,17 @@ def simulate(
             )
     code_sizes = scenario_test.code_sizes()
     allowed = frozenset(rep) | {matrix.baseline_id}
-    choose, kind, spec = _selector_fn(selector, matrix, rep, code_sizes)
-    if isinstance(selector, DispatcherSpec):
-        stray = selector.leaf_versions() - allowed
+    in_set = best_versions(matrix, rep + (matrix.baseline_id,), code_sizes)
+    choose, kind = _selector_fn(selector, matrix, rep, code_sizes, in_set)
+    spec = selector if isinstance(selector, DispatcherSpec) else None
+    if spec is not None:
+        stray = spec.leaf_versions() - allowed
         if stray:
             raise DispatchError(
                 "unknown version",
                 f"dispatcher can choose versions {sorted(stray)} outside the representative set",
             )
 
-    pool = rep + (matrix.baseline_id,)
     outcomes: list[DatasetOutcome] = []
     ideal: list[float] = []
     mispicks = 0
@@ -136,7 +135,7 @@ def simulate(
                 f"selector chose version {chosen}, not in the representative set or baseline",
             )
         realized = matrix.speedup(chosen, d.id)
-        best_in_set = matrix.speedup(best_version(matrix, i, pool, code_sizes), d.id)
+        best_in_set = matrix.speedup(in_set[i], d.id)
         if realized < best_in_set * (1.0 - MISPICK_SLACK):
             mispicks += 1
         ideal.append(best_in_set)
@@ -144,16 +143,12 @@ def simulate(
 
     geomean_realized = _geomean([o.realized_speedup for o in outcomes])
     rep_geomean = _geomean(ideal)
-    full_geomean = _geomean(
-        [
-            matrix.speedup(best_version(matrix, i, matrix.version_ids, code_sizes), d.id)
-            for i, d in enumerate(scenario_test.datasets)
-        ]
-    )
+    full = best_versions(matrix, matrix.version_ids, code_sizes)
+    full_geomean = _geomean([matrix.speedup(v, d.id) for v, d in zip(full, scenario_test.datasets)])
     overlap: tuple[int, ...] = ()
     if train_dataset_ids is not None:
         overlap = tuple(sorted(set(scenario_test.dataset_ids) & set(train_dataset_ids)))
-    report = SimulationReport(
+    return SimulationReport(
         outcomes=tuple(outcomes),
         geomean_realized=geomean_realized,
         representative_geomean=rep_geomean,
@@ -166,4 +161,3 @@ def simulate(
         train_overlap=overlap,
         selector_kind=kind,
     )
-    return report

@@ -146,13 +146,13 @@ class TestCyclesRejected:
         assert exc.value.category == "parse error"
 
     def test_serializing_a_hand_built_spec(self, lines):
-        nodes = parse_nodes(lines, 1, 1, int, ValueError)
+        nodes = parse_nodes(lines, range(1, len(lines) + 1), 1, int, ValueError)
         with pytest.raises(DispatchError) as exc:
             serialize(DispatcherSpec(1, nodes))
         assert exc.value.category == "invalid dispatcher"
 
     def test_routing_a_hand_built_spec(self, lines):
-        nodes = parse_nodes(lines, 1, 1, int, ValueError)
+        nodes = parse_nodes(lines, range(1, len(lines) + 1), 1, int, ValueError)
         with pytest.raises(DispatchError) as exc:
             eval_dispatcher(DispatcherSpec(1, nodes), (0.0,))
         assert exc.value.category == "invalid dispatcher"

@@ -143,6 +143,43 @@ class TestModelDocuments:
         assert exc.value.category == "parse error"
         assert where in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (REGTREE_DOC.replace("versions=1", "versions=2") + "V 3; nodes=1\nL 2\n", "line 4: version 3"),
+            (LINREG_DOC.replace("versions=1", "versions=2") + "V 3\nC 5 6\n", "line 4: version 3"),
+        ],
+        ids=["regtree", "linreg"],
+    )
+    def test_a_version_listed_twice_in_a_bundle_is_a_parse_error(self, text, where):
+        with pytest.raises(ModelIOError) as exc:
+            modelio.loads(text)
+        assert exc.value.category == "parse error"
+        assert where in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("\n\n" + TREE_DOC.replace("L 1", "L x"), "line 4: malformed node"),
+            (TREE_DOC.replace("\nL 1", "\n\n \nL 1") + "L 2\n", "line 5: trailing content"),
+            (RULES_DOC.replace("\nR 1", "\n\n\nR 1") + "D 3\n", "line 6: trailing content"),
+            (RULES_DOC.replace("D 2", "\nD 2 extra"), "line 4: malformed default"),
+            (REGTREE_DOC.replace("\nL 1", "\n\nB 0 1.5 1 9\nL 1"), "line 4: child index out of range"),
+            (REGTREE_DOC.replace("nodes=1", "nodes=2") + "\n\n", "line 6: expected 2 nodes, text ended"),
+            (LINREG_DOC.replace("\nC 0 1", "\n\nC 0 x"), "line 4: malformed coefficients"),
+            ("\n" + LINREG_DOC.replace("arity=1", "arity=0"), "line 2: arity must be >= 1"),
+        ],
+        ids=[
+            "tree-header", "tree-node", "rules-trailing", "rules-default", "regtree-node",
+            "regtree-ended", "linreg-coefficients", "linreg-header",
+        ],
+    )
+    def test_errors_after_blank_lines_name_the_physical_line(self, text, where):
+        with pytest.raises(ModelIOError) as exc:
+            modelio.loads(text)
+        assert exc.value.category == "parse error"
+        assert where in str(exc.value)
+
     def test_tree_round_trip(self):
         model = train_tree_classifier(FOUR)
         text = modelio.dumps(model)

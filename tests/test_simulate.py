@@ -167,3 +167,47 @@ class TestMispickAccounting:
         sc = Scenario(versions=versions, datasets=datasets, runtimes=runtimes)
         rep = simulate(sc, lambda x: 2, (1, 2))
         assert rep.mispick_rate == 1.0
+
+
+class CountingIds(tuple):
+    """A dataset-id tuple that counts element reads and ``index`` calls."""
+
+    reads = 0
+    index_calls = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+    def index(self, *args):
+        self.index_calls += 1
+        return super().index(*args)
+
+
+class TestLinearWork:
+    """``simulate`` touches the dataset ids O(D) times: no ``index`` scans."""
+
+    D = 4000
+
+    @pytest.mark.parametrize("kind", ["dispatcher", "oracle"])
+    def test_dataset_ids_are_read_a_bounded_number_of_times_each(self, kind):
+        from mvkit.dispatch import Branch
+        from mvkit.scenario import DatasetRecord, Version
+
+        versions = tuple(Version(v, f"v{v}", 100 + v, v == 0) for v in range(4))
+        datasets = tuple(DatasetRecord(10 * i, (float(i % 37),)) for i in range(self.D))
+        runtimes = np.random.default_rng(0).uniform(0.5, 2.0, (self.D, len(versions)))
+        sc = Scenario(versions=versions, datasets=datasets, runtimes=runtimes)
+        ids = CountingIds(sc.dataset_ids)
+        sc.__dict__["dataset_ids"] = ids  # what the cached property would hold
+        selector = DispatcherSpec(1, (Branch(0, 18.0, 1, 2), Leaf(1), Leaf(2))) if kind == "dispatcher" else "oracle"
+        rep = simulate(sc, selector, (1, 2), train_dataset_ids={0, 10, 7})
+        assert len(rep.outcomes) == self.D
+        assert rep.train_overlap == (0, 10)
+        assert ids.index_calls == 0
+        assert ids.reads <= 3 * self.D
