@@ -21,99 +21,78 @@ The pieces compose as plain functions::
 The ``mvkit`` command line wraps the same pipeline over files.
 """
 
-from .dispatch import (
-    DEFAULT_TEMPLATE,
-    Branch,
-    CodeGrowth,
-    DispatchError,
-    DispatcherSpec,
-    Leaf,
-    code_growth,
-    compile_dispatcher,
-    deserialize,
-    eval_dispatcher,
-    interpret_rendered,
-    render_template,
-    serialize,
-)
-from .errors import MvkitError
-from .learners import (
-    CVReport,
-    Condition,
-    LabeledSample,
-    LearnError,
-    LearnerSpec,
-    LinearModel,
-    RegressionSample,
-    Rule,
-    RuleConfig,
-    RuleListModel,
-    TreeBranch,
-    TreeConfig,
-    TreeLeaf,
-    TreeModel,
-    best_version,
-    cross_validate,
-    error_rate,
-    make_dc_labels,
-    make_ppm_samples,
-    ppm_select,
-    predict_linear,
-    predict_regression,
-    predict_rules,
-    predict_tree,
-    rrse,
-    train_linear_regression,
-    train_model,
-    train_ppm_models,
-    train_regression_tree,
-    train_rule_list,
-    train_tree_classifier,
-)
-from .modelio import ModelIOError, dumps, load_model, loads, save_model
-from .report import Report, ReportBuilder, ReportError, Table, parse, render
-from .rng import Rng, mix_seed
-from .scenario import (
-    DatasetRecord,
-    Scenario,
-    ScenarioError,
-    SpeedupMatrix,
-    Version,
-    Violation,
-    load_scenario,
-    save_scenario,
-    speedups,
-    validate_scenario,
-)
-from .selection import (
-    Constraints,
-    PERF_PRIORITY,
-    PickStep,
-    PruneStep,
-    RepresentativeSet,
-    SIZE_PRIORITY,
-    SelectionError,
-    SetMetrics,
-    evaluate_set,
-    exhaustive_select,
-    greedy_select,
-    objective,
-    prune_redundant,
-)
-from .simulate import (
-    BASELINE,
-    DatasetOutcome,
-    ORACLE,
-    SimulationReport,
-    simulate,
-)
-from .synthgen import (
-    GroundTruth,
-    SynthConfig,
-    SynthError,
-    generate,
-    generate_test,
-    save_ground_truth,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
+
+
+class _Package(types.ModuleType):
+    """A package whose public names load their submodules on first use.
+
+    Loading a submodule binds it on its package, but never over a public
+    name: ``mvkit.simulate`` is both, and stays the function.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if not (isinstance(value, types.ModuleType) and name in self.__all__):
+            super().__setattr__(name, value)
+
+
+def _lazy(package: str, sources: dict[str, tuple[str, ...]]):
+    """``__all__`` and the PEP 562 ``__getattr__`` and ``__dir__`` of ``package``.
+
+    ``sources`` maps each submodule to the public names it defines. A name
+    imports its submodule when first read and is then cached in the
+    package's globals.
+    """
+    module = sys.modules[package]
+    namespace = vars(module)
+    origin = {name: sub for sub, names in sources.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in origin:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = getattr(importlib.import_module(f"{package}.{origin[name]}"), name)
+        return namespace[name]
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | origin.keys())
+
+    module.__class__ = _Package
+    return list(origin), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "dispatch": (
+        "DEFAULT_TEMPLATE", "Branch", "CodeGrowth", "DispatchError", "DispatcherSpec", "Leaf",
+        "code_growth", "compile_dispatcher", "deserialize", "eval_dispatcher", "interpret_rendered",
+        "render_template", "serialize",
+    ),
+    "errors": ("MvkitError",),
+    "learners": (
+        "CVReport", "Condition", "LabeledSample", "LearnError", "LearnerSpec", "LinearModel",
+        "RegressionSample", "Rule", "RuleConfig", "RuleListModel", "TreeBranch", "TreeConfig",
+        "TreeLeaf", "TreeModel", "best_version", "cross_validate", "error_rate", "make_dc_labels",
+        "make_ppm_samples", "ppm_select", "predict_linear", "predict_regression", "predict_rules",
+        "predict_tree", "rrse", "train_linear_regression", "train_model", "train_ppm_models",
+        "train_regression_tree", "train_rule_list", "train_tree_classifier",
+    ),
+    "modelio": ("ModelIOError", "dumps", "load_model", "loads", "save_model"),
+    "report": ("Report", "ReportBuilder", "ReportError", "Table", "parse", "render"),
+    "rng": ("Rng", "mix_seed"),
+    "scenario": (
+        "DatasetRecord", "Scenario", "ScenarioError", "SpeedupMatrix", "Version", "Violation",
+        "load_scenario", "save_scenario", "speedups", "validate_scenario",
+    ),
+    "selection": (
+        "Constraints", "PERF_PRIORITY", "PickStep", "PruneStep", "RepresentativeSet", "SIZE_PRIORITY",
+        "SelectionError", "SetMetrics", "evaluate_set", "exhaustive_select", "greedy_select",
+        "objective", "prune_redundant",
+    ),
+    "simulate": ("BASELINE", "DatasetOutcome", "ORACLE", "SimulationReport", "simulate"),
+    "synthgen": (
+        "GroundTruth", "SynthConfig", "SynthError", "generate", "generate_test", "save_ground_truth",
+    ),
+})

@@ -11,6 +11,9 @@ usage errors), 1 unexpected internal failure. A config file given with
 (e.g. `max_versions=3`); explicit command-line flags always win.
 Reports default to machine mode, which is byte-identical across runs for
 identical inputs and seeds; human mode only rounds the numbers.
+
+Each command imports the modules it runs inside its own function, so a
+command loads no more than it needs: `emit` never imports numpy.
 """
 
 from __future__ import annotations
@@ -22,26 +25,16 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import modelio, report as reportmod
-from .dispatch import (
-    DEFAULT_TEMPLATE,
-    compile_dispatcher,
-    deserialize,
-    render_template,
-    serialize,
-)
-from .learners.cv import LearnerSpec, cross_validate, train_model
-from .learners.ppm import train_ppm_models
-from .learners.rules import RuleListModel
-from .learners.samples import make_dc_labels, make_ppm_samples
-from .learners.trees import TreeModel
+from . import report as reportmod
 from .report import HUMAN, MACHINE, ReportBuilder, render
 from .rng import mix_seed
-from .scenario import Scenario, load_scenario, save_scenario, speedups
-from .selection import Constraints, evaluate_set, greedy_select
-from .simulate import simulate
-from .synthgen import GroundTruth, SynthConfig, generate, generate_test, save_ground_truth
+
+if TYPE_CHECKING:
+    from .learners.cv import LearnerSpec
+    from .scenario import Scenario
+    from .synthgen import GroundTruth
 
 SCENARIO_FILES = ("versions.csv", "datasets.csv", "runtimes.csv")
 
@@ -241,6 +234,8 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
 
 
 def _load_scenario_dir(path: str) -> Scenario:
+    from .scenario import load_scenario
+
     base = Path(path)
     try:
         return load_scenario(*(base / name for name in SCENARIO_FILES))
@@ -249,8 +244,10 @@ def _load_scenario_dir(path: str) -> Scenario:
 
 
 def _load_model(path: str):
+    from .modelio import load_model
+
     try:
-        return modelio.load_model(path)
+        return load_model(path)
     except OSError as exc:
         raise CliError(f"cannot read model: {exc}") from None
 
@@ -323,6 +320,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _save_generated(directory: Path, scenario: Scenario, truth: GroundTruth) -> None:
+    from .scenario import save_scenario
+    from .synthgen import save_ground_truth
+
     try:
         directory.mkdir(parents=True, exist_ok=True)
         save_scenario(scenario, *(directory / name for name in SCENARIO_FILES))
@@ -332,6 +332,8 @@ def _save_generated(directory: Path, scenario: Scenario, truth: GroundTruth) -> 
 
 
 def _learner_spec(args: argparse.Namespace) -> LearnerSpec:
+    from .learners.cv import LearnerSpec
+
     _require(args, ["algorithm"])
     return LearnerSpec(
         algorithm=args.algorithm,
@@ -348,6 +350,8 @@ def _learner_spec(args: argparse.Namespace) -> LearnerSpec:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .synthgen import SynthConfig, generate, generate_test
+
     _require(args, ["versions", "datasets", "features", "seed", "out_dir"])
     kwargs = dict(
         n_versions=args.versions,
@@ -377,6 +381,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from .scenario import speedups
+    from .selection import Constraints, evaluate_set, greedy_select
+
     _require(args, ["scenario", "max_versions"])
     _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
@@ -431,6 +438,12 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .learners.cv import train_model
+    from .learners.ppm import train_ppm_models
+    from .learners.samples import make_dc_labels
+    from .modelio import dumps
+    from .scenario import speedups
+
     _require(args, ["scenario", "out"])
     spec = _learner_spec(args)
     _check_collisions(_input_paths(args), [args.out])
@@ -452,11 +465,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         if not model:
             raise CliError("PPM training needs a non-empty representative set")
-    _write_files([(args.out, modelio.dumps(model))])
+    _write_files([(args.out, dumps(model))])
     return 0
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
+    from .learners.cv import cross_validate
+    from .learners.samples import make_dc_labels, make_ppm_samples
+    from .scenario import speedups
+
     _require(args, ["scenario", "seed"])
     spec = _learner_spec(args)
     k = args.k if args.k is not None else 10
@@ -511,6 +528,10 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
+    from .dispatch import DEFAULT_TEMPLATE, compile_dispatcher, render_template, serialize
+    from .learners.rules import RuleListModel
+    from .learners.trees import TreeModel
+
     _require(args, ["model", "out"])
     rendered_path = None
     if args.template is not None:
@@ -530,6 +551,11 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .dispatch import compile_dispatcher, deserialize
+    from .learners.rules import RuleListModel
+    from .learners.trees import TreeModel
+    from .simulate import simulate
+
     _require(args, ["scenario"])
     chosen = [name for name in ("dispatcher", "model", "selector") if getattr(args, name) is not None]
     if len(chosen) != 1:

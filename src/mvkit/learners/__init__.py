@@ -8,51 +8,20 @@ the argmax at dispatch time. Both come with error-rate / RRSE metrics and
 a deterministic k-fold cross-validation harness.
 """
 
-from .samples import (
-    LabeledSample,
-    LearnError,
-    RegressionSample,
-    best_version,
-    make_dc_labels,
-    make_ppm_samples,
-)
-from .trees import TreeBranch, TreeConfig, TreeLeaf, TreeModel, predict_tree, train_regression_tree, train_tree_classifier
-from .rules import Condition, Rule, RuleConfig, RuleListModel, predict_rules, train_rule_list
-from .linear import LinearModel, predict_linear, train_linear_regression
-from .ppm import predict_regression, ppm_select, train_ppm_models
-from .metrics import error_rate, rrse
-from .cv import CVReport, LearnerSpec, cross_validate, train_model
+from .. import _lazy
 
-__all__ = [
-    "LabeledSample",
-    "RegressionSample",
-    "LearnError",
-    "best_version",
-    "make_dc_labels",
-    "make_ppm_samples",
-    "TreeModel",
-    "TreeBranch",
-    "TreeLeaf",
-    "TreeConfig",
-    "train_tree_classifier",
-    "train_regression_tree",
-    "predict_tree",
-    "RuleListModel",
-    "Rule",
-    "Condition",
-    "RuleConfig",
-    "train_rule_list",
-    "predict_rules",
-    "LinearModel",
-    "train_linear_regression",
-    "predict_linear",
-    "train_ppm_models",
-    "ppm_select",
-    "predict_regression",
-    "error_rate",
-    "rrse",
-    "CVReport",
-    "LearnerSpec",
-    "cross_validate",
-    "train_model",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "samples": (
+        "LabeledSample", "RegressionSample", "LearnError", "best_version", "make_dc_labels",
+        "make_ppm_samples",
+    ),
+    "trees": (
+        "TreeModel", "TreeBranch", "TreeLeaf", "TreeConfig", "train_tree_classifier",
+        "train_regression_tree", "predict_tree",
+    ),
+    "rules": ("RuleListModel", "Rule", "Condition", "RuleConfig", "train_rule_list", "predict_rules"),
+    "linear": ("LinearModel", "train_linear_regression", "predict_linear"),
+    "ppm": ("train_ppm_models", "ppm_select", "predict_regression"),
+    "metrics": ("error_rate", "rrse"),
+    "cv": ("CVReport", "LearnerSpec", "cross_validate", "train_model"),
+})

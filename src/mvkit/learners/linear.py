@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .samples import LearnError, RegressionSample, check_samples
 
 RIDGE_JITTER = 1e-8  # diagonal boost applied only when the design is singular
@@ -29,6 +27,8 @@ def train_linear_regression(samples: Sequence[RegressionSample]) -> LinearModel:
     duplicated columns) gets a ridge jitter of 1e-8 on the diagonal, which
     always yields a finite solution.
     """
+    import numpy as np  # here, not at the top: modelio loads this module for LinearModel alone
+
     check_samples(samples)
     design = np.hstack(
         [np.ones((len(samples), 1)), np.array([s.features for s in samples], dtype=float)]
@@ -46,6 +46,8 @@ def train_linear_regression(samples: Sequence[RegressionSample]) -> LinearModel:
 
 
 def predict_linear(model: LinearModel, x: Sequence[float]) -> float:
+    import numpy as np
+
     if len(x) != model.arity:
         raise LearnError("feature arity", f"expected arity {model.arity}, got {len(x)}")
     return model.intercept + float(np.dot(model.coefficients, x))

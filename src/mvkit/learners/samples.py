@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import MvkitError
-from ..scenario import Scenario, SpeedupMatrix
+
+if TYPE_CHECKING:
+    from ..scenario import Scenario, SpeedupMatrix
 
 
 class LearnError(MvkitError):

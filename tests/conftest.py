@@ -19,8 +19,8 @@ from mvkit.scenario import DatasetRecord, Version
 MVKIT_IMPORT_ROOT = str(Path(mvkit.__file__).resolve().parent.parent)
 
 
-def run_mvkit(*args, cwd: Path) -> subprocess.CompletedProcess:
-    """Run `python -m mvkit ARGS` in `cwd` against the mvkit imported here.
+def run_python(*args, cwd: Path) -> subprocess.CompletedProcess:
+    """Run `python ARGS` in `cwd` against the mvkit imported here.
 
     The child's PYTHONPATH is this process's, prefixed by the absolute
     import root; every other variable is inherited unchanged.
@@ -31,12 +31,17 @@ def run_mvkit(*args, cwd: Path) -> subprocess.CompletedProcess:
         MVKIT_IMPORT_ROOT + os.pathsep + inherited if inherited else MVKIT_IMPORT_ROOT
     )
     return subprocess.run(
-        [sys.executable, "-m", "mvkit", *[str(a) for a in args]],
+        [sys.executable, *[str(a) for a in args]],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def run_mvkit(*args, cwd: Path) -> subprocess.CompletedProcess:
+    """Run `python -m mvkit ARGS` in `cwd` against the mvkit imported here."""
+    return run_python("-m", "mvkit", *args, cwd=cwd)
 
 
 DEEP = 3000  # branches in a deep chain: far past the default recursion limit
