@@ -554,6 +554,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .dispatch import compile_dispatcher, deserialize
     from .learners.rules import RuleListModel
     from .learners.trees import TreeModel
+    from .scenario import load_datasets
     from .simulate import simulate
 
     _require(args, ["scenario"])
@@ -577,7 +578,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     train_ids: set[int] | None = None
     if args.train_scenario is not None:
-        train_ids = set(_load_scenario_dir(args.train_scenario).dataset_ids)
+        try:  # the overlap check needs only the training dataset ids
+            train_ids = {d.id for d in load_datasets(Path(args.train_scenario) / "datasets.csv")}
+        except OSError as exc:
+            raise CliError(f"cannot read scenario: {exc}") from None
 
     result = simulate(scenario, selector, representative, train_dataset_ids=train_ids)
 

@@ -5,19 +5,20 @@ Vigna's reference implementation). It is pinned here, independent of any
 library default, so that seeded fixtures and golden files stay byte-stable
 across library versions and platforms.
 
+SplitMix64 is counter-based: output k of seed s is ``mix(s + k*GAMMA mod 2**64)``,
+so ``u64s(n)`` computes a block in numpy uint64 arithmetic; that it equals ``n``
+``next_u64()`` calls, state included, is part of the stability contract.
+
 Derived draws are defined on top of the raw 64-bit stream and are part of
 the stability contract:
 
 * ``random()``   -- top 53 bits scaled to [0, 1)
 * ``uniform()``  -- affine map of ``random()``
 * ``randint()``  -- ``next_u64() % span`` (modulo; bias is irrelevant here)
-* ``normal()``   -- Box-Muller cosine branch, two uniforms per call
-* ``shuffle()``  -- Fisher-Yates, descending, ``randint`` for the index
+* ``shuffle()``  -- Fisher-Yates, descending, ``next_u64() % (i + 1)`` for the index
 """
 
 from __future__ import annotations
-
-import math
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -38,6 +39,15 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
+    def u64s(self, n: int):
+        """The next ``n`` outputs as a uint64 array, computed as one block."""
+        import numpy as np  # here, so importing this module loads no numpy
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        return z ^ (z >> np.uint64(31))
+
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (2.0**-53)
@@ -51,17 +61,12 @@ class Rng:
             raise ValueError(f"empty integer range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Gaussian draw via Box-Muller (cosine branch, sine discarded)."""
-        u1 = 1.0 - self.random()  # (0, 1], keeps log finite
-        u2 = self.random()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
+        import numpy as np
+        n = len(items)
+        js = self.u64s(max(n - 1, 0)) % np.arange(2, n + 1, dtype=np.uint64)[::-1]  # % (i + 1), i = n-1 .. 1
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

@@ -368,6 +368,18 @@ def _positions(ids: list[int], keys: list[int]) -> np.ndarray:
     return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
 
 
+def load_datasets(path: str | Path) -> list[DatasetRecord]:
+    """The records of a ``datasets.csv`` table; :func:`load_scenario` validates them."""
+    rows = _read_rows(path)
+    if not rows or rows[0][0].strip() != "id":
+        raise ScenarioError("parse error", f"{path}: expected header id,f0,f1,...")
+    feat_names = [c.strip() for c in rows[0][1:]]
+    if feat_names != [f"f{i}" for i in range(len(feat_names))] or not feat_names:
+        raise ScenarioError("parse error", f"{path}: expected feature columns f0,f1,...")
+    ids, *features = _columns(path, rows, [(0, int)] + [(j, float) for j in range(1, len(rows[0]))])
+    return list(map(DatasetRecord, ids, zip(*features)))
+
+
 def load_scenario(
     versions_path: str | Path,
     datasets_path: str | Path,
@@ -393,14 +405,7 @@ def load_scenario(
     flags, ids, names, sizes = _columns(versions_path, vrows, ((3, _flag), (0, int), (1, str), (2, int)))
     versions = list(map(Version, ids, names, sizes, flags))
 
-    drows = _read_rows(datasets_path)
-    if not drows or drows[0][0].strip() != "id":
-        raise ScenarioError("parse error", f"{datasets_path}: expected header id,f0,f1,...")
-    feat_names = [c.strip() for c in drows[0][1:]]
-    if feat_names != [f"f{i}" for i in range(len(feat_names))] or not feat_names:
-        raise ScenarioError("parse error", f"{datasets_path}: expected feature columns f0,f1,...")
-    ids, *features = _columns(datasets_path, drows, [(0, int)] + [(j, float) for j in range(1, len(drows[0]))])
-    datasets = list(map(DatasetRecord, ids, zip(*features)))
+    datasets = load_datasets(datasets_path)
 
     rrows = _read_rows(runtimes_path, _RUNTIMES_HEADER)
     seen: set[tuple[int, int]] = set()
@@ -458,6 +463,6 @@ def save_scenario(
             fh.write(f"{d.id}," + ",".join(repr(float(x)) for x in d.features) + "\n")
     with open(runtimes_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_RUNTIMES_HEADER) + "\n")
-        for i, d in enumerate(scenario.datasets):
-            for j, v in enumerate(scenario.versions):
-                fh.write(f"{d.id},{v.id},{float(scenario.runtimes[i, j])!r}\n")
+        columns = [f"{v.id}," for v in scenario.versions]
+        for d, row in zip(scenario.datasets, scenario.runtimes.tolist()):
+            fh.write("".join([f"{d.id},{v}{t!r}\n" for v, t in zip(columns, row)]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -102,6 +103,11 @@ class SynthConfig:
                 f"{self.n_regions} regions cannot fit the {capacity}-cell feature box",
             )
 
+    @cached_property
+    def _planted(self) -> tuple:
+        """:func:`_plant` once per config, for ``generate`` and ``generate_test``."""
+        return _plant(self)
+
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
@@ -155,14 +161,14 @@ def _factor_regions(n_regions: int, arity: int) -> list[int]:
     return pieces
 
 
-def _plant(config: SynthConfig) -> tuple[list[int], tuple[tuple[float, ...], ...], tuple[int, ...], tuple[int, ...]]:
+def _plant(config: SynthConfig) -> tuple[tuple[int, ...], tuple[tuple[float, ...], ...], tuple[int, ...], tuple[int, ...]]:
     """Structure draws: code sizes, cuts, and region winners.
 
     Uses its own sub-stream of the seed so a test scenario can replant
     the identical structure while drawing fresh datasets.
     """
     rng = Rng(mix_seed(config.seed, 1))
-    sizes = [rng.randint(*config.code_size_range) for _ in range(config.n_versions)]
+    sizes = tuple(rng.randint(*config.code_size_range) for _ in range(config.n_versions))
     pieces = _factor_regions(config.n_regions, config.feature_arity)
     lo, hi = config.feature_range
     cuts: list[tuple[float, ...]] = []
@@ -189,7 +195,8 @@ def generate(config: SynthConfig) -> tuple[Scenario, GroundTruth]:
     structure = code sizes, then per-axis cut slots, then winner
     assignment; population = per dataset its features then its base
     runtime, then per dataset x version the speedup draw, then (only when
-    noise_sigma > 0) per cell the noise factor.
+    noise_sigma > 0) per cell two uniforms u1, u2 for the noise factor
+    exp(noise_sigma * z), z = sqrt(-2 ln(1 - u1)) cos(2 pi u2) (Box-Muller).
     """
     return _generate(config, population_seed=config.seed, id_offset=0, n_datasets=config.n_datasets)
 
@@ -215,40 +222,40 @@ def generate_test(
     )
 
 
+def _uniforms(draws: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``Rng.uniform(lo, hi)`` of each draw, in the same IEEE operations; (0, 1) is ``random()``."""
+    return lo + (hi - lo) * ((draws >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+
+
 def _generate(
     config: SynthConfig, population_seed: int, id_offset: int, n_datasets: int
 ) -> tuple[Scenario, GroundTruth]:
-    sizes, cuts, pieces, winners = _plant(config)
+    sizes, cuts, pieces, winners = config._planted
     truth_probe = GroundTruth(cuts, winners, pieces, np.zeros((0, 0)), ())
+    n_versions, arity = config.n_versions, config.feature_arity
 
+    # One block of draws per stage of the documented order (see generate).
     rng = Rng(mix_seed(population_seed, 2))
-    lo, hi = config.feature_range
-    datasets: list[DatasetRecord] = []
-    bases: list[float] = []
-    for d in range(n_datasets):
-        features = tuple(float(rng.randint(lo, hi)) for _ in range(config.feature_arity))
-        datasets.append(DatasetRecord(id=id_offset + d, features=features))
-        bases.append(rng.uniform(*config.base_runtime_range))
+    draws = rng.u64s(n_datasets * (arity + 1)).reshape(n_datasets, arity + 1)
+    lo, span = config.feature_range[0], config.feature_range[1] - config.feature_range[0] + 1
+    datasets = [DatasetRecord(id_offset + d, tuple(float(lo + z % span) for z in row))  # Python ints never wrap
+                for d, row in enumerate(draws[:, :arity].tolist())]
+    bases = _uniforms(draws[:, arity], *config.base_runtime_range)
 
-    speedups = np.ones((config.n_versions, n_datasets))
-    winners_by_dataset: list[int] = []
-    for d, record in enumerate(datasets):
-        winner = truth_probe.winner_of(record.features)
-        winners_by_dataset.append(winner)
-        for v in range(1, config.n_versions):
-            if v == winner:
-                speedups[v, d] = rng.uniform(*config.winner_speedup_range)
-            else:
-                speedups[v, d] = rng.uniform(*config.loser_speedup_range)
+    winners_by_dataset = [truth_probe.winner_of(record.features) for record in datasets]
+    draws = rng.u64s(n_datasets * (n_versions - 1)).reshape(n_datasets, n_versions - 1)
+    wins = np.arange(1, n_versions) == np.array(winners_by_dataset, dtype=np.intp).reshape(-1, 1)
+    speedups = np.ones((n_versions, n_datasets))
+    win, lose = (_uniforms(draws, *r) for r in (config.winner_speedup_range, config.loser_speedup_range))
+    speedups[1:] = np.where(wins, win, lose).T
 
-    runtimes = np.empty((n_datasets, config.n_versions))
-    for d in range(n_datasets):
-        for v in range(config.n_versions):
-            runtimes[d, v] = bases[d] / speedups[v, d]
+    runtimes = bases[:, None] / speedups.T
     if config.noise_sigma > 0:
-        for d in range(n_datasets):
-            for v in range(config.n_versions):
-                runtimes[d, v] *= math.exp(rng.normal(0.0, config.noise_sigma))
+        # In libm, per cell: numpy's transcendentals need not round the same.
+        sigma, unit = config.noise_sigma, _uniforms(rng.u64s(runtimes.size * 2), 0.0, 1.0).tolist()
+        factors = [math.exp(sigma * (math.sqrt(-2.0 * math.log(1.0 - a)) * math.cos(2.0 * math.pi * b)))
+                   for a, b in zip(unit[0::2], unit[1::2])]
+        runtimes *= np.reshape(factors, runtimes.shape)
 
     versions = tuple(
         Version(
@@ -257,7 +264,7 @@ def _generate(
             code_size=sizes[v],
             is_baseline=v == 0,
         )
-        for v in range(config.n_versions)
+        for v in range(n_versions)
     )
     scenario = Scenario(versions=versions, datasets=tuple(datasets), runtimes=runtimes)
     truth = GroundTruth(
@@ -274,5 +281,4 @@ def save_ground_truth(truth: GroundTruth, scenario: Scenario, path: str | Path) 
     """Write `dataset_id,true_best_version_id` rows, LF line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dataset_id,true_best_version_id\n")
-        for record, winner in zip(scenario.datasets, truth.winners_by_dataset):
-            fh.write(f"{record.id},{winner}\n")
+        fh.write("".join(f"{d.id},{w}\n" for d, w in zip(scenario.datasets, truth.winners_by_dataset)))

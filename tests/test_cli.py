@@ -263,6 +263,26 @@ class TestTrainCvEmitSimulate:
             else:
                 assert float(doc.get("geomean_realized")) == pytest.approx(1.0)
 
+    def test_train_scenario_reads_only_its_datasets_table(self, staged, tmp_path):
+        train = tmp_path / "train"
+        train.mkdir()
+        (train / "datasets.csv").write_bytes((staged / "scen" / "test" / "datasets.csv").read_bytes())
+        r = run_mvkit("simulate", "--scenario", staged / "scen" / "test",
+                      "--select-ids", "1,2,3,4", "--selector", "oracle",
+                      "--train-scenario", train, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert parse(r.stdout).get("train_overlap_count") == "80"
+
+    def test_malformed_train_datasets_exits_2_naming_the_line(self, staged, tmp_path):
+        train = tmp_path / "train"
+        train.mkdir()
+        (train / "datasets.csv").write_text("id,f0,f1\n0,1.0,2.0\n\n1,x,2.0\n", encoding="utf-8")
+        r = run_mvkit("simulate", "--scenario", staged / "scen" / "test",
+                      "--select-ids", "1,2,3,4", "--selector", "oracle",
+                      "--train-scenario", train, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"{train / 'datasets.csv'}:4: expected number, got 'x'" in r.stderr
+
     def test_explicit_ids_replace_selection_file(self, staged):
         r = run_mvkit("simulate", "--scenario", staged / "scen" / "test",
                       "--select-ids", "1,2,3,4", "--selector", "oracle", cwd=staged)

@@ -166,6 +166,10 @@ def test_import_cli_loads_no_numpy(tmp_path):
     assert "numpy" not in loaded_after("import mvkit.cli", tmp_path)
 
 
+def test_import_rng_loads_no_numpy(tmp_path):
+    assert "numpy" not in loaded_after("import mvkit.rng", tmp_path)
+
+
 SAMPLES = [
     LabeledSample((float(x), float(y)), 1 + (x > 3) + 2 * (y > 5))
     for x in range(8)
