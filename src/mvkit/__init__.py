@@ -74,7 +74,7 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
     "learners": (
         "CVReport", "Condition", "LabeledSample", "LearnError", "LearnerSpec", "LinearModel",
         "RegressionSample", "Rule", "RuleConfig", "RuleListModel", "TreeBranch", "TreeConfig",
-        "TreeLeaf", "TreeModel", "best_version", "cross_validate", "error_rate", "make_dc_labels",
+        "TreeLeaf", "TreeModel", "cross_validate", "error_rate", "make_dc_labels",
         "make_ppm_samples", "ppm_select", "predict_linear", "predict_regression", "predict_rules",
         "predict_tree", "rrse", "train_linear_regression", "train_model", "train_ppm_models",
         "train_regression_tree", "train_rule_list", "train_tree_classifier",

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -282,8 +282,10 @@ def _representative_ids(args: argparse.Namespace) -> tuple[int, ...]:
         return tuple(sorted(set(args.select_ids)))
     if args.selection is not None:
         doc = reportmod.parse(_read_text(args.selection, "selection report"))
-        ids = doc.get("selected")
-        return tuple(sorted(set(_id_list(ids)))) if ids else ()
+        try:
+            return tuple(sorted(set(_id_list(doc.get("selected")))))
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"bad selection report {args.selection}: {exc}") from None
     raise CliError("missing required option --selection or --select-ids")
 
 
@@ -331,19 +333,20 @@ def _save_generated(directory: Path, scenario: Scenario, truth: GroundTruth) -> 
         raise CliError(f"cannot write {directory}: {exc.strerror or exc}") from None
 
 
+def _given(args: argparse.Namespace, config_type: type, **dests: str) -> dict[str, object]:
+    """The options given in ``args``, keyed by the ``config_type`` field each sets; the rest keep their defaults.
+
+    A field's option has the field's name as its dest unless ``dests`` names another.
+    """
+    values = {f.name: getattr(args, dests.get(f.name, f.name), None) for f in fields(config_type)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _learner_spec(args: argparse.Namespace) -> LearnerSpec:
     from .learners.cv import LearnerSpec
 
     _require(args, ["algorithm"])
-    return LearnerSpec(
-        algorithm=args.algorithm,
-        min_split=args.min_split,
-        max_depth=args.max_depth,
-        prune=bool(args.prune),
-        prune_holdout=args.prune_holdout,
-        min_cover=args.min_cover,
-        min_precision=args.min_precision,
-    )
+    return LearnerSpec(**_given(args, LearnerSpec))
 
 
 # --- commands ----------------------------------------------------------------
@@ -353,30 +356,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
     from .synthgen import SynthConfig, generate, generate_test
 
     _require(args, ["versions", "datasets", "features", "seed", "out_dir"])
-    kwargs = dict(
-        n_versions=args.versions,
-        n_datasets=args.datasets,
-        feature_arity=args.features,
-        n_regions=args.regions if args.regions is not None else max(args.versions - 1, 1),
-        seed=args.seed,
+    kwargs = _given(
+        args, SynthConfig, n_versions="versions", n_datasets="datasets", feature_arity="features",
+        n_regions="regions", winner_speedup_range="winner_range", loser_speedup_range="loser_range",
+        base_runtime_range="base_range", code_size_range="size_range",
     )
-    for attr, key in (
-        ("noise_sigma", "noise_sigma"),
-        ("winner_range", "winner_speedup_range"),
-        ("loser_range", "loser_speedup_range"),
-        ("base_range", "base_runtime_range"),
-        ("size_range", "code_size_range"),
-        ("feature_range", "feature_range"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            kwargs[key] = value
+    kwargs.setdefault("n_regions", max(args.versions - 1, 1))
     config = SynthConfig(**kwargs)
+    train = generate(config)
+    test = None if args.test_seed is None else generate_test(config, args.test_seed, args.test_datasets)
 
     out = Path(args.out_dir)
-    _save_generated(out, *generate(config))
-    if args.test_seed is not None:
-        _save_generated(out / "test", *generate_test(config, args.test_seed, args.test_datasets))
+    _save_generated(out, *train)
+    if test is not None:
+        _save_generated(out / "test", *test)
     return 0
 
 
@@ -387,13 +380,10 @@ def cmd_select(args: argparse.Namespace) -> int:
     _require(args, ["scenario", "max_versions"])
     _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
-    constraints = Constraints(
-        max_versions=args.max_versions,
-        size_budget=args.size_budget if args.size_budget is not None else math.inf,
-        loss_tolerance=args.loss_tol if args.loss_tol is not None else 0.0,
-        min_gain=args.min_gain if args.min_gain is not None else 1e-9,
-        mode=MODE_NAMES[args.mode] if args.mode is not None else "perf_priority",
-    )
+    given = _given(args, Constraints, loss_tolerance="loss_tol")
+    if "mode" in given:
+        given["mode"] = MODE_NAMES[given["mode"]]
+    constraints = Constraints(**given)
     matrix = speedups(scenario)
     result = greedy_select(matrix, scenario.code_sizes(), scenario.baseline_binary_size, constraints)
     metrics = evaluate_set(matrix, set(result.selected))
@@ -470,13 +460,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    from .learners.cv import cross_validate
+    from .learners.cv import FOLDS, cross_validate
     from .learners.samples import make_dc_labels, make_ppm_samples
     from .scenario import speedups
 
     _require(args, ["scenario", "seed"])
     spec = _learner_spec(args)
-    k = args.k if args.k is not None else 10
+    k = FOLDS if args.k is None else args.k
     _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
     representative = _representative_ids(args)

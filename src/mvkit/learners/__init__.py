@@ -12,7 +12,7 @@ from .. import _lazy
 
 __all__, __getattr__, __dir__ = _lazy(__name__, {
     "samples": (
-        "LabeledSample", "RegressionSample", "LearnError", "best_version", "make_dc_labels",
+        "LabeledSample", "RegressionSample", "LearnError", "make_dc_labels",
         "make_ppm_samples",
     ),
     "trees": (

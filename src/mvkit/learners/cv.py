@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from ..rng import Rng, mix_seed
@@ -11,7 +11,11 @@ from .linear import predict_linear, train_linear_regression
 from .metrics import error_rate, rrse
 from .rules import RuleConfig, RuleListModel, predict_rules, train_rule_list
 from .samples import LabeledSample, LearnError, RegressionSample
-from .trees import TreeConfig, TreeModel, predict_tree, train_regression_tree, train_tree_classifier
+from .trees import (
+    REGTREE_DEFAULTS, TreeConfig, TreeModel, predict_tree, train_regression_tree, train_tree_classifier,
+)
+
+FOLDS = 10  # the default fold count of cross_validate and `mvkit cv`
 
 DC_ALGORITHMS = ("tree", "rules")
 PPM_ALGORITHMS = ("regtree", "linreg")
@@ -41,21 +45,16 @@ class LearnerSpec:
         return self.algorithm in DC_ALGORITHMS
 
     def tree_config(self, seed: int | None) -> TreeConfig:
-        default_split = 2 if self.algorithm == "tree" else 4
-        return TreeConfig(
-            min_split=self.min_split if self.min_split is not None else default_split,
-            max_depth=self.max_depth if self.max_depth is not None else 64,
-            prune=self.prune,
-            prune_holdout=self.prune_holdout if self.prune_holdout is not None else 0.2,
-            seed=seed,
-        )
+        base = TreeConfig() if self.algorithm == "tree" else REGTREE_DEFAULTS
+        return replace(base, **self._set(TreeConfig, seed))
 
     def rule_config(self, seed: int | None) -> RuleConfig:
-        return RuleConfig(
-            min_cover=self.min_cover if self.min_cover is not None else 2,
-            min_precision=self.min_precision if self.min_precision is not None else 0.7,
-            seed=seed,
-        )
+        return RuleConfig(**self._set(RuleConfig, seed))
+
+    def _set(self, config_type: type, seed: int | None) -> dict[str, object]:
+        """``seed`` plus the overrides this spec sets for ``config_type``'s fields."""
+        given = {f.name: getattr(self, f.name, None) for f in fields(config_type)}
+        return {k: v for k, v in given.items() if v is not None} | {"seed": seed}
 
 
 Model = TreeModel | RuleListModel
@@ -73,12 +72,10 @@ def train_model(spec: LearnerSpec, samples: Sequence, seed: int | None = None):
 
 
 def predict_model(spec: LearnerSpec, model, x: Sequence[float]):
-    if spec.algorithm == "tree":
+    if spec.algorithm in ("tree", "regtree"):
         return predict_tree(model, x)[0]
     if spec.algorithm == "rules":
         return predict_rules(model, x)[0]
-    if spec.algorithm == "regtree":
-        return predict_tree(model, x)[0]
     return predict_linear(model, x)
 
 
@@ -133,7 +130,7 @@ def _plain_folds(n: int, k: int, rng: Rng) -> list[int]:
 def cross_validate(
     spec: LearnerSpec,
     samples: Sequence[LabeledSample] | Sequence[RegressionSample],
-    k: int = 10,
+    k: int = FOLDS,
     seed: int = 0,
 ) -> CVReport:
     """k-fold CV: classifiers get stratified folds and error rate,

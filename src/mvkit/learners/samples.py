@@ -47,12 +47,6 @@ def check_samples(samples: Sequence[LabeledSample] | Sequence[RegressionSample])
     return arity
 
 
-def _tie_order(matrix: SpeedupMatrix, candidates: Sequence[int], sizes: dict[int, int]) -> tuple[list, list]:
-    """Candidates by (code_size, id), and their rows in ``matrix``."""
-    ordered = sorted(candidates, key=lambda v: (sizes.get(v, 0), v))
-    return ordered, [matrix._version_index[v] for v in ordered]
-
-
 def best_versions(matrix: SpeedupMatrix, candidates: Sequence[int], code_sizes: dict[int, int]) -> list[int]:
     """Argmax-speedup version of every dataset column, in column order.
 
@@ -60,19 +54,9 @@ def best_versions(matrix: SpeedupMatrix, candidates: Sequence[int], code_sizes: 
     the smaller code_size, then the smaller id: ``argmax`` keeps the first
     maximum, and the rows are in that order.
     """
-    ordered, rows = _tie_order(matrix, candidates, code_sizes)
+    ordered = sorted(candidates, key=lambda v: (code_sizes.get(v, 0), v))
+    rows = [matrix._version_index[v] for v in ordered]
     return [ordered[k] for k in matrix.entries[rows].argmax(axis=0).tolist()]
-
-
-def best_version(
-    matrix: SpeedupMatrix,
-    dataset_index: int,
-    candidates: Sequence[int],
-    code_sizes: dict[int, int],
-) -> int:
-    """:func:`best_versions` for the one column ``dataset_index``."""
-    ordered, rows = _tie_order(matrix, candidates, code_sizes)
-    return ordered[int(matrix.entries[rows, dataset_index].argmax())]
 
 
 def make_dc_labels(

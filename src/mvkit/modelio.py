@@ -10,6 +10,7 @@ so save -> load -> save is byte-stable.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import Mapping
@@ -38,14 +39,13 @@ def _header(algorithm: str, arity: int, extra: dict[str, str]) -> str:
     return "; ".join(parts)
 
 
-def _tree_config_extra(config: TreeConfig) -> dict[str, str]:
-    return {
-        "min_split": str(config.min_split),
-        "max_depth": str(config.max_depth),
-        "prune": "1" if config.prune else "0",
-        "prune_holdout": repr(config.prune_holdout),
-        "seed": "-" if config.seed is None else str(config.seed),
-    }
+def _config_pairs(config: TreeConfig | RuleConfig) -> dict[str, str]:
+    """The header pairs of a learner config: its fields in declaration order.
+
+    A flag is ``0`` or ``1`` and an unset seed is ``-``; :func:`_config_value` reads each back.
+    """
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    return {k: "-" if v is None else str(int(v)) if isinstance(v, bool) else str(v) for k, v in values.items()}
 
 
 def dumps(model: AnyModel) -> str:
@@ -55,16 +55,10 @@ def dumps(model: AnyModel) -> str:
             raise ModelIOError(
                 "model kind", "a lone regression tree is not a dispatch model; save a bundle"
             )
-        extra = {"nodes": str(len(model.nodes))} | _tree_config_extra(model.config)
+        extra = {"nodes": str(len(model.nodes))} | _config_pairs(model.config)
         return "\n".join([_header("tree", model.arity, extra), *format_nodes(model.nodes, int)]) + "\n"
     if isinstance(model, RuleListModel):
-        cfg = model.config
-        extra = {
-            "rules": str(len(model.rules)),
-            "min_cover": str(cfg.min_cover),
-            "min_precision": repr(cfg.min_precision),
-            "seed": "-" if cfg.seed is None else str(cfg.seed),
-        }
+        extra = {"rules": str(len(model.rules))} | _config_pairs(model.config)
         lines = [_header("rules", model.arity, extra)]
         for rule in model.rules:
             parts = [f"R {rule.label} {len(rule.conditions)}"]
@@ -80,7 +74,7 @@ def dumps(model: AnyModel) -> str:
         first = model[versions[0]]
         if isinstance(first, TreeModel):
             arity = first.arity
-            extra = {"versions": str(len(versions))} | _tree_config_extra(first.config)
+            extra = {"versions": str(len(versions))} | _config_pairs(first.config)
             lines = [_header("regtree-bundle", arity, extra)]
             for v in versions:
                 sub = model[v]
@@ -125,17 +119,26 @@ def _attr_int(attrs: dict[str, str], key: str, head: int) -> int:
         raise ModelIOError("parse error", f"line {head}: {key} must be an integer") from None
 
 
-def _tree_config_from(attrs: dict[str, str], head: int) -> TreeConfig:
+def _config_from(config_type: type, attrs: dict[str, str], head: int) -> TreeConfig | RuleConfig:
+    """A ``config_type`` built from its pairs in ``attrs``; a missing pair takes the field's default."""
     try:
-        return TreeConfig(
-            min_split=int(attrs.get("min_split", "2")),
-            max_depth=int(attrs.get("max_depth", "64")),
-            prune=attrs.get("prune", "0") == "1",
-            prune_holdout=float(attrs.get("prune_holdout", "0.2")),
-            seed=None if attrs.get("seed", "-") == "-" else int(attrs["seed"]),
-        )
-    except ValueError as exc:
-        raise ModelIOError("parse error", f"line {head}: bad tree config ({exc})") from None
+        return config_type(**{
+            f.name: _config_value(attrs[f.name], f.default) for f in fields(config_type) if f.name in attrs
+        })
+    except ValueError as exc:  # LearnError is one too
+        what = config_type.__name__.removesuffix("Config").lower()
+        raise ModelIOError("parse error", f"line {head}: bad {what} config ({exc})") from None
+
+
+def _config_value(text: str, default: object) -> object:
+    """One value written by :func:`_config_pairs`, for a field whose default is ``default``."""
+    if default is None:  # an optional seed
+        return None if text == "-" else int(text)
+    if isinstance(default, bool):
+        if text not in ("0", "1"):
+            raise ValueError(f"expected 0 or 1, got {text!r}")
+        return text == "1"
+    return type(default)(text)
 
 
 def _parse_tree(
@@ -176,19 +179,12 @@ def loads(text: str) -> AnyModel:
     # Each format parses its lines from lines[1] on and leaves ``at`` at the first line it did not use.
     if algorithm == "tree":
         count = _attr_int(attrs, "nodes", head)
-        model = _parse_tree(lines, linenos, 1, count, arity, CLASSIFIER, _tree_config_from(attrs, head))
+        model = _parse_tree(lines, linenos, 1, count, arity, CLASSIFIER, _config_from(TreeConfig, attrs, head))
         at = 1 + count
 
     elif algorithm == "rules":
         n_rules = _attr_int(attrs, "rules", head)
-        try:
-            config = RuleConfig(
-                min_cover=int(attrs.get("min_cover", "2")),
-                min_precision=float(attrs.get("min_precision", "0.7")),
-                seed=None if attrs.get("seed", "-") == "-" else int(attrs["seed"]),
-            )
-        except ValueError as exc:
-            raise ModelIOError("parse error", f"line {head}: bad rule config ({exc})") from None
+        config = _config_from(RuleConfig, attrs, head)
         rules: list[Rule] = []
         for at in range(1, n_rules + 1):
             if at >= len(lines):
@@ -224,7 +220,7 @@ def loads(text: str) -> AnyModel:
 
     elif algorithm == "regtree-bundle":
         n_versions = _attr_int(attrs, "versions", head)
-        config = _tree_config_from(attrs, head)
+        config = _config_from(TreeConfig, attrs, head)
         model = {}
         at = 1
         for _ in range(n_versions):

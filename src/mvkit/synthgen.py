@@ -214,6 +214,8 @@ def generate_test(
     ``test_seed``. Dataset ids are offset past the training ids by
     default so train/test overlap checks stay meaningful.
     """
+    if n_datasets is not None and n_datasets < 1:
+        raise SynthError("invalid config", f"n_datasets must be >= 1, got {n_datasets}")
     return _generate(
         config,
         population_seed=test_seed,

@@ -81,6 +81,15 @@ class TestGen:
         assert r.returncode == 2
         assert "--seed" in r.stderr
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_test_datasets_below_one_exits_2_and_writes_nothing(self, tmp_path, count):
+        args = list(GEN_ARGS)
+        args[args.index("--test-datasets") + 1] = count
+        r = run_mvkit(*args, "--out-dir", tmp_path / "scen", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"n_datasets must be >= 1, got {count}" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSelect:
     def test_toy_selection_report(self, tmp_path):
@@ -282,6 +291,26 @@ class TestTrainCvEmitSimulate:
                       "--train-scenario", train, cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert f"{train / 'datasets.csv'}:4: expected number, got 'x'" in r.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("train", "scen", "--algorithm", "tree", "--out", "m.mv"),
+            ("cv", "scen", "--algorithm", "tree", "--seed", "5"),
+            ("simulate", "scen/test", "--selector", "oracle"),
+        ],
+        ids=["train", "cv", "simulate"],
+    )
+    def test_malformed_selected_line_exits_2_naming_the_file(self, staged, tmp_path, command):
+        name, scenario, *rest = command
+        text = (staged / "selection.txt").read_text()
+        selected = next(line for line in text.splitlines() if line.startswith("selected="))
+        (tmp_path / "sel.rep").write_text(text.replace(selected, "selected=4,=,3,2"))
+        r = run_mvkit(name, "--scenario", staged / scenario, "--selection", "sel.rep", *rest, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "internal error" not in r.stderr
+        assert "sel.rep: expected comma-separated ids, got '4,=,3,2'" in r.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["sel.rep"]
 
     def test_explicit_ids_replace_selection_file(self, staged):
         r = run_mvkit("simulate", "--scenario", staged / "scen" / "test",

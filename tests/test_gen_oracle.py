@@ -143,7 +143,6 @@ NAMED = {
     "negative features": (SynthConfig(4, 40, 2, 3, seed=16, feature_range=(-5, 5), noise_sigma=0.3), 17, None, None),
     "wide feature box": (SynthConfig(9, 30, 3, 8, seed=17, feature_range=(1, 100_000), noise_sigma=0.05), 18, 40, None),
     "explicit id offset": (SynthConfig(5, 20, 2, 4, seed=18), 19, 15, 1_000_000),
-    "empty held-out set": (SynthConfig(3, 5, 2, 2, seed=22, noise_sigma=0.1), 23, 0, None),
     "zero id offset": (SynthConfig(3, 20, 2, 2, seed=19, noise_sigma=0.4), 20, 20, 0),
     "custom ranges": (
         SynthConfig(

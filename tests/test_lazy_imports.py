@@ -30,7 +30,7 @@ MVKIT_NAMES = {
     "learners": (
         "CVReport", "Condition", "LabeledSample", "LearnError", "LearnerSpec", "LinearModel",
         "RegressionSample", "Rule", "RuleConfig", "RuleListModel", "TreeBranch", "TreeConfig",
-        "TreeLeaf", "TreeModel", "best_version", "cross_validate", "error_rate", "make_dc_labels",
+        "TreeLeaf", "TreeModel", "cross_validate", "error_rate", "make_dc_labels",
         "make_ppm_samples", "ppm_select", "predict_linear", "predict_regression", "predict_rules",
         "predict_tree", "rrse", "train_linear_regression", "train_model", "train_ppm_models",
         "train_regression_tree", "train_rule_list", "train_tree_classifier",
@@ -55,7 +55,7 @@ MVKIT_NAMES = {
 
 LEARNERS_NAMES = {
     "samples": (
-        "LabeledSample", "RegressionSample", "LearnError", "best_version", "make_dc_labels",
+        "LabeledSample", "RegressionSample", "LearnError", "make_dc_labels",
         "make_ppm_samples",
     ),
     "trees": (
@@ -78,8 +78,8 @@ def names_of(table: dict[str, tuple[str, ...]]) -> list[str]:
 
 
 def test_name_counts():
-    assert len(set(names_of(MVKIT_NAMES))) == 92
-    assert len(set(names_of(LEARNERS_NAMES))) == 31
+    assert len(set(names_of(MVKIT_NAMES))) == 91
+    assert len(set(names_of(LEARNERS_NAMES))) == 30
 
 
 @pytest.mark.parametrize("package, table", PACKAGES, ids=PACKAGE_IDS)

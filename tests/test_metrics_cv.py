@@ -7,7 +7,7 @@ import pytest
 
 from mvkit import LearnError, LearnerSpec, cross_validate, error_rate, rrse
 from mvkit.learners import LabeledSample, RegressionSample
-from mvkit.learners.samples import best_version
+from mvkit.learners.samples import best_versions
 
 
 class TestMetrics:
@@ -49,9 +49,9 @@ class TestBestVersion:
             baseline_id=0, version_ids=(0, 1, 2, 3), dataset_ids=(1,), entries=entries
         )
         # equal speedups: smaller code size wins
-        assert best_version(m, 0, (1, 2, 3), {1: 300, 2: 100, 3: 200}) == 2
+        assert best_versions(m, (1, 2, 3), {1: 300, 2: 100, 3: 200})[0] == 2
         # equal sizes: smaller id wins
-        assert best_version(m, 0, (1, 2, 3), {1: 100, 2: 100, 3: 100}) == 1
+        assert best_versions(m, (1, 2, 3), {1: 100, 2: 100, 3: 100})[0] == 1
 
 
 def classed(n: int, n_classes: int = 2) -> list[LabeledSample]:

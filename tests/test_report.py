@@ -19,6 +19,8 @@ from mvkit import modelio
 from mvkit.learners import LabeledSample, RegressionSample
 from mvkit.modelio import ModelIOError
 
+from conftest import run_mvkit
+
 FOUR = [
     LabeledSample((2.0,), 1),
     LabeledSample((4.0,), 1),
@@ -179,6 +181,48 @@ class TestModelDocuments:
             modelio.loads(text)
         assert exc.value.category == "parse error"
         assert where in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, config",
+        [
+            ("MVMODEL v1; algorithm=tree; arity=1; nodes=1\nL 1\n", TreeConfig()),
+            ("MVMODEL v1; algorithm=rules; arity=1; rules=1\nR 1 1 0 le 5.5\nD 2\n", RuleConfig()),
+            ("MVMODEL v1; algorithm=regtree-bundle; arity=1; versions=1\nV 3; nodes=1\nL 1\n", TreeConfig()),
+        ],
+        ids=["tree", "rules", "regtree"],
+    )
+    def test_missing_config_pairs_take_the_dataclass_defaults(self, text, config):
+        model = modelio.loads(text)
+        assert (model[3] if isinstance(model, dict) else model).config == config
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (TREE_DOC.replace("min_split=2", "min_split=x"), "line 2: bad tree config"),
+            (TREE_DOC.replace("prune_holdout=0.2", "prune_holdout=2"), "line 2: bad tree config"),
+            (TREE_DOC.replace("prune=0", "prune=yes"), "line 2: bad tree config"),
+            (RULES_DOC.replace("seed=-", "seed="), "line 2: bad rule config"),
+            (RULES_DOC.replace("min_precision=0.7", "min_precision=0"), "line 2: bad rule config"),
+            (REGTREE_DOC.replace("min_split=4", "min_split=x"), "line 2: bad tree config"),
+            (REGTREE_DOC.replace("seed=-", "seed="), "line 2: bad tree config"),
+        ],
+        ids=[
+            "tree-min-split", "tree-prune-holdout", "tree-prune", "rules-seed", "rules-min-precision",
+            "regtree-min-split", "regtree-seed",
+        ],
+    )
+    def test_malformed_config_value_is_a_parse_error_naming_the_header_line(self, text, where):
+        with pytest.raises(ModelIOError) as exc:
+            modelio.loads("\n" + text)
+        assert exc.value.category == "parse error"
+        assert where in str(exc.value)
+
+    def test_emit_on_a_malformed_config_value_exits_2(self, tmp_path):
+        (tmp_path / "tree.mv").write_text(TREE_DOC.replace("min_split=2", "min_split=x"))
+        r = run_mvkit("emit", "--model", "tree.mv", "--out", "disp.txt", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "line 1: bad tree config" in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.mv"]
 
     def test_tree_round_trip(self):
         model = train_tree_classifier(FOUR)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvkit.learners.samples import best_version, best_versions
+from mvkit.learners.samples import best_versions
 from mvkit.scenario import (
     DatasetRecord,
     Scenario,
@@ -474,4 +474,3 @@ class TestBestVersions:
         picks = best_versions(matrix, candidates, sizes)
         for i in range(n_datasets):
             assert picks[i] == oracle_best_version(matrix, i, candidates, sizes)
-            assert best_version(matrix, i, candidates, sizes) == picks[i]

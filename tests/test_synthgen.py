@@ -146,6 +146,13 @@ class TestHeldOutGeneration:
             best = matrix.candidate_ids[int(np.argmax(row))]
             assert best == truth.winners_by_dataset[i]
 
+    @pytest.mark.parametrize("n_datasets", [0, -3])
+    def test_fewer_than_one_dataset_is_refused(self, n_datasets):
+        with pytest.raises(SynthError) as exc:
+            generate_test(CFG, 9001, n_datasets)
+        assert exc.value.category == "invalid config"
+        assert f"n_datasets must be >= 1, got {n_datasets}" in str(exc.value)
+
 
 class TestConfigValidation:
     def test_too_many_regions(self):
