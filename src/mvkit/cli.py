@@ -12,6 +12,11 @@ usage errors), 1 unexpected internal failure. A config file given with
 Reports default to machine mode, which is byte-identical across runs for
 identical inputs and seeds; human mode only rounds the numbers.
 
+Commands return their outputs as (path, text) pairs, path None for
+stdout; `main` writes them through `_write_outputs`, all files or none,
+and refuses an output path that is one of the command's inputs or is
+given twice. Only `gen` creates directories: --out-dir and its test/.
+
 Each command imports the modules it runs inside its own function, so a
 command loads no more than it needs: `emit` never imports numpy.
 """
@@ -25,7 +30,7 @@ import sys
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import report as reportmod
 from .report import HUMAN, MACHINE, ReportBuilder, render
@@ -33,10 +38,12 @@ from .rng import mix_seed
 
 if TYPE_CHECKING:
     from .learners.cv import LearnerSpec
-    from .scenario import Scenario
-    from .synthgen import GroundTruth
 
 SCENARIO_FILES = ("versions.csv", "datasets.csv", "runtimes.csv")
+GENERATED_FILES = (*SCENARIO_FILES, "ground_truth.csv")
+
+# A command's output: (path, text), where path None is stdout.
+Output = tuple[str | None, str]
 
 MODE_NAMES = {"perf": "perf_priority", "size": "size_priority"}
 
@@ -233,23 +240,14 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
             raise CliError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _load_scenario_dir(path: str) -> Scenario:
+def _load_scenario_dir(path: str, load: Callable | None = None, names: tuple[str, ...] = SCENARIO_FILES):
+    """``load`` (default ``load_scenario``) of the tables ``names`` in directory ``path``."""
     from .scenario import load_scenario
 
-    base = Path(path)
     try:
-        return load_scenario(*(base / name for name in SCENARIO_FILES))
+        return (load or load_scenario)(*(Path(path) / name for name in names))
     except OSError as exc:
         raise CliError(f"cannot read scenario: {exc}") from None
-
-
-def _load_model(path: str):
-    from .modelio import load_model
-
-    try:
-        return load_model(path)
-    except OSError as exc:
-        raise CliError(f"cannot read model: {exc}") from None
 
 
 def _input_paths(args: argparse.Namespace) -> list[str]:
@@ -268,13 +266,6 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
     return [p for p in paths if p]
 
 
-def _check_collisions(inputs: list[str], outputs: list[str | None]) -> None:
-    resolved_in = {Path(p).resolve() for p in inputs}
-    for out in outputs:
-        if out and Path(out).resolve() in resolved_in:
-            raise CliError(f"output path {out} collides with an input path")
-
-
 def _representative_ids(args: argparse.Namespace) -> tuple[int, ...]:
     if args.select_ids is not None and args.selection is not None:
         raise CliError("give either --selection or --select-ids, not both")
@@ -289,16 +280,24 @@ def _representative_ids(args: argparse.Namespace) -> tuple[int, ...]:
     raise CliError("missing required option --selection or --select-ids")
 
 
-def _write_files(outputs: list[tuple[str, str]]) -> None:
-    """Write every (path, text) pair, or none of them.
+def _write_outputs(args: argparse.Namespace, outputs: list[Output]) -> None:
+    """Write a command's output files, all or none, then print its stdout texts.
 
-    Each text goes to a temporary file beside its target; only when all
-    are written are they renamed into place, so a failed write leaves no
-    output behind. A path that cannot be written is a bad flag (exit 2).
+    Paths that resolve to an input of ``args`` or to another output are
+    refused first. Each text goes to a temporary file beside its target,
+    and all are renamed into place only once all are written. A path that
+    cannot be written is a bad flag (exit 2).
     """
+    files = [(path, text) for path, text in outputs if path is not None]
+    taken = {Path(p).resolve(): "an input path" for p in _input_paths(args)}
+    for path, _ in files:
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise CliError(f"output path {path} collides with {taken[resolved]}")
+        taken[resolved] = "another output path"
     temps: list[Path] = []
     try:
-        for i, (path, text) in enumerate(outputs):
+        for i, (path, text) in enumerate(files):
             target = Path(path)
             if target.is_dir():  # os.replace would fail only after earlier renames
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -306,31 +305,15 @@ def _write_files(outputs: list[tuple[str, str]]) -> None:
             with open(temp, "x", encoding="utf-8", newline="\n") as fh:
                 temps.append(temp)
                 fh.write(text)
-        for (path, _), temp in zip(outputs, temps):
+        for (path, _), temp in zip(files, temps):
             os.replace(temp, path)
     except OSError as exc:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        _write_files([(out, text)])
-    else:
-        sys.stdout.write(text)
-
-
-def _save_generated(directory: Path, scenario: Scenario, truth: GroundTruth) -> None:
-    from .scenario import save_scenario
-    from .synthgen import save_ground_truth
-
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        save_scenario(scenario, *(directory / name for name in SCENARIO_FILES))
-        save_ground_truth(truth, scenario, directory / "ground_truth.csv")
-    except OSError as exc:
-        raise CliError(f"cannot write {directory}: {exc.strerror or exc}") from None
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _given(args: argparse.Namespace, config_type: type, **dests: str) -> dict[str, object]:
@@ -352,8 +335,9 @@ def _learner_spec(args: argparse.Namespace) -> LearnerSpec:
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    from .synthgen import SynthConfig, generate, generate_test
+def cmd_gen(args: argparse.Namespace) -> list[Output]:
+    from .scenario import scenario_tables
+    from .synthgen import SynthConfig, generate, generate_test, ground_truth_table
 
     _require(args, ["versions", "datasets", "features", "seed", "out_dir"])
     kwargs = _given(
@@ -367,18 +351,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
     test = None if args.test_seed is None else generate_test(config, args.test_seed, args.test_datasets)
 
     out = Path(args.out_dir)
-    _save_generated(out, *train)
-    if test is not None:
-        _save_generated(out / "test", *test)
-    return 0
+    generated = [(out, train)] if test is None else [(out, train), (out / "test", test)]
+    outputs: list[Output] = []
+    for directory, (scenario, truth) in generated:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {directory}: {exc.strerror or exc}") from None
+        texts = (*scenario_tables(scenario), ground_truth_table(truth, scenario))
+        outputs.extend((str(directory / name), text) for name, text in zip(GENERATED_FILES, texts))
+    return outputs
 
 
-def cmd_select(args: argparse.Namespace) -> int:
+def cmd_select(args: argparse.Namespace) -> list[Output]:
     from .scenario import speedups
     from .selection import Constraints, evaluate_set, greedy_select
 
     _require(args, ["scenario", "max_versions"])
-    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
     given = _given(args, Constraints, loss_tolerance="loss_tol")
     if "mode" in given:
@@ -423,11 +412,10 @@ def cmd_select(args: argparse.Namespace) -> int:
         ["dataset_id", "loss"],
         list(zip(matrix.dataset_ids, metrics.per_dataset_loss)),
     )
-    _write_or_print(render(b.build()), args.out)
-    return 0
+    return [(args.out or None, render(b.build()))]
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> list[Output]:
     from .learners.cv import train_model
     from .learners.ppm import train_ppm_models
     from .learners.samples import make_dc_labels
@@ -436,7 +424,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     _require(args, ["scenario", "out"])
     spec = _learner_spec(args)
-    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
     representative = _representative_ids(args)
     matrix = speedups(scenario)
@@ -455,11 +442,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         if not model:
             raise CliError("PPM training needs a non-empty representative set")
-    _write_files([(args.out, dumps(model))])
-    return 0
+    return [(args.out, dumps(model))]
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
+def cmd_cv(args: argparse.Namespace) -> list[Output]:
     from .learners.cv import FOLDS, cross_validate
     from .learners.samples import make_dc_labels, make_ppm_samples
     from .scenario import speedups
@@ -467,7 +453,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
     _require(args, ["scenario", "seed"])
     spec = _learner_spec(args)
     k = FOLDS if args.k is None else args.k
-    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
     representative = _representative_ids(args)
     matrix = speedups(scenario)
@@ -513,37 +498,32 @@ def cmd_cv(args: argparse.Namespace) -> int:
         b.add_table("versions", ["version", "rrse_percent"], per_version)
         b.add_table("folds", ["version", "fold", "size", "metric"], fold_rows)
 
-    _write_or_print(render(b.build()), args.out)
-    return 0
+    return [(args.out or None, render(b.build()))]
 
 
-def cmd_emit(args: argparse.Namespace) -> int:
+def cmd_emit(args: argparse.Namespace) -> list[Output]:
     from .dispatch import DEFAULT_TEMPLATE, compile_dispatcher, render_template, serialize
     from .learners.rules import RuleListModel
     from .learners.trees import TreeModel
+    from .modelio import loads
 
     _require(args, ["model", "out"])
-    rendered_path = None
-    if args.template is not None:
-        rendered_path = args.rendered_out or f"{args.out}.rendered"
-    _check_collisions(_input_paths(args), [args.out, rendered_path])
-    model = _load_model(args.model)
+    model = loads(_read_text(args.model, "model"))
     if not isinstance(model, (TreeModel, RuleListModel)):
         raise CliError("only classifier models compile to dispatchers; PPM bundles drive `simulate --model`")
     spec = compile_dispatcher(model)
-    # Render everything before writing anything, so a failure leaves no output.
-    outputs = [(args.out, serialize(spec))]
-    if rendered_path is not None:
+    outputs: list[Output] = [(args.out, serialize(spec))]
+    if args.template is not None:
         template = DEFAULT_TEMPLATE if args.template == "-" else _read_text(args.template, "template")
-        outputs.append((rendered_path, render_template(spec, template)))
-    _write_files(outputs)
-    return 0
+        outputs.append((args.rendered_out or f"{args.out}.rendered", render_template(spec, template)))
+    return outputs
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> list[Output]:
     from .dispatch import compile_dispatcher, deserialize
     from .learners.rules import RuleListModel
     from .learners.trees import TreeModel
+    from .modelio import loads
     from .scenario import load_datasets
     from .simulate import simulate
 
@@ -551,14 +531,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     chosen = [name for name in ("dispatcher", "model", "selector") if getattr(args, name) is not None]
     if len(chosen) != 1:
         raise CliError("give exactly one of --dispatcher, --model, --selector")
-    _check_collisions(_input_paths(args), [args.out])
     scenario = _load_scenario_dir(args.scenario)
     representative = _representative_ids(args)
 
     if args.dispatcher is not None:
         selector = deserialize(_read_text(args.dispatcher, "dispatcher"))
     elif args.model is not None:
-        loaded = _load_model(args.model)
+        loaded = loads(_read_text(args.model, "model"))
         if isinstance(loaded, (TreeModel, RuleListModel)):
             selector = compile_dispatcher(loaded)
         else:
@@ -567,11 +546,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         selector = args.selector
 
     train_ids: set[int] | None = None
-    if args.train_scenario is not None:
-        try:  # the overlap check needs only the training dataset ids
-            train_ids = {d.id for d in load_datasets(Path(args.train_scenario) / "datasets.csv")}
-        except OSError as exc:
-            raise CliError(f"cannot read scenario: {exc}") from None
+    if args.train_scenario is not None:  # the overlap check needs only the training dataset ids
+        datasets = _load_scenario_dir(args.train_scenario, load_datasets, ("datasets.csv",))
+        train_ids = {d.id for d in datasets}
 
     result = simulate(scenario, selector, representative, train_dataset_ids=train_ids)
 
@@ -596,8 +573,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ["dataset_id", "chosen", "realized_speedup", "comparisons"],
         [(o.dataset_id, o.chosen, o.realized_speedup, o.comparisons) for o in result.outcomes],
     )
-    _write_or_print(render(b.build()), args.out)
-    return 0
+    return [(args.out or None, render(b.build()))]
 
 
 _COMMANDS = {
@@ -616,7 +592,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             _merge_config(args, _load_config_file(args.config, _config_types(parser)))
-        return _COMMANDS[args.command](args)
+        _write_outputs(args, _COMMANDS[args.command](args))
+        return 0
     except CliError as exc:
         print(f"mvkit {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
         "make_ppm_samples",
     ),
     "trees": (
-        "TreeModel", "TreeBranch", "TreeLeaf", "TreeConfig", "train_tree_classifier",
+        "TreeModel", "TreeConfig", "train_tree_classifier",
         "train_regression_tree", "predict_tree",
     ),
     "rules": ("RuleListModel", "Rule", "Condition", "RuleConfig", "train_rule_list", "predict_rules"),

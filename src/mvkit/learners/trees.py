@@ -28,7 +28,7 @@ bottom-up pass; children follow their parent in pre-order, so it is one
 reverse sweep over the node array.
 
 Trees are stored as the node array of :mod:`mvkit.nodes`, the same one a
-dispatcher holds; ``TreeBranch``/``TreeLeaf`` are its ``Branch``/``Leaf``.
+dispatcher holds.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class TreeConfig:
 
 
 REGTREE_DEFAULTS = TreeConfig(min_split=4)
-
-
-# Public names for the shared node types of :mod:`mvkit.nodes`.
-TreeBranch, TreeLeaf = Branch, Leaf
 
 # Trees built here are well formed; a failed walk means a hand-built model is broken.
 _INVALID = partial(LearnError, "invalid tree")

@@ -445,24 +445,25 @@ def load_scenario(
     return scenario
 
 
+def scenario_tables(scenario: Scenario) -> tuple[str, str, str]:
+    """The versions, datasets and runtimes CSV texts; floats use shortest round-trip form."""
+    versions = [",".join(_VERSIONS_HEADER) + "\n"]
+    versions += [f"{v.id},{v.name},{v.code_size},{1 if v.is_baseline else 0}\n" for v in scenario.versions]
+    datasets = ["id," + ",".join(f"f{i}" for i in range(scenario.feature_arity)) + "\n"]
+    datasets += [f"{d.id}," + ",".join(repr(float(x)) for x in d.features) + "\n" for d in scenario.datasets]
+    columns = [f"{v.id}," for v in scenario.versions]
+    runtimes = [",".join(_RUNTIMES_HEADER) + "\n"]
+    for d, row in zip(scenario.datasets, scenario.runtimes.tolist()):
+        runtimes += [f"{d.id},{v}{t!r}\n" for v, t in zip(columns, row)]
+    return "".join(versions), "".join(datasets), "".join(runtimes)
+
+
 def save_scenario(
     scenario: Scenario,
     versions_path: str | Path,
     datasets_path: str | Path,
     runtimes_path: str | Path,
 ) -> None:
-    """Write the three CSV tables; floats use shortest round-trip form."""
-    with open(versions_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_VERSIONS_HEADER) + "\n")
-        for v in scenario.versions:
-            fh.write(f"{v.id},{v.name},{v.code_size},{1 if v.is_baseline else 0}\n")
-    arity = scenario.feature_arity
-    with open(datasets_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id," + ",".join(f"f{i}" for i in range(arity)) + "\n")
-        for d in scenario.datasets:
-            fh.write(f"{d.id}," + ",".join(repr(float(x)) for x in d.features) + "\n")
-    with open(runtimes_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_RUNTIMES_HEADER) + "\n")
-        columns = [f"{v.id}," for v in scenario.versions]
-        for d, row in zip(scenario.datasets, scenario.runtimes.tolist()):
-            fh.write("".join([f"{d.id},{v}{t!r}\n" for v, t in zip(columns, row)]))
+    """Write the three tables of ``scenario_tables``, LF line ends."""
+    for path, text in zip((versions_path, datasets_path, runtimes_path), scenario_tables(scenario)):
+        Path(path).write_text(text, encoding="utf-8", newline="\n")

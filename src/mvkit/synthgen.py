@@ -279,8 +279,12 @@ def _generate(
     return scenario, truth
 
 
+def ground_truth_table(truth: GroundTruth, scenario: Scenario) -> str:
+    """The `dataset_id,true_best_version_id` CSV text."""
+    rows = "".join(f"{d.id},{w}\n" for d, w in zip(scenario.datasets, truth.winners_by_dataset))
+    return "dataset_id,true_best_version_id\n" + rows
+
+
 def save_ground_truth(truth: GroundTruth, scenario: Scenario, path: str | Path) -> None:
-    """Write `dataset_id,true_best_version_id` rows, LF line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset_id,true_best_version_id\n")
-        fh.write("".join(f"{d.id},{w}\n" for d, w in zip(scenario.datasets, truth.winners_by_dataset)))
+    """Write ``ground_truth_table``, LF line ends."""
+    Path(path).write_text(ground_truth_table(truth, scenario), encoding="utf-8", newline="\n")

@@ -41,6 +41,11 @@ CONFIG_KEYS = {
 }
 
 
+def tree_of(root: Path) -> dict[Path, bytes | None]:
+    """Every path under ``root``: a file's bytes, None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory) -> Path:
     """One generated scenario reused by the read-only CLI tests."""
@@ -324,11 +329,6 @@ class TestTrainCvEmitSimulate:
                       cwd=staged)
         assert r.returncode == 2
 
-    def test_output_collision_exits_2(self, staged):
-        r = run_mvkit("emit", "--model", staged / "model.txt", "--out", staged / "model.txt",
-                      cwd=staged)
-        assert r.returncode == 2
-
 
 class TestInputsAndOutputs:
     def test_missing_scenario_exits_2(self, tmp_path):
@@ -367,28 +367,35 @@ class TestInputsAndOutputs:
         assert "template error" in r.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["bad.tpl"]
 
-    def test_cv_refuses_to_overwrite_its_scenario(self, staged, tmp_path):
-        scen = tmp_path / "scen"
-        scen.mkdir()
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("gen", "--config", "d/runtimes.csv", "--out-dir", "d"),
+            ("select", "--scenario", "scen", "--max-versions", "2", "--out", "scen/versions.csv"),
+            ("train", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", "tree",
+             "--out", "sel.rep"),
+            ("cv", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", "tree", "--seed", "5",
+             "--out", "scen/runtimes.csv"),
+            ("emit", "--model", "m.mv", "--out", "m.mv"),
+            ("emit", "--model", "m.mv", "--out", "d.txt", "--template", "--rendered-out", "d.txt"),
+            ("simulate", "--scenario", "scen", "--selection", "sel.rep", "--selector", "oracle",
+             "--out", "sel.rep"),
+        ],
+        ids=["gen", "select", "train", "cv", "emit", "emit-same-path-twice", "simulate"],
+    )
+    def test_output_collision_exits_2(self, staged, tmp_path, command):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "runtimes.csv").write_text("versions=3\ndatasets=5\nfeatures=1\nseed=1\n")
+        (tmp_path / "scen").mkdir()
         for name in SCENARIO_FILES[:3]:
-            (scen / name).write_bytes((staged / "scen" / name).read_bytes())
-        before = (scen / "runtimes.csv").read_bytes()
-        r = run_mvkit("cv", "--scenario", scen, "--selection", staged / "selection.txt",
-                      "--algorithm", "tree", "--seed", "5", "--out", scen / "runtimes.csv",
-                      cwd=tmp_path)
+            (tmp_path / "scen" / name).write_bytes((staged / "scen" / name).read_bytes())
+        (tmp_path / "sel.rep").write_bytes((staged / "selection.txt").read_bytes())
+        (tmp_path / "m.mv").write_bytes((staged / "model.txt").read_bytes())
+        before = tree_of(tmp_path)
+        r = run_mvkit(*command, cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "collides" in r.stderr
-        assert (scen / "runtimes.csv").read_bytes() == before
-
-    def test_simulate_refuses_to_overwrite_its_selection(self, staged, tmp_path):
-        sel = tmp_path / "sel.rep"
-        sel.write_bytes((staged / "selection.txt").read_bytes())
-        before = sel.read_bytes()
-        r = run_mvkit("simulate", "--scenario", staged / "scen" / "test", "--selection", sel,
-                      "--selector", "oracle", "--out", sel, cwd=tmp_path)
-        assert r.returncode == 2, r.stderr
-        assert "collides" in r.stderr
-        assert sel.read_bytes() == before
+        assert tree_of(tmp_path) == before
 
     def test_unwritable_report_out_exits_2(self, staged, tmp_path):
         r = run_mvkit("select", "--scenario", staged / "scen", "--max-versions", "2",
@@ -402,6 +409,22 @@ class TestInputsAndOutputs:
                       "--algorithm", "tree", "--out", "nodir/m.mv", cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "cannot write nodir/m.mv" in r.stderr
+
+    @pytest.mark.parametrize("blocker, is_dir", [("test", False), ("runtimes.csv", True)],
+                             ids=["test-is-a-file", "table-is-a-directory"])
+    def test_gen_failed_write_leaves_no_output(self, tmp_path, blocker, is_dir):
+        path = tmp_path / "e" / blocker
+        path.parent.mkdir()
+        if is_dir:
+            path.mkdir()
+        else:
+            path.write_text("keep\n")
+        r = run_mvkit(*GEN_ARGS, "--out-dir", "e", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"cannot write e/{blocker}:" in r.stderr
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert files == ([] if is_dir else [path])
+        assert is_dir or path.read_text() == "keep\n"
 
     def test_unwritable_out_dir_exits_2(self, tmp_path):
         (tmp_path / "file").write_text("")

@@ -29,11 +29,11 @@ MVKIT_NAMES = {
     "errors": ("MvkitError",),
     "learners": (
         "CVReport", "Condition", "LabeledSample", "LearnError", "LearnerSpec", "LinearModel",
-        "RegressionSample", "Rule", "RuleConfig", "RuleListModel", "TreeBranch", "TreeConfig",
-        "TreeLeaf", "TreeModel", "cross_validate", "error_rate", "make_dc_labels",
-        "make_ppm_samples", "ppm_select", "predict_linear", "predict_regression", "predict_rules",
-        "predict_tree", "rrse", "train_linear_regression", "train_model", "train_ppm_models",
-        "train_regression_tree", "train_rule_list", "train_tree_classifier",
+        "RegressionSample", "Rule", "RuleConfig", "RuleListModel", "TreeConfig", "TreeModel",
+        "cross_validate", "error_rate", "make_dc_labels", "make_ppm_samples", "ppm_select",
+        "predict_linear", "predict_regression", "predict_rules", "predict_tree", "rrse",
+        "train_linear_regression", "train_model", "train_ppm_models", "train_regression_tree",
+        "train_rule_list", "train_tree_classifier",
     ),
     "modelio": ("ModelIOError", "dumps", "load_model", "loads", "save_model"),
     "report": ("Report", "ReportBuilder", "ReportError", "Table", "parse", "render"),
@@ -59,7 +59,7 @@ LEARNERS_NAMES = {
         "make_ppm_samples",
     ),
     "trees": (
-        "TreeModel", "TreeBranch", "TreeLeaf", "TreeConfig", "train_tree_classifier",
+        "TreeModel", "TreeConfig", "train_tree_classifier",
         "train_regression_tree", "predict_tree",
     ),
     "rules": ("RuleListModel", "Rule", "Condition", "RuleConfig", "train_rule_list", "predict_rules"),
@@ -78,8 +78,8 @@ def names_of(table: dict[str, tuple[str, ...]]) -> list[str]:
 
 
 def test_name_counts():
-    assert len(set(names_of(MVKIT_NAMES))) == 91
-    assert len(set(names_of(LEARNERS_NAMES))) == 30
+    assert len(set(names_of(MVKIT_NAMES))) == 89
+    assert len(set(names_of(LEARNERS_NAMES))) == 28
 
 
 @pytest.mark.parametrize("package, table", PACKAGES, ids=PACKAGE_IDS)

@@ -10,7 +10,7 @@ from mvkit import (
     train_tree_classifier,
 )
 from mvkit.learners import LabeledSample, RegressionSample
-from mvkit.learners.trees import TreeBranch, TreeLeaf
+from mvkit.nodes import Branch, Leaf
 from mvkit.rng import Rng
 
 FOUR = [
@@ -25,7 +25,7 @@ class TestClassifier:
     def test_separable_pair_splits_at_midpoint(self):
         model = train_tree_classifier(FOUR)
         root = model.nodes[0]
-        assert isinstance(root, TreeBranch)
+        assert isinstance(root, Branch)
         assert root.feature == 0
         assert root.threshold == 6.0
         assert model.leaf_count == 2
@@ -38,7 +38,7 @@ class TestClassifier:
 
     def test_pure_data_is_single_leaf(self):
         model = train_tree_classifier([LabeledSample((1.0,), 7), LabeledSample((9.0,), 7)])
-        assert model.nodes == (TreeLeaf(7),)
+        assert model.nodes == (Leaf(7),)
         assert predict_tree(model, (123.0,)) == (7, 0)
 
     def test_min_split_stops_growth(self):
@@ -150,7 +150,7 @@ class TestRegression:
         ]
         # min_split=4 default: two samples stay one leaf
         model = train_regression_tree(samples)
-        assert model.nodes == (TreeLeaf(2.0),)
+        assert model.nodes == (Leaf(2.0),)
 
     def test_default_min_split_is_four(self):
         three = self.SAMPLES[:3]

@@ -17,8 +17,6 @@ from mvkit import (
     serialize,
 )
 from mvkit import modelio
-from mvkit.dispatch import Branch, Leaf
-from mvkit.learners.trees import TreeBranch, TreeLeaf
 from mvkit.nodes import parse_nodes
 
 from conftest import DEEP, chain_node_lines, diamond_lines, dispatcher_text, model_text
@@ -76,10 +74,6 @@ class TestNoRecursion:
             "def load(path):\n    return json.load(path)\n"
         )
         assert sorted(self_calls(source, "x.py")) == ["x.py:2 walk", "x.py:5 visit", "x.py:8 outer"]
-
-
-def test_tree_node_names_are_the_dispatcher_node_types():
-    assert TreeBranch is Branch and TreeLeaf is Leaf
 
 
 class TestDeepChain:
