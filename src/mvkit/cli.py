@@ -15,7 +15,8 @@ identical inputs and seeds; human mode only rounds the numbers.
 Commands return their outputs as (path, text) pairs, path None for
 stdout; `main` writes them through `_write_outputs`, all files or none,
 and refuses an output path that is one of the command's inputs or is
-given twice. Only `gen` creates directories: --out-dir and its test/.
+given twice. Only `gen` creates directories: --out-dir and its test/,
+after that check, and a failed `gen` removes the directories it made.
 
 Each command imports the modules it runs inside its own function, so a
 command loads no more than it needs: `emit` never imports numpy.
@@ -27,6 +28,7 @@ import argparse
 import errno
 import os
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -134,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         const="-",
         help="render source text too; path to a template file, or bare for the built-in C-like template",
     )
-    emit.add_argument("--rendered-out", dest="rendered_out", help="rendered text path (default <out>.rendered)")
+    emit.add_argument(
+        "--rendered-out", dest="rendered_out", help="rendered text path (needs --template; default <out>.rendered)"
+    )
 
     sim = sub.add_parser("simulate", parents=[common], help="run a selector over a test scenario")
     _scenario_arg(sim)
@@ -284,9 +288,12 @@ def _write_outputs(args: argparse.Namespace, outputs: list[Output]) -> None:
     """Write a command's output files, all or none, then print its stdout texts.
 
     Paths that resolve to an input of ``args`` or to another output are
-    refused first. Each text goes to a temporary file beside its target,
-    and all are renamed into place only once all are written. A path that
-    cannot be written is a bad flag (exit 2).
+    refused first. Then, for `gen` (the command with --out-dir) only, the
+    missing directories of its files are made. Each text goes to a
+    temporary file beside its target, and all are renamed into place only
+    once all are written; on failure the temporary files and the made
+    directories are removed. A path that cannot be written is a bad flag
+    (exit 2).
     """
     files = [(path, text) for path, text in outputs if path is not None]
     taken = {Path(p).resolve(): "an input path" for p in _input_paths(args)}
@@ -295,8 +302,15 @@ def _write_outputs(args: argparse.Namespace, outputs: list[Output]) -> None:
         if resolved in taken:
             raise CliError(f"output path {path} collides with {taken[resolved]}")
         taken[resolved] = "another output path"
+    directories = sorted({Path(path).parent for path, _ in files}) if getattr(args, "out_dir", None) else []
+    made: list[Path] = []
     temps: list[Path] = []
     try:
+        for directory in directories:
+            for path in reversed((directory, *directory.parents)):
+                if not path.is_dir():
+                    path.mkdir()
+                    made.append(path)
         for i, (path, text) in enumerate(files):
             target = Path(path)
             if target.is_dir():  # os.replace would fail only after earlier renames
@@ -310,6 +324,9 @@ def _write_outputs(args: argparse.Namespace, outputs: list[Output]) -> None:
     except OSError as exc:
         for temp in temps:
             temp.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):
+                directory.rmdir()
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
     for path, text in outputs:
         if path is None:
@@ -354,10 +371,6 @@ def cmd_gen(args: argparse.Namespace) -> list[Output]:
     generated = [(out, train)] if test is None else [(out, train), (out / "test", test)]
     outputs: list[Output] = []
     for directory, (scenario, truth) in generated:
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"cannot write {directory}: {exc.strerror or exc}") from None
         texts = (*scenario_tables(scenario), ground_truth_table(truth, scenario))
         outputs.extend((str(directory / name), text) for name, text in zip(GENERATED_FILES, texts))
     return outputs
@@ -508,6 +521,8 @@ def cmd_emit(args: argparse.Namespace) -> list[Output]:
     from .modelio import loads
 
     _require(args, ["model", "out"])
+    if args.rendered_out is not None and args.template is None:
+        raise CliError("--rendered-out needs --template")
     model = loads(_read_text(args.model, "model"))
     if not isinstance(model, (TreeModel, RuleListModel)):
         raise CliError("only classifier models compile to dispatchers; PPM bundles drive `simulate --model`")

@@ -55,8 +55,8 @@ def best_versions(matrix: SpeedupMatrix, candidates: Sequence[int], code_sizes: 
     maximum, and the rows are in that order.
     """
     ordered = sorted(candidates, key=lambda v: (code_sizes.get(v, 0), v))
-    rows = [matrix._version_index[v] for v in ordered]
-    return [ordered[k] for k in matrix.entries[rows].argmax(axis=0).tolist()]
+    rows = matrix.entries[matrix.row_positions(ordered)]
+    return [ordered[k] for k in rows.argmax(axis=0).tolist()]
 
 
 def make_dc_labels(
@@ -87,7 +87,7 @@ def make_ppm_samples(scenario: Scenario, matrix: SpeedupMatrix, version_id: int)
         raise LearnError("dataset mismatch", "matrix and scenario list different datasets")
     if version_id not in matrix.version_ids:
         raise LearnError("unknown version", f"version {version_id} not in matrix")
-    logs = matrix.log_row(version_id)
+    logs = matrix.log_entries[matrix.row_positions([version_id])[0]]
     return [
         RegressionSample(features=d.features, target=float(logs[i]))
         for i, d in enumerate(scenario.datasets)

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -183,11 +183,9 @@ class SpeedupMatrix:
     def speedup(self, version_id: int, dataset_id: int) -> float:
         return float(self.entries[self._version_index[version_id], self._dataset_index[dataset_id]])
 
-    def log_row(self, version_id: int) -> np.ndarray:
-        return self.log_entries[self._version_index[version_id]]
-
-    def row(self, version_id: int) -> np.ndarray:
-        return self.entries[self._version_index[version_id]]
+    def row_positions(self, version_ids: Iterable[int]) -> np.ndarray:
+        """The rows of ``version_ids`` in ``entries`` and ``log_entries``, in the order given."""
+        return np.fromiter(map(self._version_index.__getitem__, version_ids), dtype=np.intp)
 
 
 def speedups(scenario: Scenario) -> SpeedupMatrix:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -125,44 +126,32 @@ class SetMetrics:
     oracle_geomean: float
 
 
-def _clamped_logs(matrix: SpeedupMatrix) -> tuple[tuple[int, ...], np.ndarray]:
-    """Per-candidate max(0, ln s) rows; baseline row dropped.
-
-    Clamping each row at zero commutes with the max over a subset, because
-    max(0, max_v x_v) = max_v max(0, x_v); it bakes the implicit baseline
-    into every cell so f(S) is just a column-max sum.
-    """
-    ids = matrix.candidate_ids
-    rows = np.array([np.maximum(matrix.log_row(v), 0.0) for v in ids])
-    return ids, rows
-
-
-def _check_subset(matrix: SpeedupMatrix, subset: set[int] | frozenset[int]) -> None:
+def _check_subset(matrix: SpeedupMatrix, subset: Iterable[int]) -> None:
     known = set(matrix.candidate_ids)
     for v in subset:
         if v not in known:
             raise SelectionError("unknown version", f"version {v} is not a candidate in the matrix")
 
 
+def _best_logs(matrix: SpeedupMatrix, members: Iterable[int]) -> np.ndarray:
+    """Per-dataset max(0, max over members of ln s): the baseline's 0 is the initial value."""
+    return matrix.log_entries[matrix.row_positions(members)].max(axis=0, initial=0.0)
+
+
+def _best(matrix: SpeedupMatrix, members: Iterable[int]) -> np.ndarray:
+    """Per-dataset speedup of the oracle over members plus the baseline (s = 1)."""
+    return matrix.entries[matrix.row_positions(members)].max(axis=0, initial=1.0)
+
+
+def _max_loss(matrix: SpeedupMatrix, oracle: np.ndarray, members: Iterable[int]) -> float:
+    """max over d of loss(S, d) = s*(d)/s_S(d) - 1, against the all-candidates ``oracle`` row."""
+    return float((oracle / _best(matrix, members) - 1.0).max(initial=0.0))
+
+
 def objective(matrix: SpeedupMatrix, subset: set[int] | frozenset[int]) -> float:
     """f(S): summed per-dataset best log-speedup over S plus baseline."""
     _check_subset(matrix, subset)
-    if not subset:
-        return 0.0
-    rows = np.array([np.maximum(matrix.log_row(v), 0.0) for v in sorted(subset)])
-    return float(rows.max(axis=0).sum())
-
-
-def _loss_vector(matrix: SpeedupMatrix, subset: set[int]) -> np.ndarray:
-    """loss(S, d) = s*(d)/s_S(d) - 1 against the all-candidates oracle."""
-    cand_rows = np.array([matrix.row(v) for v in matrix.candidate_ids])
-    star = np.maximum(cand_rows.max(axis=0), 1.0) if len(cand_rows) else np.ones(matrix.n_datasets)
-    if subset:
-        sub_rows = np.array([matrix.row(v) for v in sorted(subset)])
-        attained = np.maximum(sub_rows.max(axis=0), 1.0)
-    else:
-        attained = np.ones(matrix.n_datasets)
-    return star / attained - 1.0
+    return float(_best_logs(matrix, subset).sum())
 
 
 def greedy_select(
@@ -181,88 +170,79 @@ def greedy_select(
     ``loss_tolerance``. The pruning pass then drops members per
     :func:`prune_redundant`, and the result reports the pruned set.
     """
-    ids, rows = _clamped_logs(matrix)
+    ids = matrix.candidate_ids
     if not ids:
         raise SelectionError("no candidates", "matrix has no non-baseline versions")
     for v in ids:
         if v not in code_sizes:
             raise SelectionError("unknown version", f"code size missing for version {v}")
 
+    log_row = dict(zip(ids, matrix.log_entries[matrix.row_positions(ids)]))
+    oracle = _best(matrix, ids)
     budget_bytes = constraints.size_budget * baseline_binary_size
-    index_of = {v: i for i, v in enumerate(ids)}
     picked: list[int] = []
-    best = np.zeros(matrix.n_datasets)  # per-dataset best clamped log so far
+    best = np.zeros(matrix.n_datasets)  # per-dataset best max(0, ln s) so far; >= 0 clamps each row
     f_cur = 0.0
     used_bytes = 0
     trace: list[PickStep] = []
 
     while len(picked) < constraints.max_versions:
-        if constraints.mode == SIZE_PRIORITY:
-            if float(_loss_vector(matrix, set(picked)).max(initial=0.0)) <= constraints.loss_tolerance:
-                break
-        eligible = [
-            v for v in ids if v not in picked and used_bytes + code_sizes[v] <= budget_bytes
-        ]
-        if not eligible:
+        if constraints.mode == SIZE_PRIORITY and _max_loss(matrix, oracle, picked) <= constraints.loss_tolerance:
             break
         gains = {
-            v: float(np.maximum(rows[index_of[v]], best).sum()) - f_cur for v in eligible
+            v: float(np.maximum(row, best).sum()) - f_cur
+            for v, row in log_row.items()
+            if v not in picked and used_bytes + code_sizes[v] <= budget_bytes
         }
-        pick = min(eligible, key=lambda v: (-gains[v], code_sizes[v], v))
+        if not gains:
+            break
+        pick = min(gains, key=lambda v: (-gains[v], code_sizes[v], v))
         if gains[pick] < constraints.min_gain:
             break
         picked.append(pick)
         used_bytes += code_sizes[pick]
-        best = np.maximum(best, rows[index_of[pick]])
+        best = np.maximum(best, log_row[pick])
         f_cur = float(best.sum())
         trace.append(PickStep(pick, gains[pick], f_cur))
 
-    kept, prune_trace = _prune_with_trace(matrix, picked, constraints, code_sizes)
-    kept_ordered = tuple(v for v in picked if v in kept)
-    f_final = objective(matrix, set(kept_ordered))
-    losses = _loss_vector(matrix, set(kept_ordered))
-    size_used = (
-        sum(code_sizes[v] for v in kept_ordered) / baseline_binary_size
-        if baseline_binary_size
-        else 0.0
-    )
+    kept, pruned = _prune(matrix, picked, constraints, code_sizes, oracle)
+    metrics = evaluate_set(matrix, frozenset(kept))
+    size_used = sum(code_sizes[v] for v in kept) / baseline_binary_size if baseline_binary_size else 0.0
     return RepresentativeSet(
-        selected=kept_ordered,
-        objective_value=f_final,
-        geomean_speedup=math.exp(f_final / matrix.n_datasets),
-        max_dataset_loss=float(losses.max(initial=0.0)),
+        selected=tuple(kept),
+        objective_value=pruned[-1].objective_after if pruned else f_cur,
+        geomean_speedup=metrics.geomean_speedup,
+        max_dataset_loss=max(metrics.per_dataset_loss, default=0.0),
         size_used=size_used,
         trace=tuple(trace),
-        pruned=tuple(prune_trace),
+        pruned=tuple(pruned),
     )
 
 
-def _prune_with_trace(
+def _prune(
     matrix: SpeedupMatrix,
-    selected: list[int],
+    members: list[int],
     constraints: Constraints,
-    code_sizes: dict[int, int] | None,
-) -> tuple[set[int], list[PruneStep]]:
-    sizes = code_sizes or {}
-    current = list(selected)
-    steps: list[PruneStep] = []
-    while current:
-        f_cur = objective(matrix, set(current))
-        candidates = []
-        for v in current:
-            remaining = set(current) - {v}
-            decrease = f_cur - objective(matrix, remaining)
-            candidates.append((decrease, -sizes.get(v, 0), -v, v, remaining))
-        decrease, _, _, victim, remaining = min(candidates)
+    code_sizes: dict[int, int],
+    oracle: np.ndarray,
+) -> tuple[list[int], list[PruneStep]]:
+    """The members :func:`prune_redundant` keeps, in their given order, and its removals."""
+    kept, steps = list(members), []
+    f_cur = float(_best_logs(matrix, kept).sum())
+    while kept:
+        f_without = {v: float(_best_logs(matrix, [u for u in kept if u != v]).sum()) for v in kept}
+        victim = min(kept, key=lambda v: (f_cur - f_without[v], -code_sizes.get(v, 0), -v))
+        rest = [u for u in kept if u != victim]
+        decrease = f_cur - f_without[victim]
         if constraints.mode == SIZE_PRIORITY:
-            ok = float(_loss_vector(matrix, remaining).max(initial=0.0)) <= constraints.loss_tolerance
+            ok = _max_loss(matrix, oracle, rest) <= constraints.loss_tolerance
         else:
             ok = decrease < constraints.min_gain
         if not ok:
             break
-        current.remove(victim)
-        steps.append(PruneStep(victim, decrease, objective(matrix, set(current))))
-    return set(current), steps
+        kept, f_cur = rest, f_without[victim]
+        steps.append(PruneStep(victim, decrease, f_cur))
+    return kept, steps
 
 
 def prune_redundant(
@@ -280,8 +260,8 @@ def prune_redundant(
     Without ``code_sizes`` the size tie-break is inert.
     """
     _check_subset(matrix, selected)
-    kept, _ = _prune_with_trace(matrix, sorted(selected), constraints, code_sizes)
-    return kept
+    oracle = _best(matrix, matrix.candidate_ids)
+    return set(_prune(matrix, sorted(selected), constraints, code_sizes or {}, oracle)[0])
 
 
 def exhaustive_select(
@@ -295,21 +275,21 @@ def exhaustive_select(
     Ties go to the smaller total code size, then to the lexicographically
     smallest sorted id tuple. Refuses pools above ``ORACLE_LIMIT``.
     """
-    ids, rows = _clamped_logs(matrix)
+    ids = matrix.candidate_ids
     if len(ids) > ORACLE_LIMIT:
         raise SelectionError(
             "instance too large for oracle", f"{len(ids)} candidates exceed the limit of {ORACLE_LIMIT}"
         )
     if not isinstance(k, int) or k < 1:
         raise SelectionError("invalid constraints", f"k must be a positive integer, got {k!r}")
+    rows = matrix.log_entries[matrix.row_positions(ids)]
     sizes = code_sizes or {}
-    index = list(range(len(ids)))
     best_key: tuple[float, int, tuple[int, ...]] | None = None
     best_subset: tuple[int, ...] = ()
     best_f = 0.0
     for size in range(0, min(k, len(ids)) + 1):
-        for combo in itertools.combinations(index, size):
-            f_val = float(rows[list(combo)].max(axis=0).sum()) if combo else 0.0
+        for combo in itertools.combinations(range(len(ids)), size):
+            f_val = float(rows[list(combo)].max(axis=0, initial=0.0).sum())
             members = tuple(sorted(ids[i] for i in combo))
             key = (-f_val, sum(sizes.get(v, 0) for v in members), members)
             if best_key is None or key < best_key:
@@ -320,12 +300,11 @@ def exhaustive_select(
 def evaluate_set(matrix: SpeedupMatrix, subset: set[int] | frozenset[int]) -> SetMetrics:
     """Compare a fixed subset against the full-candidate oracle."""
     _check_subset(matrix, subset)
-    losses = _loss_vector(matrix, set(subset))
-    f_val = objective(matrix, subset)
-    f_star = objective(matrix, set(matrix.candidate_ids))
+    candidates = matrix.candidate_ids
+    losses = _best(matrix, candidates) / _best(matrix, subset) - 1.0
     return SetMetrics(
-        geomean_speedup=math.exp(f_val / matrix.n_datasets),
-        per_dataset_loss=tuple(float(x) for x in losses),
+        geomean_speedup=math.exp(float(_best_logs(matrix, subset).sum()) / matrix.n_datasets),
+        per_dataset_loss=tuple(losses.tolist()),
         covered_count=int((losses <= 1e-9).sum()),
-        oracle_geomean=math.exp(f_star / matrix.n_datasets),
+        oracle_geomean=math.exp(float(_best_logs(matrix, candidates).sum()) / matrix.n_datasets),
     )

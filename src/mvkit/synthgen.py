@@ -127,14 +127,18 @@ class GroundTruth:
 
     def region_of(self, features: Sequence[float]) -> int:
         """Row-major cell index of a feature point."""
-        index = 0
-        for j, (axis_cuts, n_pieces) in enumerate(zip(self.cuts, self.pieces)):
-            cell = sum(1 for c in axis_cuts if features[j] > c)
-            index = index * n_pieces + cell
-        return index
+        return _region_index(self.cuts, self.pieces, features)
 
     def winner_of(self, features: Sequence[float]) -> int:
         return self.region_winners[self.region_of(features)]
+
+
+def _region_index(cuts: Sequence[Sequence[float]], pieces: Sequence[int], features: Sequence[float]) -> int:
+    """Row-major index of the cell of ``features``: per axis, the number of cuts it lies above."""
+    index = 0
+    for j, (axis_cuts, n_pieces) in enumerate(zip(cuts, pieces)):
+        index = index * n_pieces + sum(1 for c in axis_cuts if features[j] > c)
+    return index
 
 
 def _factor_regions(n_regions: int, arity: int) -> list[int]:
@@ -233,7 +237,6 @@ def _generate(
     config: SynthConfig, population_seed: int, id_offset: int, n_datasets: int
 ) -> tuple[Scenario, GroundTruth]:
     sizes, cuts, pieces, winners = config._planted
-    truth_probe = GroundTruth(cuts, winners, pieces, np.zeros((0, 0)), ())
     n_versions, arity = config.n_versions, config.feature_arity
 
     # One block of draws per stage of the documented order (see generate).
@@ -244,7 +247,7 @@ def _generate(
                 for d, row in enumerate(draws[:, :arity].tolist())]
     bases = _uniforms(draws[:, arity], *config.base_runtime_range)
 
-    winners_by_dataset = [truth_probe.winner_of(record.features) for record in datasets]
+    winners_by_dataset = [winners[_region_index(cuts, pieces, record.features)] for record in datasets]
     draws = rng.u64s(n_datasets * (n_versions - 1)).reshape(n_datasets, n_versions - 1)
     wins = np.arange(1, n_versions) == np.array(winners_by_dataset, dtype=np.intp).reshape(-1, 1)
     speedups = np.ones((n_versions, n_datasets))

@@ -425,12 +425,21 @@ class TestInputsAndOutputs:
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert files == ([] if is_dir else [path])
         assert is_dir or path.read_text() == "keep\n"
+        directories = sorted(p for p in tmp_path.rglob("*") if p.is_dir())
+        assert directories == ([path.parent, path] if is_dir else [path.parent])  # no e/test left behind
 
     def test_unwritable_out_dir_exits_2(self, tmp_path):
         (tmp_path / "file").write_text("")
         r = run_mvkit(*GEN_ARGS, "--out-dir", tmp_path / "file" / "scen", cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "cannot write" in r.stderr
+
+    def test_rendered_out_without_template_exits_2(self, staged, tmp_path):
+        r = run_mvkit("emit", "--model", staged / "model.txt", "--out", "d.txt",
+                      "--rendered-out", "d.c", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "--template" in r.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "outputs",
