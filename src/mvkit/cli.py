@@ -180,7 +180,7 @@ def _config_types(parser: argparse.ArgumentParser) -> dict[str, object]:
 
     A flag's converter is its ``type`` (text as is when it has none),
     checked against its ``choices`` when it has them; a flag that takes
-    no value (``--prune``) is set by the value ``1``.
+    no value (``--prune``) is set by the value ``1`` and cleared by ``0``.
     """
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     types: dict[str, object] = {}
@@ -189,7 +189,7 @@ def _config_types(parser: argparse.ArgumentParser) -> dict[str, object]:
             if action.dest in ("config", "help"):
                 continue
             if action.nargs == 0:
-                types[action.dest] = lambda s: s.strip() == "1"
+                types[action.dest] = reportmod.parse_flag
             else:
                 types[action.dest] = partial(_convert, action.type or str, action.choices)
     return types

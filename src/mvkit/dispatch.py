@@ -2,11 +2,11 @@
 
 A dispatcher is the portable artifact that picks a version at run time:
 the acyclic node array of :mod:`mvkit.nodes` (feature <= threshold goes
-left) ending in version-id leaves, the same array a classifier tree
-holds. Decision trees therefore compile by renumbering alone; a rule
-list is lowered to one chain of branches per rule, where every failure
-edge of a rule points at the one entry of the next rule (its shared
-fall-through), so n rules with c_i conditions take sum(c_i + 1) + 1 nodes.
+left) ending in version-id leaves, the same canonical array a classifier
+tree holds. Decision trees therefore compile as they are; a rule list is
+lowered to one chain of branches per rule, where every failure edge of a
+rule points at the one entry of the next rule (its shared fall-through),
+so n rules with c_i conditions take sum(c_i + 1) + 1 nodes.
 
 The canonical text form (`MVDISPATCH v1`) lists nodes in first-visit
 pre-order from the entry (node 0), one per line, with thresholds at 17
@@ -20,14 +20,14 @@ for the default C-like template closes the loop in tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Sequence
 
 from .errors import MvkitError
 from .learners.rules import GT, LE, RuleListModel
 from .learners.trees import CLASSIFIER, TreeModel
-from .nodes import Branch, Leaf, Node, depth_of, format_nodes, g17, parse_nodes, preorder, route
+from .nodes import Branch, Leaf, Node, canonical, format_nodes, g17, parse_nodes, route
 
 HEADER_PREFIX = "MVDISPATCH v1"
 
@@ -43,12 +43,26 @@ _INVALID = partial(DispatchError, "invalid dispatcher")
 class DispatcherSpec:
     """Immutable compiled dispatcher; evaluation starts at node 0.
 
+    Construction puts ``nodes`` in :func:`mvkit.nodes.canonical` order and
+    sets ``depth``; it refuses a cycle, a bad child index ("invalid
+    dispatcher") and a feature outside the arity ("feature range").
     ``byte_size`` is the length of the canonical serialization and stands
     in for the selection mechanism's code-size cost.
     """
 
     feature_arity: int
     nodes: tuple[Node, ...]
+    depth: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        nodes, depth = canonical(self.nodes, 0, _INVALID)
+        for n in nodes:
+            if isinstance(n, Branch) and not 0 <= n.feature < self.feature_arity:
+                raise DispatchError(
+                    "feature range", f"feature index {n.feature} outside arity {self.feature_arity}"
+                )
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "depth", depth)
 
     @cached_property
     def byte_size(self) -> int:
@@ -57,10 +71,6 @@ class DispatcherSpec:
     @cached_property
     def leaf_count(self) -> int:
         return sum(1 for n in self.nodes if isinstance(n, Leaf))
-
-    @cached_property
-    def depth(self) -> int:
-        return depth_of(self.nodes, 0, _INVALID)
 
     def leaf_versions(self) -> frozenset[int]:
         return frozenset(n.value for n in self.nodes if isinstance(n, Leaf))
@@ -74,16 +84,10 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
     if isinstance(model, TreeModel):
         if model.kind != CLASSIFIER:
             raise DispatchError("model kind", "only classifier trees compile to dispatchers")
-        for node in model.nodes:
-            if isinstance(node, Branch) and not 0 <= node.feature < model.arity:
-                raise DispatchError(
-                    "feature range", f"feature index {node.feature} outside arity {model.arity}"
-                )
-        nodes = preorder(model.nodes, 0, _INVALID)
-        branches = sum(1 for n in nodes if isinstance(n, Branch))
-        if len(nodes) != 2 * branches + 1:  # a trained tree never shares a node
+        branches = sum(1 for n in model.nodes if isinstance(n, Branch))
+        if len(model.nodes) != 2 * branches + 1:  # a trained tree never shares a node
             raise _INVALID("tree model shares children; not a tree")
-        return DispatcherSpec(model.arity, nodes)
+        return DispatcherSpec(model.arity, model.nodes)
     if isinstance(model, RuleListModel):
         return _compile_rules(model)
     raise DispatchError("model kind", f"cannot compile {type(model).__name__}")
@@ -99,10 +103,6 @@ def _compile_rules(model: RuleListModel) -> DispatcherSpec:
         nodes.append(Leaf(rule.label))
         on_pass = len(nodes) - 1
         for cond in reversed(rule.conditions):
-            if not 0 <= cond.feature < model.arity:
-                raise DispatchError(
-                    "feature range", f"feature index {cond.feature} outside arity {model.arity}"
-                )
             if cond.op == LE:
                 nodes.append(Branch(cond.feature, cond.threshold, on_pass, fall_through))
             elif cond.op == GT:
@@ -111,7 +111,7 @@ def _compile_rules(model: RuleListModel) -> DispatcherSpec:
                 raise DispatchError("model kind", f"unknown condition op {cond.op!r}")
             on_pass = len(nodes) - 1
         fall_through = on_pass
-    return DispatcherSpec(model.arity, preorder(nodes, fall_through, _INVALID))
+    return DispatcherSpec(model.arity, canonical(nodes, fall_through, _INVALID)[0])
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -135,20 +135,20 @@ def eval_dispatcher(spec: DispatcherSpec, x: Sequence[float]) -> tuple[int, int]
 
 
 def serialize(spec: DispatcherSpec) -> str:
-    """Canonical text: first-visit pre-order nodes, LF line ends, 17-digit thresholds.
+    """Canonical text: the spec's nodes, LF line ends, 17-digit thresholds.
 
-    Serializing a deserialized document reproduces it byte for byte.
+    Serializing a deserialized canonical document reproduces it byte for byte.
     """
-    nodes = preorder(spec.nodes, 0, _INVALID)
-    lines = [f"{HEADER_PREFIX}; arity={spec.feature_arity}; nodes={len(nodes)}"]
-    return "\n".join(lines + format_nodes(nodes, int)) + "\n"
+    lines = [f"{HEADER_PREFIX}; arity={spec.feature_arity}; nodes={len(spec.nodes)}"]
+    return "\n".join(lines + format_nodes(spec.nodes, int)) + "\n"
 
 
 def deserialize(text: str) -> DispatcherSpec:
     """Parse the canonical text form; errors name the offending line.
 
     Nodes may be shared by several branches; a cycle is "invalid
-    dispatcher".
+    dispatcher". Unreachable nodes are dropped and the rest renumbered to
+    canonical order, which is the order :func:`serialize` writes.
     """
     lines = text.splitlines()
     if not lines:
@@ -166,7 +166,6 @@ def deserialize(text: str) -> DispatcherSpec:
             "parse error", f"line 1: header promises {count} nodes, found {len(lines) - 1}"
         )
     nodes = parse_nodes(lines[1:], range(2, len(lines) + 1), arity, int, partial(DispatchError, "parse error"))
-    depth_of(nodes, 0, _INVALID)  # rejects cycles before anything routes through them
     return DispatcherSpec(arity, nodes)
 
 

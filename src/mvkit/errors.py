@@ -13,3 +13,4 @@ class MvkitError(ValueError):
     def __init__(self, category: str, message: str) -> None:
         super().__init__(f"{category}: {message}")
         self.category = category
+        self.message = message

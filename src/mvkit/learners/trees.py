@@ -34,12 +34,12 @@ dispatcher holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Sequence
 
-from ..nodes import Branch, Leaf, Node, depth_of, preorder, route
+from ..nodes import Branch, Leaf, Node, canonical, route
 from ..rng import Rng, mix_seed
 from .samples import LabeledSample, LearnError, RegressionSample, check_samples
 from .splits import best_class_split, best_regression_split, majority
@@ -92,15 +92,22 @@ class TreeModel:
 
     ``kind`` is "classifier" (integer leaf values) or "regressor" (mean
     target leaves). ``arity`` is the feature-vector length every
-    prediction input must match. A classifier's node array is already a
-    dispatcher's.
+    prediction input must match. Construction puts ``nodes`` in
+    :func:`mvkit.nodes.canonical` order and sets ``depth``; a cycle or a
+    bad child index is "invalid tree". A classifier's node array is
+    already a dispatcher's.
     """
 
     kind: str
     arity: int
     nodes: tuple[Node, ...]
-    depth: int
     config: TreeConfig
+    depth: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        nodes, depth = canonical(self.nodes, 0, _INVALID)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "depth", depth)
 
     @property
     def leaf_count(self) -> int:
@@ -195,9 +202,7 @@ def train_tree_classifier(
                     nodes[i] = leaves[i]
                 else:
                     errors[i] = below
-        nodes = preorder(nodes, 0, _INVALID)
-    nodes = tuple(nodes)
-    return TreeModel(CLASSIFIER, arity, nodes, depth_of(nodes, 0, _INVALID), config)
+    return TreeModel(CLASSIFIER, arity, tuple(nodes), config)  # drops the subtrees pruning cut off
 
 
 def _stratified_holdout(
@@ -243,5 +248,4 @@ def train_regression_tree(
     nodes, _, _ = _grow(
         list(samples), [], config, best_regression_split, attrgetter("target"), lambda ts: sum(ts) / len(ts)
     )
-    nodes = tuple(nodes)
-    return TreeModel(REGRESSOR, arity, nodes, depth_of(nodes, 0, _INVALID), config)
+    return TreeModel(REGRESSOR, arity, tuple(nodes), config)

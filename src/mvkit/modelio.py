@@ -18,8 +18,10 @@ from typing import Mapping
 from .errors import MvkitError
 from .learners.linear import LinearModel
 from .learners.rules import Condition, GT, LE, Rule, RuleConfig, RuleListModel
+from .learners.samples import LearnError
 from .learners.trees import CLASSIFIER, REGRESSOR, TreeConfig, TreeModel
-from .nodes import depth_of, format_nodes, g17, parse_nodes
+from .nodes import format_nodes, g17, parse_nodes
+from .report import parse_flag
 
 HEADER_PREFIX = "MVMODEL v1"
 
@@ -31,6 +33,14 @@ class ModelIOError(MvkitError):
 
 
 _PARSE_ERROR = partial(ModelIOError, "parse error")
+
+# Each algorithm's header attributes beyond algorithm and arity: a count, and the pairs of a config.
+_HEADERS: dict[str, tuple[str, type | None]] = {
+    "tree": ("nodes", TreeConfig),
+    "rules": ("rules", RuleConfig),
+    "regtree-bundle": ("versions", TreeConfig),
+    "linreg-bundle": ("versions", None),
+}
 
 
 def _header(algorithm: str, arity: int, extra: dict[str, str]) -> str:
@@ -52,19 +62,15 @@ def dumps(model: AnyModel) -> str:
     """Serialize any supported model to the MVMODEL text form."""
     if isinstance(model, TreeModel):
         if model.kind != CLASSIFIER:
-            raise ModelIOError(
-                "model kind", "a lone regression tree is not a dispatch model; save a bundle"
-            )
+            raise ModelIOError("model kind", "a lone regression tree is not a dispatch model; save a bundle")
         extra = {"nodes": str(len(model.nodes))} | _config_pairs(model.config)
         return "\n".join([_header("tree", model.arity, extra), *format_nodes(model.nodes, int)]) + "\n"
     if isinstance(model, RuleListModel):
         extra = {"rules": str(len(model.rules))} | _config_pairs(model.config)
         lines = [_header("rules", model.arity, extra)]
         for rule in model.rules:
-            parts = [f"R {rule.label} {len(rule.conditions)}"]
-            for cond in rule.conditions:
-                parts.append(f"{cond.feature} {cond.op} {g17(cond.threshold)}")
-            lines.append(" ".join(parts))
+            conditions = "".join(f" {c.feature} {c.op} {g17(c.threshold)}" for c in rule.conditions)
+            lines.append(f"R {rule.label} {len(rule.conditions)}{conditions}")
         lines.append(f"D {model.default_label}")
         return "\n".join(lines) + "\n"
     if isinstance(model, Mapping):
@@ -73,9 +79,8 @@ def dumps(model: AnyModel) -> str:
         versions = sorted(model)
         first = model[versions[0]]
         if isinstance(first, TreeModel):
-            arity = first.arity
             extra = {"versions": str(len(versions))} | _config_pairs(first.config)
-            lines = [_header("regtree-bundle", arity, extra)]
+            lines = [_header("regtree-bundle", first.arity, extra)]
             for v in versions:
                 sub = model[v]
                 if not isinstance(sub, TreeModel) or sub.kind != REGRESSOR:
@@ -83,8 +88,7 @@ def dumps(model: AnyModel) -> str:
                 lines.append(f"V {v}; nodes={len(sub.nodes)}")
                 lines.extend(format_nodes(sub.nodes, g17))
             return "\n".join(lines) + "\n"
-        arity = first.arity
-        lines = [_header("linreg-bundle", arity, {"versions": str(len(versions))})]
+        lines = [_header("linreg-bundle", first.arity, {"versions": str(len(versions))})]
         for v in versions:
             sub = model[v]
             if not isinstance(sub, LinearModel):
@@ -106,6 +110,8 @@ def _parse_header(line: str, head: int) -> dict[str, str]:
         key, eq, value = part.partition("=")
         if not eq:
             raise ModelIOError("parse error", f"line {head}: malformed header attribute {part!r}")
+        if key in attrs:
+            raise ModelIOError("parse error", f"line {head}: header repeats {key}")
         attrs[key] = value
     return attrs
 
@@ -135,22 +141,23 @@ def _config_value(text: str, default: object) -> object:
     if default is None:  # an optional seed
         return None if text == "-" else int(text)
     if isinstance(default, bool):
-        if text not in ("0", "1"):
-            raise ValueError(f"expected 0 or 1, got {text!r}")
-        return text == "1"
+        return parse_flag(text)
     return type(default)(text)
 
 
 def _parse_tree(
     lines: list[str], linenos: list[int], start: int, count: int, arity: int, kind: str, config: TreeConfig
 ) -> TreeModel:
-    """The ``count`` node lines from ``lines[start]`` on, as a tree of ``kind``."""
+    """The ``count`` node lines from ``lines[start]`` on, as a tree of ``kind``; a cycle is a parse error."""
     end = start + count
     if end > len(lines):
         raise ModelIOError("parse error", f"line {linenos[-1]}: expected {count} nodes, text ended")
     leaf = int if kind == CLASSIFIER else float
     nodes = parse_nodes(lines[start:end], linenos[start:end], arity, leaf, _PARSE_ERROR)
-    return TreeModel(kind, arity, nodes, depth_of(nodes, 0, _PARSE_ERROR), config)
+    try:
+        return TreeModel(kind, arity, nodes, config)
+    except LearnError as exc:  # the only one a parsed node array can raise: a cycle
+        raise ModelIOError("parse error", exc.message) from None
 
 
 def _check_new_version(model: dict, version: int, lineno: int) -> None:
@@ -175,39 +182,40 @@ def loads(text: str) -> AnyModel:
     arity = _attr_int(attrs, "arity", head)
     if arity < 1:
         raise ModelIOError("parse error", f"line {head}: arity must be >= 1")
+    if algorithm not in _HEADERS:
+        raise ModelIOError("parse error", f"line {head}: unknown algorithm {algorithm!r}")
+    count_key, config_type = _HEADERS[algorithm]
+    config_keys = [f.name for f in fields(config_type)] if config_type else []
+    unknown = [key for key in attrs if key not in ("algorithm", "arity", count_key, *config_keys)]
+    if unknown:
+        raise ModelIOError("parse error", f"line {head}: unknown header attribute {unknown[0]!r}")
+    count = _attr_int(attrs, count_key, head)
+    config = _config_from(config_type, attrs, head) if config_type else None
 
     # Each format parses its lines from lines[1] on and leaves ``at`` at the first line it did not use.
     if algorithm == "tree":
-        count = _attr_int(attrs, "nodes", head)
-        model = _parse_tree(lines, linenos, 1, count, arity, CLASSIFIER, _config_from(TreeConfig, attrs, head))
+        model = _parse_tree(lines, linenos, 1, count, arity, CLASSIFIER, config)
         at = 1 + count
 
     elif algorithm == "rules":
-        n_rules = _attr_int(attrs, "rules", head)
-        config = _config_from(RuleConfig, attrs, head)
         rules: list[Rule] = []
-        for at in range(1, n_rules + 1):
+        for at in range(1, count + 1):
             if at >= len(lines):
-                raise ModelIOError("parse error", f"line {linenos[at]}: expected {n_rules} rules, text ended")
+                raise ModelIOError("parse error", f"line {linenos[at]}: expected {count} rules, text ended")
+            # R label n, then n triples: feature op threshold
             parts = lines[at].split()
-            if len(parts) < 3 or parts[0] != "R":
-                raise ModelIOError("parse error", f"line {linenos[at]}: malformed rule {lines[at]!r}")
             try:
                 label, n_conditions = int(parts[1]), int(parts[2])
-                if len(parts) != 3 + 3 * n_conditions:
+                triples = [parts[k:k + 3] for k in range(3, len(parts), 3)]
+                conditions = tuple(Condition(int(f), op, float(t)) for f, op, t in triples)
+                if parts[0] != "R" or len(conditions) != n_conditions or any(
+                    c.op not in (LE, GT) or not 0 <= c.feature < arity for c in conditions
+                ):
                     raise ValueError
-                conditions = []
-                for c in range(n_conditions):
-                    feature = int(parts[3 + 3 * c])
-                    op = parts[4 + 3 * c]
-                    threshold = float(parts[5 + 3 * c])
-                    if op not in (LE, GT) or not 0 <= feature < arity:
-                        raise ValueError
-                    conditions.append(Condition(feature, op, threshold))
-            except ValueError:
+            except (ValueError, IndexError):
                 raise ModelIOError("parse error", f"line {linenos[at]}: malformed rule {lines[at]!r}") from None
-            rules.append(Rule(tuple(conditions), label))
-        at = n_rules + 1
+            rules.append(Rule(conditions, label))
+        at = count + 1
         if at >= len(lines) or not lines[at].startswith("D "):
             raise ModelIOError("parse error", f"line {linenos[at]}: missing default label line")
         try:
@@ -219,31 +227,28 @@ def loads(text: str) -> AnyModel:
         at += 1
 
     elif algorithm == "regtree-bundle":
-        n_versions = _attr_int(attrs, "versions", head)
-        config = _config_from(TreeConfig, attrs, head)
         model = {}
         at = 1
-        for _ in range(n_versions):
+        for _ in range(count):
             if at >= len(lines) or not lines[at].startswith("V "):
                 raise ModelIOError("parse error", f"line {linenos[at]}: expected version header")
             try:
                 version_part, attr = lines[at].split(";")
                 _, version_text = version_part.split()
-                key, _, count_text = attr.strip().partition("=")
+                key, _, nodes_text = attr.strip().partition("=")
                 if key != "nodes":
                     raise ValueError(key)
-                version, count = int(version_text), int(count_text)
+                version, nodes = int(version_text), int(nodes_text)
             except ValueError:
                 raise ModelIOError("parse error", f"line {linenos[at]}: malformed version header {lines[at]!r}") from None
             _check_new_version(model, version, linenos[at])
-            model[version] = _parse_tree(lines, linenos, at + 1, count, arity, REGRESSOR, config)
-            at += 1 + count
+            model[version] = _parse_tree(lines, linenos, at + 1, nodes, arity, REGRESSOR, config)
+            at += 1 + nodes
 
-    elif algorithm == "linreg-bundle":
-        n_versions = _attr_int(attrs, "versions", head)
+    else:  # linreg-bundle
         model = {}
         at = 1
-        for _ in range(n_versions):
+        for _ in range(count):
             if at + 1 >= len(lines) or not lines[at].startswith("V ") or not lines[at + 1].startswith("C "):
                 raise ModelIOError("parse error", f"line {linenos[at]}: expected V/C line pair")
             try:
@@ -263,8 +268,6 @@ def loads(text: str) -> AnyModel:
             model[version] = LinearModel(numbers[0], tuple(numbers[1:]))
             at += 2
 
-    else:
-        raise ModelIOError("parse error", f"line {head}: unknown algorithm {algorithm!r}")
     if at != len(lines):
         raise ModelIOError("parse error", f"line {linenos[at]}: trailing content after the model")
     return model

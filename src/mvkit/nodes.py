@@ -4,9 +4,10 @@ The array is acyclic and addressed by index: a :class:`Branch` sends
 ``x[feature] <= threshold`` to ``left`` and everything else to ``right``;
 a :class:`Leaf` holds a version id (classifiers and dispatchers) or a mean
 target (regression trees). A node may be the child of several branches
-(a rule list's shared fall-through); a cycle is never valid. The walks
-here are iterative and linear in the node count, so depth is bounded by
-memory rather than by the interpreter's recursion limit.
+(a rule list's shared fall-through); a cycle is never valid. Learned
+trees and dispatchers hold the array in the order of :func:`canonical`.
+The walks here are iterative and linear in the node count, so depth is
+bounded by memory rather than by the interpreter's recursion limit.
 
 Every check takes ``error``, a callable that turns a message into the
 caller's exception (for example ``partial(DispatchError, "invalid
@@ -51,60 +52,40 @@ def g17(value: float) -> str:
     return format(value, ".17g")
 
 
-def depth_of(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> int:
-    """Branches on the longest path from ``entry`` to a leaf.
+def canonical(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> tuple[tuple[Node, ...], int]:
+    """The nodes reachable from ``entry`` in canonical order, and the branches on their longest path.
 
-    Nodes reachable along several paths are walked once (memoized), so
-    shared children cost linear time; a path that returns to a node still
-    on it, or an index outside ``nodes``, raises ``error``.
+    Canonical order is first-visit, left-first pre-order with ``entry`` as
+    node 0: a shared child is listed once, at its first visit, and
+    unreachable nodes are dropped. One walk visits each node once; a path
+    that returns to a node still on it, or an index outside ``nodes``,
+    raises ``error``. An array already in canonical order keeps its node objects.
     """
-    below: dict[int, int] = {}  # finished nodes -> depth beneath them
-    on_path: set[int] = set()
+    count = len(nodes)
+    number = [-1] * count  # position in canonical order, once visited
+    below = [-1] * count  # branches beneath a node, once it is finished
+    order: list[int] = []
     stack: list[tuple[int, Node | None]] = [(entry, None)]
     while stack:
         index, node = stack.pop()
         if node is not None:  # both children finished
-            on_path.discard(index)
             below[index] = 1 + max(below[node.left], below[node.right])
-        elif index not in below:
-            if index in on_path or not 0 <= index < len(nodes):
-                raise error(f"node index {index} out of range or cyclic")
+        elif not 0 <= index < count or number[index] >= 0 > below[index]:  # visited, unfinished: on the path
+            raise error(f"node index {index} out of range or cyclic")
+        elif number[index] < 0:
+            number[index] = len(order)
+            order.append(index)
             node = nodes[index]
             if isinstance(node, Branch):
-                on_path.add(index)
                 stack += [(index, node), (node.right, None), (node.left, None)]
             else:
                 below[index] = 0
-    return below[entry]
-
-
-def preorder(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> tuple[Node, ...]:
-    """Reachable nodes renumbered in first-visit pre-order from ``entry``, which becomes 0.
-
-    A node reached along several paths (a shared child) is listed once,
-    at its first visit; unreachable nodes are dropped. A cycle or an index
-    outside ``nodes`` raises ``error``.
-    """
-    depth_of(nodes, entry, error)
-    order: list[int] = []
-    remap: dict[int, int] = {}
-    stack = [entry]
-    while stack:
-        index = stack.pop()
-        if index in remap:
-            continue
-        remap[index] = len(order)
-        order.append(index)
-        node = nodes[index]
-        if isinstance(node, Branch):
-            stack += [node.right, node.left]
-    out: list[Node] = []
-    for old in order:
-        node = nodes[old]
-        if isinstance(node, Branch):
-            node = Branch(node.feature, node.threshold, remap[node.left], remap[node.right])
-        out.append(node)
-    return tuple(out)
+    if order == list(range(count)):
+        return tuple(nodes), below[entry]
+    moved = (nodes[old] for old in order)
+    return tuple(
+        Branch(n.feature, n.threshold, number[n.left], number[n.right]) if isinstance(n, Branch) else n for n in moved
+    ), below[entry]
 
 
 def route(

@@ -67,6 +67,13 @@ def fmt_value(value, mode: str = MACHINE) -> str:
     return str(value)
 
 
+def parse_flag(text: str) -> bool:
+    """The bool that :func:`fmt_value` writes as ``1`` or ``0``; any other text is a ValueError."""
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
 class ReportBuilder:
     """Accumulates fields and tables in emission order."""
 
@@ -106,12 +113,14 @@ def render(report: Report) -> str:
 
 
 def parse(text: str) -> Report:
-    """Inverse of :func:`render`; errors carry the offending line number."""
+    """Inverse of :func:`render`, refusing a field key given twice; errors carry the offending line number."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith(HEADER_PREFIX + "; kind="):
         raise ReportError("parse error", "line 1: missing MVREPORT header")
     kind = lines[0][len(HEADER_PREFIX + "; kind="):].strip()
-    fields: list[tuple[str, str]] = []
+    if ";" in kind:
+        raise ReportError("parse error", f"line 1: malformed MVREPORT header {lines[0]!r}")
+    fields: dict[str, str] = {}
     tables: list[Table] = []
     i = 1
     while i < len(lines):
@@ -144,8 +153,10 @@ def parse(text: str) -> Report:
             i += 1
         elif "=" in line:
             key, _, value = line.partition("=")
-            fields.append((key, value))
+            if key in fields:
+                raise ReportError("parse error", f"line {i + 1}: field {key!r} repeats")
+            fields[key] = value
             i += 1
         else:
             raise ReportError("parse error", f"line {i + 1}: unrecognized content {line!r}")
-    return Report(kind, tuple(fields), tuple(tables))
+    return Report(kind, tuple(fields.items()), tuple(tables))

@@ -160,6 +160,16 @@ class TestSelect:
         err = capsys.readouterr().err
         assert f"{conf}:1: invalid choice 'bogus'" in err
 
+    @pytest.mark.parametrize("value", ["true", "yes", "2", ""])
+    def test_config_flag_other_than_0_or_1_exits_2(self, pipeline_dir, tmp_path, capsys, value):
+        conf = tmp_path / "c.cfg"
+        conf.write_text(f"seed=7\nprune={value}\n")
+        rc = main(["train", "--config", str(conf), "--scenario", str(pipeline_dir / "scen"),
+                   "--select-ids", "1,2", "--algorithm", "tree", "--out", str(tmp_path / "m.mv")])
+        assert rc == 2
+        assert f"{conf}:2: expected 0 or 1, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "m.mv").exists()
+
     def test_unknown_config_key_exits_2(self, pipeline_dir, tmp_path):
         conf = tmp_path / "bad.txt"
         conf.write_text("turbo=1\n")

@@ -92,6 +92,21 @@ class TestReportFormat:
             parse("not a report\n")
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("MVREPORT v1; kind=selection; x=1\nselected=1\n", "line 1: malformed MVREPORT header"),
+            ("MVREPORT v1; kind=selection\nselected=1\nn_selected=1\nselected=2\n", "line 4: field 'selected' repeats"),
+            ("MVREPORT v1; kind=cv\n\nk=2\n[table folds]\nfold\n0\n[end]\nk=3\n", "line 8: field 'k' repeats"),
+        ],
+        ids=["header-extra-attr", "field-repeated", "field-repeated-after-table"],
+    )
+    def test_header_extras_and_repeated_fields_are_parse_errors(self, text, where):
+        with pytest.raises(ReportError) as exc:
+            parse(text)
+        assert exc.value.category == "parse error"
+        assert where in str(exc.value)
+
     def test_unterminated_table(self):
         text = "MVREPORT v1; kind=cv\n[table folds]\nfold,size\n0,2\n"
         with pytest.raises(ReportError):
@@ -132,11 +147,18 @@ class TestModelDocuments:
             (REGTREE_DOC.replace("nodes=1", "count=1"), "line 2: malformed version header"),
             (LINREG_DOC.replace("V 3", "V 3 junk"), "line 2: malformed version line"),
             (LINREG_DOC + "C 0 1\n", "line 4: trailing content"),
+            (TREE_DOC.replace("seed=-", "seed=-; bogus=1"), "line 1: unknown header attribute 'bogus'"),
+            (TREE_DOC.replace("arity=1;", "arity=1; arity=2;"), "line 1: header repeats arity"),
+            (RULES_DOC.replace("seed=-", "seed=-; prune=0"), "line 1: unknown header attribute 'prune'"),
+            (LINREG_DOC.replace("versions=1", "versions=1; min_split=2"), "line 1: unknown header attribute 'min_split'"),
+            (REGTREE_DOC.replace("seed=-", "seed=-; seed=7"), "line 1: header repeats seed"),
         ],
         ids=[
             "tree-trailing", "rules-extra-rule", "rules-garbage", "rules-default-extra",
             "regtree-trailing", "regtree-extra-attr", "regtree-renamed-attr",
-            "linreg-version-extra", "linreg-trailing",
+            "linreg-version-extra", "linreg-trailing", "tree-header-unknown-attr",
+            "tree-header-repeated-attr", "rules-header-tree-attr", "linreg-header-config-attr",
+            "regtree-header-repeated-attr",
         ],
     )
     def test_extra_content_is_a_parse_error_naming_the_line(self, text, where):

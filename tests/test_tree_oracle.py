@@ -26,7 +26,9 @@ from mvkit.learners.trees import (
     train_tree_classifier,
 )
 from mvkit.learners.splits import best_class_split, best_regression_split, majority
-from mvkit.nodes import Branch, Leaf, depth_of, preorder, route
+from mvkit.nodes import Branch, Leaf, route
+
+from test_nodes import preorder
 
 # --- oracle: recursive growth and closure-based pruning ------------------------
 
@@ -68,7 +70,7 @@ def _train_unpruned(samples, config):
         lambda ss: len({s.label for s in ss}) == 1,
     )
     nodes = tuple(grown.nodes)
-    return TreeModel(CLASSIFIER, len(samples[0].features), nodes, depth_of(nodes, 0, _INVALID), config)
+    return TreeModel(CLASSIFIER, len(samples[0].features), nodes, config)
 
 
 def _reduced_error_prune(model, grow_set, holdout, config):
@@ -111,7 +113,7 @@ def _reduced_error_prune(model, grow_set, holdout, config):
 
     prune(0)
     compacted = preorder(nodes, 0, _INVALID)
-    return TreeModel(CLASSIFIER, model.arity, compacted, depth_of(compacted, 0, _INVALID), config)
+    return TreeModel(CLASSIFIER, model.arity, compacted, config)
 
 
 def oracle_classifier(samples, config):
@@ -134,7 +136,7 @@ def oracle_regressor(samples, config):
         lambda ss: len({s.target for s in ss}) == 1,
     )
     nodes = tuple(grown.nodes)
-    return TreeModel(REGRESSOR, len(samples[0].features), nodes, depth_of(nodes, 0, _INVALID), config)
+    return TreeModel(REGRESSOR, len(samples[0].features), nodes, config)
 
 
 # --- seeded sample sets -------------------------------------------------------
