@@ -79,8 +79,8 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
         "train_linear_regression", "train_model", "train_ppm_models", "train_regression_tree",
         "train_rule_list", "train_tree_classifier",
     ),
-    "modelio": ("ModelIOError", "dumps", "load_model", "loads", "save_model"),
-    "report": ("Report", "ReportBuilder", "ReportError", "Table", "parse", "render"),
+    "modelio": ("ModelIOError", "dumps", "loads"),
+    "report": ("Report", "ReportError", "Table", "parse", "render"),
     "rng": ("Rng", "mix_seed"),
     "scenario": (
         "DatasetRecord", "Scenario", "ScenarioError", "SpeedupMatrix", "Version", "Violation",

@@ -34,8 +34,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from . import report as reportmod
-from .report import HUMAN, MACHINE, ReportBuilder, render
+from .report import HUMAN, MACHINE, Report, Table, parse, parse_flag, render
 from .rng import mix_seed
 
 if TYPE_CHECKING:
@@ -189,7 +188,7 @@ def _config_types(parser: argparse.ArgumentParser) -> dict[str, object]:
             if action.dest in ("config", "help"):
                 continue
             if action.nargs == 0:
-                types[action.dest] = reportmod.parse_flag
+                types[action.dest] = parse_flag
             else:
                 types[action.dest] = partial(_convert, action.type or str, action.choices)
     return types
@@ -224,6 +223,8 @@ def _load_config_file(path: str, types: dict[str, object]) -> dict[str, object]:
         key = key.strip()
         if not eq or key not in types:
             raise CliError(f"{path}:{lineno}: unknown config entry {stripped!r}")
+        if key in values:
+            raise CliError(f"{path}:{lineno}: config key {key!r} repeats")
         try:
             values[key] = types[key](value.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -276,7 +277,7 @@ def _representative_ids(args: argparse.Namespace) -> tuple[int, ...]:
     if args.select_ids is not None:
         return tuple(sorted(set(args.select_ids)))
     if args.selection is not None:
-        doc = reportmod.parse(_read_text(args.selection, "selection report"))
+        doc = parse(_read_text(args.selection, "selection report"))
         try:
             return tuple(sorted(set(_id_list(doc.get("selected")))))
         except argparse.ArgumentTypeError as exc:
@@ -331,6 +332,11 @@ def _write_outputs(args: argparse.Namespace, outputs: list[Output]) -> None:
     for path, text in outputs:
         if path is None:
             sys.stdout.write(text)
+
+
+def _report_output(args: argparse.Namespace, report: Report) -> list[Output]:
+    """A report command's one output: ``report`` rendered in --report-mode, to --out or stdout."""
+    return [(args.out or None, render(report, args.report_mode or MACHINE))]
 
 
 def _given(args: argparse.Namespace, config_type: type, **dests: str) -> dict[str, object]:
@@ -390,42 +396,40 @@ def cmd_select(args: argparse.Namespace) -> list[Output]:
     result = greedy_select(matrix, scenario.code_sizes(), scenario.baseline_binary_size, constraints)
     metrics = evaluate_set(matrix, set(result.selected))
 
-    mode = args.report_mode or MACHINE
-    b = ReportBuilder("selection", mode)
-    b.add("mode", constraints.mode)
-    b.add("max_versions", constraints.max_versions)
-    b.add("size_budget", constraints.size_budget)
-    b.add("loss_tolerance", constraints.loss_tolerance)
-    b.add("min_gain", constraints.min_gain)
-    b.add("baseline_id", matrix.baseline_id)
-    b.add("baseline_binary_size", scenario.baseline_binary_size)
-    b.add("n_candidates", len(matrix.candidate_ids))
-    b.add("n_datasets", matrix.n_datasets)
-    b.add("selected", ",".join(str(v) for v in result.selected))
-    b.add("n_selected", len(result.selected))
-    b.add("n_selected_with_baseline", len(result.selected) + 1)
-    b.add("objective_value", result.objective_value)
-    b.add("geomean_speedup", result.geomean_speedup)
-    b.add("oracle_geomean", metrics.oracle_geomean)
-    b.add("max_dataset_loss", result.max_dataset_loss)
-    b.add("size_used", result.size_used)
-    b.add("covered_count", metrics.covered_count)
-    b.add_table(
-        "trace",
-        ["step", "picked", "gain", "objective_after"],
-        [(i + 1, s.picked, s.gain, s.objective_after) for i, s in enumerate(result.trace)],
+    values = dict(
+        mode=constraints.mode,
+        max_versions=constraints.max_versions,
+        size_budget=constraints.size_budget,
+        loss_tolerance=constraints.loss_tolerance,
+        min_gain=constraints.min_gain,
+        baseline_id=matrix.baseline_id,
+        baseline_binary_size=scenario.baseline_binary_size,
+        n_candidates=len(matrix.candidate_ids),
+        n_datasets=matrix.n_datasets,
+        selected=",".join(str(v) for v in result.selected),
+        n_selected=len(result.selected),
+        n_selected_with_baseline=len(result.selected) + 1,
+        objective_value=result.objective_value,
+        geomean_speedup=result.geomean_speedup,
+        oracle_geomean=metrics.oracle_geomean,
+        max_dataset_loss=result.max_dataset_loss,
+        size_used=result.size_used,
+        covered_count=metrics.covered_count,
     )
-    b.add_table(
-        "prune",
-        ["step", "removed", "decrease", "objective_after"],
-        [(i + 1, s.removed, s.decrease, s.objective_after) for i, s in enumerate(result.pruned)],
+    tables = (
+        Table(
+            "trace",
+            ("step", "picked", "gain", "objective_after"),
+            tuple((i + 1, s.picked, s.gain, s.objective_after) for i, s in enumerate(result.trace)),
+        ),
+        Table(
+            "prune",
+            ("step", "removed", "decrease", "objective_after"),
+            tuple((i + 1, s.removed, s.decrease, s.objective_after) for i, s in enumerate(result.pruned)),
+        ),
+        Table("losses", ("dataset_id", "loss"), tuple(zip(matrix.dataset_ids, metrics.per_dataset_loss))),
     )
-    b.add_table(
-        "losses",
-        ["dataset_id", "loss"],
-        list(zip(matrix.dataset_ids, metrics.per_dataset_loss)),
-    )
-    return [(args.out or None, render(b.build()))]
+    return _report_output(args, Report("selection", tuple(values.items()), tables))
 
 
 def cmd_train(args: argparse.Namespace) -> list[Output]:
@@ -470,48 +474,41 @@ def cmd_cv(args: argparse.Namespace) -> list[Output]:
     representative = _representative_ids(args)
     matrix = speedups(scenario)
 
-    mode = args.report_mode or MACHINE
-    b = ReportBuilder("cv", mode)
-    b.add("algorithm", spec.algorithm)
-    b.add("k", k)
-    b.add("seed", args.seed)
-    b.add("representative", ",".join(str(v) for v in representative))
-
+    values = dict(
+        algorithm=spec.algorithm,
+        k=k,
+        seed=args.seed,
+        representative=",".join(str(v) for v in representative),
+    )
     if spec.is_dc:
         samples = make_dc_labels(scenario, matrix, set(representative))
         result = cross_validate(spec, samples, k=k, seed=args.seed)
-        b.add("n_samples", len(samples))
-        b.add("metric", result.metric_name)
-        b.add("aggregate", result.aggregate)
-        b.add_table(
-            "folds",
-            ["fold", "size", "metric"],
-            [(i, result.fold_sizes[i], result.per_fold[i]) for i in range(k)],
-        )
-        b.add_table(
-            "confusion",
-            ["actual", "predicted", "count"],
-            list(result.confusion),
+        values.update(n_samples=len(samples), metric=result.metric_name, aggregate=result.aggregate)
+        tables = (
+            Table("folds", ("fold", "size", "metric"), tuple(zip(range(k), result.fold_sizes, result.per_fold))),
+            Table("confusion", ("actual", "predicted", "count"), tuple(result.confusion)),
         )
     else:
         if not representative:
             raise CliError("PPM cross-validation needs a non-empty representative set")
-        per_version: list[tuple[int, float]] = []
-        fold_rows: list[tuple[int, int, int, float]] = []
-        for v in representative:
-            samples = make_ppm_samples(scenario, matrix, v)
-            result = cross_validate(spec, samples, k=k, seed=mix_seed(args.seed, v))
-            per_version.append((v, result.aggregate))
-            fold_rows.extend(
-                (v, i, result.fold_sizes[i], result.per_fold[i]) for i in range(k)
-            )
-        b.add("n_samples", matrix.n_datasets)
-        b.add("metric", "rrse_percent")
-        b.add("aggregate", sum(a for _, a in per_version) / len(per_version))
-        b.add_table("versions", ["version", "rrse_percent"], per_version)
-        b.add_table("folds", ["version", "fold", "size", "metric"], fold_rows)
-
-    return [(args.out or None, render(b.build()))]
+        results = {
+            v: cross_validate(spec, make_ppm_samples(scenario, matrix, v), k=k, seed=mix_seed(args.seed, v))
+            for v in representative
+        }
+        values.update(
+            n_samples=matrix.n_datasets,
+            metric="rrse_percent",
+            aggregate=sum(r.aggregate for r in results.values()) / len(results),
+        )
+        tables = (
+            Table("versions", ("version", "rrse_percent"), tuple((v, r.aggregate) for v, r in results.items())),
+            Table(
+                "folds",
+                ("version", "fold", "size", "metric"),
+                tuple((v, i, r.fold_sizes[i], r.per_fold[i]) for v, r in results.items() for i in range(k)),
+            ),
+        )
+    return _report_output(args, Report("cv", tuple(values.items()), tables))
 
 
 def cmd_emit(args: argparse.Namespace) -> list[Output]:
@@ -567,28 +564,28 @@ def cmd_simulate(args: argparse.Namespace) -> list[Output]:
 
     result = simulate(scenario, selector, representative, train_dataset_ids=train_ids)
 
-    mode = args.report_mode or MACHINE
-    b = ReportBuilder("simulation", mode)
-    b.add("selector_kind", result.selector_kind)
-    b.add("representative", ",".join(str(v) for v in representative))
-    b.add("n_test_datasets", len(result.outcomes))
-    b.add("geomean_realized", result.geomean_realized)
-    b.add("representative_geomean", result.representative_geomean)
-    b.add("full_oracle_geomean", result.full_oracle_geomean)
-    b.add("fraction_of_representative_oracle", result.fraction_of_representative_oracle)
-    b.add("fraction_of_full_oracle", result.fraction_of_full_oracle)
-    b.add("mispick_rate", result.mispick_rate)
-    b.add("mean_comparisons", result.mean_comparisons)
-    b.add("selector_growth", result.growth.selector_growth)
-    b.add("multiversioning_growth", result.growth.multiversioning_growth)
-    b.add("train_overlap_count", len(result.train_overlap))
-    b.add("train_overlap_ids", ",".join(str(i) for i in result.train_overlap))
-    b.add_table(
-        "outcomes",
-        ["dataset_id", "chosen", "realized_speedup", "comparisons"],
-        [(o.dataset_id, o.chosen, o.realized_speedup, o.comparisons) for o in result.outcomes],
+    values = dict(
+        selector_kind=result.selector_kind,
+        representative=",".join(str(v) for v in representative),
+        n_test_datasets=len(result.outcomes),
+        geomean_realized=result.geomean_realized,
+        representative_geomean=result.representative_geomean,
+        full_oracle_geomean=result.full_oracle_geomean,
+        fraction_of_representative_oracle=result.fraction_of_representative_oracle,
+        fraction_of_full_oracle=result.fraction_of_full_oracle,
+        mispick_rate=result.mispick_rate,
+        mean_comparisons=result.mean_comparisons,
+        selector_growth=result.growth.selector_growth,
+        multiversioning_growth=result.growth.multiversioning_growth,
+        train_overlap_count=len(result.train_overlap),
+        train_overlap_ids=",".join(str(i) for i in result.train_overlap),
     )
-    return [(args.out or None, render(b.build()))]
+    outcomes = Table(
+        "outcomes",
+        ("dataset_id", "chosen", "realized_speedup", "comparisons"),
+        tuple((o.dataset_id, o.chosen, o.realized_speedup, o.comparisons) for o in result.outcomes),
+    )
+    return _report_output(args, Report("simulation", tuple(values.items()), (outcomes,)))
 
 
 _COMMANDS = {

@@ -5,14 +5,13 @@ classifier trees, rule lists, and per-version regressor bundles
 (regression trees or linear models). Tree nodes use the ``B``/``L`` node
 lines of :mod:`mvkit.nodes`, the same ones a dispatcher document holds.
 Thresholds, targets, and coefficients print with 17 significant digits,
-so save -> load -> save is byte-stable.
+so dumps -> loads -> dumps is byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from functools import partial
-from pathlib import Path
 from typing import Mapping
 
 from .errors import MvkitError
@@ -272,12 +271,3 @@ def loads(text: str) -> AnyModel:
         raise ModelIOError("parse error", f"line {linenos[at]}: trailing content after the model")
     return model
 
-
-def save_model(model: AnyModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(model))
-
-
-def load_model(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())

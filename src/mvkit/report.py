@@ -14,11 +14,17 @@ Machine mode renders floats with ``repr`` (shortest round-trip form), so
 a report is byte-identical across runs given identical inputs; human mode
 rounds to six significant digits and pads nothing else, so the two modes
 differ only in number formatting.
+
+A command builds a :class:`Report` of raw values (numbers, strings,
+bools) and :func:`render` formats them in the chosen mode; :func:`parse`
+returns the same type holding the text of each value, so
+``render(parse(text)) == text`` for every report a command writes, in
+either mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MvkitError
 
@@ -34,18 +40,22 @@ class ReportError(MvkitError):
 
 @dataclass(frozen=True)
 class Table:
+    """A named table; cells are raw values when built, text when parsed."""
+
     name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: tuple[tuple[object, ...], ...]
 
 
 @dataclass(frozen=True)
 class Report:
+    """Fields in emission order, then tables; values are raw when built, text when parsed."""
+
     kind: str
-    fields: tuple[tuple[str, str], ...] = ()
+    fields: tuple[tuple[str, object], ...] = ()
     tables: tuple[Table, ...] = ()
 
-    def get(self, key: str) -> str:
+    def get(self, key: str):
         for k, v in self.fields:
             if k == key:
                 return v
@@ -74,89 +84,65 @@ def parse_flag(text: str) -> bool:
     return text == "1"
 
 
-class ReportBuilder:
-    """Accumulates fields and tables in emission order."""
-
-    def __init__(self, kind: str, mode: str = MACHINE) -> None:
-        if mode not in (MACHINE, HUMAN):
-            raise ReportError("invalid mode", f"mode must be machine or human, got {mode!r}")
-        self.kind = kind
-        self.mode = mode
-        self._fields: list[tuple[str, str]] = []
-        self._tables: list[Table] = []
-
-    def add(self, key: str, value) -> "ReportBuilder":
-        self._fields.append((key, fmt_value(value, self.mode)))
-        return self
-
-    def add_table(self, name: str, columns: list[str], rows: list[tuple]) -> "ReportBuilder":
-        text_rows = tuple(tuple(fmt_value(c, self.mode) for c in row) for row in rows)
-        self._tables.append(Table(name, tuple(columns), text_rows))
-        return self
-
-    def build(self) -> Report:
-        return Report(self.kind, tuple(self._fields), tuple(self._tables))
-
-
-def render(report: Report) -> str:
-    """Serialize with LF line ends; stable for byte-comparison tests."""
+def render(report: Report, mode: str = MACHINE) -> str:
+    """Serialize with LF line ends, each value through :func:`fmt_value` in ``mode``; stable for byte-comparison tests."""
+    if mode not in (MACHINE, HUMAN):
+        raise ReportError("invalid mode", f"mode must be machine or human, got {mode!r}")
     lines = [f"{HEADER_PREFIX}; kind={report.kind}"]
-    for key, value in report.fields:
-        lines.append(f"{key}={value}")
+    lines += (f"{key}={fmt_value(value, mode)}" for key, value in report.fields)
     for table in report.tables:
-        lines.append(f"[table {table.name}]")
-        lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join(row))
+        lines += (f"[table {table.name}]", ",".join(table.columns))
+        lines += (",".join(fmt_value(cell, mode) for cell in row) for row in table.rows)
         lines.append("[end]")
     return "\n".join(lines) + "\n"
 
 
 def parse(text: str) -> Report:
-    """Inverse of :func:`render`, refusing a field key given twice; errors carry the offending line number."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(HEADER_PREFIX + "; kind="):
+    """Inverse of :func:`render` holding each value's text, refusing a field key or table name given twice.
+
+    Errors carry the offending line number.
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    _, header = next(lines, (1, ""))
+    if not header.startswith(HEADER_PREFIX + "; kind="):
         raise ReportError("parse error", "line 1: missing MVREPORT header")
-    kind = lines[0][len(HEADER_PREFIX + "; kind="):].strip()
+    kind = header[len(HEADER_PREFIX + "; kind="):].strip()
     if ";" in kind:
-        raise ReportError("parse error", f"line 1: malformed MVREPORT header {lines[0]!r}")
+        raise ReportError("parse error", f"line 1: malformed MVREPORT header {header!r}")
     fields: dict[str, str] = {}
-    tables: list[Table] = []
-    i = 1
-    while i < len(lines):
-        line = lines[i]
+    tables: dict[str, Table] = {}
+    for lineno, line in lines:
         if not line.strip():
-            i += 1
             continue
         if line.startswith("[table "):
             if not line.endswith("]"):
-                raise ReportError("parse error", f"line {i + 1}: malformed table header {line!r}")
+                raise ReportError("parse error", f"line {lineno}: malformed table header {line!r}")
             name = line[len("[table "):-1]
-            i += 1
-            if i >= len(lines):
-                raise ReportError("parse error", f"line {i}: table {name!r} missing column row")
-            columns = tuple(lines[i].split(","))
-            i += 1
+            if name in tables:
+                raise ReportError("parse error", f"line {lineno}: table {name!r} repeats")
+            lineno, column_line = next(lines, (lineno, None))
+            if column_line is None:
+                raise ReportError("parse error", f"line {lineno}: table {name!r} missing column row")
+            columns = tuple(column_line.split(","))
             rows: list[tuple[str, ...]] = []
-            while i < len(lines) and lines[i] != "[end]":
-                row = tuple(lines[i].split(","))
+            for lineno, row_line in lines:
+                if row_line == "[end]":
+                    break
+                row = tuple(row_line.split(","))
                 if len(row) != len(columns):
                     raise ReportError(
                         "parse error",
-                        f"line {i + 1}: row has {len(row)} cells, expected {len(columns)}",
+                        f"line {lineno}: row has {len(row)} cells, expected {len(columns)}",
                     )
                 rows.append(row)
-                i += 1
-            if i >= len(lines):
+            else:
                 raise ReportError("parse error", f"table {name!r} not closed with [end]")
-            tables.append(Table(name, columns, tuple(rows)))
-            i += 1
+            tables[name] = Table(name, columns, tuple(rows))
         elif "=" in line:
             key, _, value = line.partition("=")
             if key in fields:
-                raise ReportError("parse error", f"line {i + 1}: field {key!r} repeats")
+                raise ReportError("parse error", f"line {lineno}: field {key!r} repeats")
             fields[key] = value
-            i += 1
         else:
-            raise ReportError("parse error", f"line {i + 1}: unrecognized content {line!r}")
-    return Report(kind, tuple(fields.items()), tuple(tables))
+            raise ReportError("parse error", f"line {lineno}: unrecognized content {line!r}")
+    return Report(kind, tuple(fields.items()), tuple(tables.values()))

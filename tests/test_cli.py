@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvkit import deserialize, eval_dispatcher, interpret_rendered, modelio, parse, save_scenario
+from mvkit import deserialize, eval_dispatcher, interpret_rendered, modelio, parse, render, save_scenario
 from mvkit.cli import _config_types, build_parser, main
 from mvkit.scenario import DatasetRecord, Scenario, Version
 
@@ -170,6 +170,16 @@ class TestSelect:
         assert f"{conf}:2: expected 0 or 1, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "m.mv").exists()
 
+    def test_repeated_config_key_exits_2(self, pipeline_dir, tmp_path, capsys):
+        conf = tmp_path / "c.cfg"
+        conf.write_text("max_versions=1\n# again\nmax_versions=2\n")
+        out = tmp_path / "sel.rep"
+        rc = main(["select", "--config", str(conf), "--scenario", str(pipeline_dir / "scen"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"{conf}:3: config key 'max_versions' repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, pipeline_dir, tmp_path):
         conf = tmp_path / "bad.txt"
         conf.write_text("turbo=1\n")
@@ -219,6 +229,28 @@ class TestTrainCvEmitSimulate:
         doc = parse(r.stdout)
         assert doc.get("metric") == "rrse_percent"
         assert len(doc.table("versions").rows) == 4
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("select", "--scenario", "scen", "--max-versions", "4"),
+            ("select", "--scenario", "scen", "--max-versions", "4", "--mode", "size", "--loss-tol", "0.05"),
+            ("cv", "--scenario", "scen", "--selection", "selection.txt", "--algorithm", "tree", "--prune",
+             "--seed", "7"),
+            ("cv", "--scenario", "scen", "--selection", "selection.txt", "--algorithm", "rules", "--seed", "7"),
+            ("simulate", "--scenario", "scen/test", "--selection", "selection.txt",
+             "--dispatcher", "dispatcher.txt", "--train-scenario", "scen"),
+            ("simulate", "--scenario", "scen/test", "--selection", "selection.txt", "--selector", "oracle"),
+        ],
+        ids=["select-perf", "select-size", "cv-tree", "cv-rules", "simulate-dispatcher", "simulate-oracle"],
+    )
+    @pytest.mark.parametrize("mode", ["machine", "human"])
+    def test_report_is_the_render_of_its_parse(self, staged, tmp_path, monkeypatch, args, mode):
+        monkeypatch.chdir(staged)
+        out = tmp_path / "report.txt"
+        assert main([*args, "--report-mode", mode, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert render(parse(text)) == text
 
     def test_cv_k_larger_than_data_exits_2(self, staged):
         r = run_mvkit("cv", "--scenario", staged / "scen", "--selection", staged / "selection.txt",
@@ -520,8 +552,8 @@ class TestDeepDocuments:
         r = run_mvkit(*common, "--algorithm", "regtree", "--min-split", "2", "--out", "reg.mv",
                       cwd=tmp_path)
         assert r.returncode == 0, r.stderr
-        tree = modelio.load_model(tmp_path / "tree.mv")
-        bundle = modelio.load_model(tmp_path / "reg.mv")
+        tree = modelio.loads((tmp_path / "tree.mv").read_text())
+        bundle = modelio.loads((tmp_path / "reg.mv").read_text())
         assert (tree.depth, len(tree.nodes)) == (n - 1, 2 * n - 1)
         assert {v: m.depth for v, m in bundle.items()} == {1: n - 1}
         r = run_mvkit("emit", "--model", "tree.mv", "--out", "disp.txt", "--template",

@@ -1,12 +1,14 @@
 """Report documents and model documents: rendering, parsing, stability."""
 
+from dataclasses import replace
+
 import pytest
 
 from mvkit import (
     Report,
-    ReportBuilder,
     ReportError,
     RuleConfig,
+    Table,
     TreeConfig,
     parse,
     render,
@@ -36,19 +38,16 @@ REG = [
 ]
 
 
-def sample_report(mode: str) -> Report:
-    b = ReportBuilder("selection", mode)
-    b.add("selected", "1,2")
-    b.add("objective_value", 1.3862943611198906)
-    b.add("n_selected", 2)
-    b.add("pruned_any", True)
-    b.add_table("losses", ["dataset_id", "loss"], [(1, 0.0), (2, 0.25), (3, 1.0 / 3.0)])
-    return b.build()
+SAMPLE = Report(
+    "selection",
+    (("selected", "1,2"), ("objective_value", 1.3862943611198906), ("n_selected", 2), ("pruned_any", True)),
+    (Table("losses", ("dataset_id", "loss"), ((1, 0.0), (2, 0.25), (3, 1.0 / 3.0))),),
+)
 
 
 class TestReportFormat:
     def test_header_and_fields(self):
-        text = render(sample_report("machine"))
+        text = render(SAMPLE)
         lines = text.splitlines()
         assert lines[0] == "MVREPORT v1; kind=selection"
         assert "selected=1,2" in lines
@@ -56,7 +55,7 @@ class TestReportFormat:
         assert "pruned_any=1" in lines
 
     def test_round_trip(self):
-        text = render(sample_report("machine"))
+        text = render(SAMPLE)
         doc = parse(text)
         assert doc.kind == "selection"
         assert doc.get("selected") == "1,2"
@@ -65,21 +64,34 @@ class TestReportFormat:
         assert table.columns == ("dataset_id", "loss")
         assert len(table.rows) == 3
 
-    def test_machine_mode_is_byte_stable(self):
-        assert render(sample_report("machine")) == render(sample_report("machine"))
+    def test_machine_mode_is_the_default_and_byte_stable(self):
+        assert render(SAMPLE) == render(replace(SAMPLE), "machine")
 
     def test_machine_floats_round_trip_exactly(self):
-        text = render(sample_report("machine"))
+        text = render(SAMPLE)
         doc = parse(text)
         loss_row = doc.table("losses").rows[2]
         assert float(loss_row[1]) == 1.0 / 3.0
 
     def test_human_mode_rounds(self):
-        text = render(sample_report("human"))
+        text = render(SAMPLE, "human")
         assert "objective_value=1.38629" in text
+        assert "3,0.333333" in text
+
+    def test_invalid_mode_is_refused(self):
+        with pytest.raises(ReportError) as exc:
+            render(SAMPLE, "fancy")
+        assert exc.value.category == "invalid mode"
+
+    def test_a_built_report_holds_raw_values_and_a_parsed_one_text(self):
+        assert SAMPLE.get("objective_value") == 1.3862943611198906
+        doc = parse(render(SAMPLE))
+        assert doc.get("objective_value") == "1.3862943611198906"
+        assert doc.get("pruned_any") == "1"
+        assert doc.table("losses").rows[0] == ("1", "0.0")
 
     def test_missing_key_and_table_errors(self):
-        doc = parse(render(sample_report("machine")))
+        doc = parse(render(SAMPLE))
         with pytest.raises(ReportError) as exc:
             doc.get("nope")
         assert exc.value.category == "missing key"
@@ -98,8 +110,12 @@ class TestReportFormat:
             ("MVREPORT v1; kind=selection; x=1\nselected=1\n", "line 1: malformed MVREPORT header"),
             ("MVREPORT v1; kind=selection\nselected=1\nn_selected=1\nselected=2\n", "line 4: field 'selected' repeats"),
             ("MVREPORT v1; kind=cv\n\nk=2\n[table folds]\nfold\n0\n[end]\nk=3\n", "line 8: field 'k' repeats"),
+            (
+                "MVREPORT v1; kind=selection\nselected=1\n[table t]\na\n1\n[end]\n[table t]\na\n2\n[end]\n",
+                "line 7: table 't' repeats",
+            ),
         ],
-        ids=["header-extra-attr", "field-repeated", "field-repeated-after-table"],
+        ids=["header-extra-attr", "field-repeated", "field-repeated-after-table", "table-repeated"],
     )
     def test_header_extras_and_repeated_fields_are_parse_errors(self, text, where):
         with pytest.raises(ReportError) as exc:
@@ -297,10 +313,3 @@ class TestModelDocuments:
         with pytest.raises(ModelIOError) as exc:
             modelio.loads(text.replace("L 1", "L x"))
         assert exc.value.category == "parse error"
-
-    def test_save_load_files(self, tmp_path):
-        model = train_tree_classifier(FOUR)
-        path = tmp_path / "model.txt"
-        modelio.save_model(model, path)
-        again = modelio.load_model(path)
-        assert modelio.dumps(again) == modelio.dumps(model)
