@@ -64,21 +64,21 @@ def _lazy(package: str, sources: dict[str, tuple[str, ...]]):
     return list(origin), __getattr__, __dir__
 
 
-__all__, __getattr__, __dir__ = _lazy(__name__, {
+# Every public name, by the submodule that defines it. ``mvkit.learners``
+# takes the ``learners.*`` entries as its own table.
+_NAMES = {
     "dispatch": (
-        "DEFAULT_TEMPLATE", "Branch", "CodeGrowth", "DispatchError", "DispatcherSpec", "Leaf",
-        "code_growth", "compile_dispatcher", "deserialize", "eval_dispatcher", "interpret_rendered",
-        "render_template", "serialize",
+        "DEFAULT_TEMPLATE", "Branch", "DispatchError", "DispatcherSpec", "Leaf", "compile_dispatcher",
+        "deserialize", "eval_dispatcher", "interpret_rendered", "render_template", "serialize",
     ),
     "errors": ("MvkitError",),
-    "learners": (
-        "CVReport", "Condition", "LabeledSample", "LearnError", "LearnerSpec", "LinearModel",
-        "RegressionSample", "Rule", "RuleConfig", "RuleListModel", "TreeConfig", "TreeModel",
-        "cross_validate", "error_rate", "make_dc_labels", "make_ppm_samples", "ppm_select",
-        "predict_linear", "predict_regression", "predict_rules", "predict_tree", "rrse",
-        "train_linear_regression", "train_model", "train_ppm_models", "train_regression_tree",
-        "train_rule_list", "train_tree_classifier",
-    ),
+    "learners.cv": ("CVReport", "LearnerSpec", "cross_validate", "train_model"),
+    "learners.linear": ("LinearModel", "predict_linear", "train_linear_regression"),
+    "learners.metrics": ("error_rate", "rrse"),
+    "learners.ppm": ("predict_regression", "ppm_select", "train_ppm_models"),
+    "learners.rules": ("Condition", "Rule", "RuleConfig", "RuleListModel", "predict_rules", "train_rule_list"),
+    "learners.samples": ("LabeledSample", "LearnError", "RegressionSample", "make_dc_labels", "make_ppm_samples"),
+    "learners.trees": ("TreeConfig", "TreeModel", "predict_tree", "train_regression_tree", "train_tree_classifier"),
     "modelio": ("ModelIOError", "dumps", "loads"),
     "report": ("Report", "ReportError", "Table", "parse", "render"),
     "rng": ("Rng", "mix_seed"),
@@ -95,4 +95,6 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
     "synthgen": (
         "GroundTruth", "SynthConfig", "SynthError", "generate", "generate_test", "save_ground_truth",
     ),
-})
+}
+
+__all__, __getattr__, __dir__ = _lazy(__name__, _NAMES)

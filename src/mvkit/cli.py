@@ -143,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     _scenario_arg(sim)
     _representative_args(sim)
     sim.add_argument("--dispatcher", help="dispatcher document to evaluate")
-    sim.add_argument("--model", help="PPM model bundle to evaluate")
+    sim.add_argument(
+        "--model", help="model file to evaluate: a tree or rules model (compiled as `emit` would) or a PPM bundle"
+    )
     sim.add_argument("--selector", choices=["oracle", "baseline"], help="built-in reference selector")
     sim.add_argument("--train-scenario", dest="train_scenario", help="training scenario dir, for the id-overlap check")
     _report_args(sim)
@@ -575,8 +577,8 @@ def cmd_simulate(args: argparse.Namespace) -> list[Output]:
         fraction_of_full_oracle=result.fraction_of_full_oracle,
         mispick_rate=result.mispick_rate,
         mean_comparisons=result.mean_comparisons,
-        selector_growth=result.growth.selector_growth,
-        multiversioning_growth=result.growth.multiversioning_growth,
+        selector_growth=result.selector_growth,
+        multiversioning_growth=result.multiversioning_growth,
         train_overlap_count=len(result.train_overlap),
         train_overlap_ids=",".join(str(i) for i in result.train_overlap),
     )

@@ -1,4 +1,4 @@
-"""Dispatcher compilation, serialization, templating, and size accounting.
+"""Dispatcher compilation, serialization, and templating.
 
 A dispatcher is the portable artifact that picks a version at run time:
 the acyclic node array of :mod:`mvkit.nodes` (feature <= threshold goes
@@ -364,42 +364,3 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
                 skip_block()
         else:
             raise DispatchError("interpret error", f"unexpected token {tok!r}")
-
-
-# --- code growth ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CodeGrowth:
-    """Binary-size cost split into its two sources, as fractions of the
-    baseline binary: the dispatcher itself and the extra versions."""
-
-    selector_growth: float
-    multiversioning_growth: float
-
-
-def code_growth(
-    representative: set[int] | frozenset[int] | Sequence[int],
-    code_sizes: dict[int, int],
-    baseline_binary_size: int,
-    spec: DispatcherSpec | None,
-) -> CodeGrowth:
-    """Size fractions for a selected set plus its selection mechanism.
-
-    A PPM-style selector has no dispatcher document; pass None and its
-    growth is reported as 0.
-    """
-    if baseline_binary_size <= 0:
-        raise DispatchError(
-            "non-positive measurement", f"baseline binary size must be > 0, got {baseline_binary_size}"
-        )
-    members = sorted(set(representative))
-    for v in members:
-        if v not in code_sizes:
-            raise DispatchError("unknown version", f"code size missing for version {v}")
-    total = sum(code_sizes[v] for v in members)
-    selector = spec.byte_size if spec is not None else 0
-    return CodeGrowth(
-        selector_growth=selector / baseline_binary_size,
-        multiversioning_growth=total / baseline_binary_size,
-    )

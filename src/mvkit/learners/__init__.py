@@ -8,20 +8,8 @@ the argmax at dispatch time. Both come with error-rate / RRSE metrics and
 a deterministic k-fold cross-validation harness.
 """
 
-from .. import _lazy
+from .. import _NAMES, _lazy
 
 __all__, __getattr__, __dir__ = _lazy(__name__, {
-    "samples": (
-        "LabeledSample", "RegressionSample", "LearnError", "make_dc_labels",
-        "make_ppm_samples",
-    ),
-    "trees": (
-        "TreeModel", "TreeConfig", "train_tree_classifier",
-        "train_regression_tree", "predict_tree",
-    ),
-    "rules": ("RuleListModel", "Rule", "Condition", "RuleConfig", "train_rule_list", "predict_rules"),
-    "linear": ("LinearModel", "train_linear_regression", "predict_linear"),
-    "ppm": ("train_ppm_models", "ppm_select", "predict_regression"),
-    "metrics": ("error_rate", "rrse"),
-    "cv": ("CVReport", "LearnerSpec", "cross_validate", "train_model"),
+    sub.removeprefix("learners."): names for sub, names in _NAMES.items() if sub.startswith("learners.")
 })

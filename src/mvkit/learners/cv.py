@@ -6,14 +6,13 @@ import statistics
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
+from ..dispatch import compile_dispatcher, eval_dispatcher
 from ..rng import Rng, mix_seed
 from .linear import predict_linear, train_linear_regression
 from .metrics import error_rate, rrse
-from .rules import RuleConfig, RuleListModel, predict_rules, train_rule_list
+from .rules import RuleConfig, train_rule_list
 from .samples import LabeledSample, LearnError, RegressionSample
-from .trees import (
-    REGTREE_DEFAULTS, TreeConfig, TreeModel, predict_tree, train_regression_tree, train_tree_classifier,
-)
+from .trees import REGTREE_DEFAULTS, TreeConfig, predict_tree, train_regression_tree, train_tree_classifier
 
 FOLDS = 10  # the default fold count of cross_validate and `mvkit cv`
 
@@ -57,9 +56,6 @@ class LearnerSpec:
         return {k: v for k, v in given.items() if v is not None} | {"seed": seed}
 
 
-Model = TreeModel | RuleListModel
-
-
 def train_model(spec: LearnerSpec, samples: Sequence, seed: int | None = None):
     """Train one model of the requested family on the given samples."""
     if spec.algorithm == "tree":
@@ -69,14 +65,6 @@ def train_model(spec: LearnerSpec, samples: Sequence, seed: int | None = None):
     if spec.algorithm == "regtree":
         return train_regression_tree(samples, spec.tree_config(seed))
     return train_linear_regression(samples)
-
-
-def predict_model(spec: LearnerSpec, model, x: Sequence[float]):
-    if spec.algorithm in ("tree", "regtree"):
-        return predict_tree(model, x)[0]
-    if spec.algorithm == "rules":
-        return predict_rules(model, x)[0]
-    return predict_linear(model, x)
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,13 @@ def cross_validate(
         train = [s for i, s in enumerate(samples) if fold_of[i] != fold]
         test = [s for i, s in enumerate(samples) if fold_of[i] == fold]
         model = train_model(spec, train, seed=mix_seed(seed, fold + 1))
-        predictions = [predict_model(spec, model, s.features) for s in test]
+        if spec.is_dc:  # scored through the dispatcher `emit` would ship
+            dispatcher = compile_dispatcher(model)
+            predictions = [eval_dispatcher(dispatcher, s.features)[0] for s in test]
+        elif spec.algorithm == "regtree":
+            predictions = [predict_tree(model, s.features)[0] for s in test]
+        else:
+            predictions = [predict_linear(model, s.features) for s in test]
         if spec.is_dc:
             actual = [s.label for s in test]
             per_fold.append(error_rate(predictions, actual))

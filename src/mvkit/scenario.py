@@ -199,9 +199,10 @@ def speedups(scenario: Scenario) -> SpeedupMatrix:
         raise ScenarioError("baseline count", "scenario has no unique baseline")
     runtimes = scenario.runtimes  # (D, V)
     base_col = runtimes[:, scenario._version_index[base.id]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # A zero runtime yields a non-finite entry here; the matrix
-        # constructor turns that into a ScenarioError.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # A zero runtime, or a ratio past the float range, yields a
+        # non-finite entry here; the matrix constructor turns that into a
+        # ScenarioError.
         entries = (base_col[:, None] / runtimes).T  # (V, D)
     return SpeedupMatrix(
         baseline_id=base.id,

@@ -8,9 +8,10 @@ oracle over every measured version. A pick counts as wrong only when it
 realizes less speedup than the in-set ideal for that dataset; picking a
 different version that performs identically is not a mispick.
 
-Both oracles are one column-wise argmax over the speedup matrix (see
-``best_versions``) and every speedup lookup is O(1), so a run costs O(D)
-lookups plus the selector's own work over D test datasets.
+Both oracles are column-wise over the speedup matrix, the in-set one an
+argmax (see ``best_versions``) and the full one a maximum. Every speedup
+lookup is O(1), so a run costs O(D) lookups plus the selector's own work
+over D test datasets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .dispatch import CodeGrowth, DispatcherSpec, DispatchError, code_growth, eval_dispatcher
+from .dispatch import DispatcherSpec, DispatchError, eval_dispatcher
 from .learners.ppm import Regressor, ppm_select
 from .learners.samples import best_versions
 from .scenario import Scenario, SpeedupMatrix, speedups
@@ -52,9 +53,10 @@ class SimulationReport:
     fraction_of_full_oracle: float
     mispick_rate: float
     mean_comparisons: float
-    growth: CodeGrowth
+    selector_growth: float  # dispatcher bytes / baseline binary size; 0 without a dispatcher
+    multiversioning_growth: float  # summed representative code sizes / baseline binary size
     train_overlap: tuple[int, ...]
-    selector_kind: str = "unknown"
+    selector_kind: str
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -111,6 +113,9 @@ def simulate(
             raise DispatchError(
                 "unknown version", f"representative version {v} absent from test matrix"
             )
+    baseline_size = scenario_test.baseline_binary_size
+    if baseline_size <= 0:
+        raise DispatchError("non-positive measurement", f"baseline binary size must be > 0, got {baseline_size}")
     code_sizes = scenario_test.code_sizes()
     allowed = frozenset(rep) | {matrix.baseline_id}
     in_set = best_versions(matrix, rep + (matrix.baseline_id,), code_sizes)
@@ -143,8 +148,7 @@ def simulate(
 
     geomean_realized = _geomean([o.realized_speedup for o in outcomes])
     rep_geomean = _geomean(ideal)
-    full = best_versions(matrix, matrix.version_ids, code_sizes)
-    full_geomean = _geomean([matrix.speedup(v, d.id) for v, d in zip(full, scenario_test.datasets)])
+    full_geomean = _geomean(matrix.entries.max(axis=0))
     overlap: tuple[int, ...] = ()
     if train_dataset_ids is not None:
         overlap = tuple(sorted(set(scenario_test.dataset_ids) & set(train_dataset_ids)))
@@ -157,7 +161,8 @@ def simulate(
         fraction_of_full_oracle=geomean_realized / full_geomean,
         mispick_rate=mispicks / len(outcomes),
         mean_comparisons=sum(o.comparisons for o in outcomes) / len(outcomes),
-        growth=code_growth(rep, code_sizes, scenario_test.baseline_binary_size, spec),
+        selector_growth=(spec.byte_size if spec is not None else 0) / baseline_size,
+        multiversioning_growth=sum(code_sizes[v] for v in rep) / baseline_size,
         train_overlap=overlap,
         selector_kind=kind,
     )

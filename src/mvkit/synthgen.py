@@ -20,6 +20,7 @@ seed always yields byte-identical tables.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -93,6 +94,8 @@ class SynthConfig:
         lo, hi = self.feature_range
         if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
             raise SynthError("invalid config", f"feature_range must be an ordered integer pair, got ({lo}, {hi})")
+        if hi - lo > sys.maxsize:  # _plant lists the hi - lo cut slots
+            raise SynthError("invalid config", f"feature_range spans {hi - lo} cut slots, more than {sys.maxsize}")
         if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
             raise SynthError("invalid config", f"noise_sigma must be >= 0, got {self.noise_sigma}")
         slots = self.feature_range[1] - self.feature_range[0]
@@ -258,9 +261,15 @@ def _generate(
     if config.noise_sigma > 0:
         # In libm, per cell: numpy's transcendentals need not round the same.
         sigma, unit = config.noise_sigma, _uniforms(rng.u64s(runtimes.size * 2), 0.0, 1.0).tolist()
-        factors = [math.exp(sigma * (math.sqrt(-2.0 * math.log(1.0 - a)) * math.cos(2.0 * math.pi * b)))
-                   for a, b in zip(unit[0::2], unit[1::2])]
-        runtimes *= np.reshape(factors, runtimes.shape)
+        try:
+            factors = [math.exp(sigma * (math.sqrt(-2.0 * math.log(1.0 - a)) * math.cos(2.0 * math.pi * b)))
+                       for a, b in zip(unit[0::2], unit[1::2])]
+        except OverflowError:  # a factor past the float range
+            factors = [math.inf] * runtimes.size
+        with np.errstate(over="ignore"):
+            runtimes *= np.reshape(factors, runtimes.shape)
+        if not ((runtimes > 0) & (runtimes < math.inf)).all():
+            raise SynthError("invalid config", f"noise_sigma {sigma} drives a runtime to 0 or past the float range")
 
     versions = tuple(
         Version(

@@ -96,6 +96,24 @@ class TestGen:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--noise-sigma", "400"), "noise_sigma 400.0 drives a runtime to 0 or past the float range"),
+            (("--feature-range", "0,100000000000000000000000"), "feature_range spans 100000000000000000000000"),
+        ],
+        ids=["noise-factor-overflows", "feature-range-too-wide-to-list"],
+    )
+    def test_config_past_the_float_or_index_range_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        args = ["gen", "--versions", "5", "--datasets", "10", "--features", "2", "--seed", "1"]
+        assert main([*args, *flags, "--out-dir", "scen"]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSelect:
     def test_toy_selection_report(self, tmp_path):
         scen = tmp_path / "toy"
@@ -111,6 +129,16 @@ class TestSelect:
         assert [row[1] for row in trace.rows] == ["3", "1", "2"]
         prune = doc.table("prune")
         assert [row[1] for row in prune.rows] == ["3"]
+
+    def test_speedup_past_the_float_range_exits_2(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        scen.mkdir()
+        versions = (Version(0, "baseline", 1000, True), Version(1, "v1", 100))
+        scenario = Scenario(versions, (DatasetRecord(1, (1.0,)),), np.array([[1e300, 1e-10]]))
+        save_scenario(scenario, *(scen / n for n in SCENARIO_FILES[:3]))
+        assert main(["select", "--scenario", str(scen), "--max-versions", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "non-positive measurement: speedups must be finite and > 0" in err
 
     def test_zero_max_versions_exits_2(self, pipeline_dir):
         r = run_mvkit("select", "--scenario", pipeline_dir / "scen", "--max-versions", "0",
@@ -297,6 +325,22 @@ class TestTrainCvEmitSimulate:
         assert r.returncode == 0, r.stderr
         doc = parse(r.stdout)
         assert doc.get("selector_kind") == "ppm"
+
+    @pytest.mark.parametrize("algorithm", ["tree", "rules"])
+    def test_simulate_model_matches_the_emitted_dispatcher(self, staged, tmp_path, monkeypatch, algorithm):
+        monkeypatch.chdir(staged)
+        model, dispatcher = tmp_path / "m.mv", tmp_path / "d.txt"
+        learner = ["--scenario", "scen", "--selection", "selection.txt", "--algorithm", algorithm]
+        assert main(["train", *learner, "--out", str(model)]) == 0
+        assert main(["emit", "--model", str(model), "--out", str(dispatcher)]) == 0
+        reports = []
+        for flag, path in (("--model", model), ("--dispatcher", dispatcher)):
+            out = tmp_path / f"{flag[2:]}.rep"
+            simulate = ["simulate", "--scenario", "scen/test", "--selection", "selection.txt", flag, str(path)]
+            assert main([*simulate, "--train-scenario", "scen", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b"\nselector_kind=dispatcher\n" in reports[0]
 
     def test_emit_rejects_ppm_bundle(self, staged):
         model = staged / "ppm_emit.txt"

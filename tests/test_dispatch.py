@@ -10,7 +10,6 @@ from mvkit import (
     DispatchError,
     DispatcherSpec,
     RuleConfig,
-    code_growth,
     compile_dispatcher,
     deserialize,
     eval_dispatcher,
@@ -451,24 +450,3 @@ class TestOnePassRenderer:
         with pytest.raises(DispatchError) as exc:
             render_template(spec)
         assert exc.value.category == "template error"
-
-
-class TestCodeGrowth:
-    def test_dispatcher_free_growth(self):
-        growth = code_growth((1, 2), {0: 1000, 1: 100, 2: 100}, 1000, None)
-        assert growth.selector_growth == 0.0
-        assert growth.multiversioning_growth == pytest.approx(0.2)
-
-    def test_selector_growth_is_bytes_over_baseline(self):
-        spec = compile_dispatcher(train_tree_classifier(FOUR))
-        growth = code_growth((1, 2), {0: 1000, 1: 50, 2: 50}, 1000, spec)
-        assert growth.selector_growth == pytest.approx(spec.byte_size / 1000)
-        assert growth.multiversioning_growth == pytest.approx(0.1)
-
-    def test_rejects_nonpositive_baseline(self):
-        with pytest.raises(DispatchError):
-            code_growth((1,), {1: 100}, 0, None)
-
-    def test_rejects_unknown_version(self):
-        with pytest.raises(DispatchError):
-            code_growth((9,), {1: 100}, 1000, None)

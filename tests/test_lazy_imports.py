@@ -22,8 +22,8 @@ from conftest import run_python
 # Every public name of each package, by the submodule that defines it.
 MVKIT_NAMES = {
     "dispatch": (
-        "DEFAULT_TEMPLATE", "Branch", "CodeGrowth", "DispatchError", "DispatcherSpec", "Leaf",
-        "code_growth", "compile_dispatcher", "deserialize", "eval_dispatcher", "interpret_rendered",
+        "DEFAULT_TEMPLATE", "Branch", "DispatchError", "DispatcherSpec", "Leaf",
+        "compile_dispatcher", "deserialize", "eval_dispatcher", "interpret_rendered",
         "render_template", "serialize",
     ),
     "errors": ("MvkitError",),
@@ -78,7 +78,7 @@ def names_of(table: dict[str, tuple[str, ...]]) -> list[str]:
 
 
 def test_name_counts():
-    assert len(set(names_of(MVKIT_NAMES))) == 86
+    assert len(set(names_of(MVKIT_NAMES))) == 84
     assert len(set(names_of(LEARNERS_NAMES))) == 28
 
 

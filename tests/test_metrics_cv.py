@@ -5,8 +5,19 @@ from collections import Counter
 
 import pytest
 
-from mvkit import LearnError, LearnerSpec, cross_validate, error_rate, rrse
-from mvkit.learners import LabeledSample, RegressionSample
+from mvkit import (
+    LearnError,
+    LearnerSpec,
+    cross_validate,
+    error_rate,
+    eval_dispatcher,
+    mix_seed,
+    predict_rules,
+    predict_tree,
+    rrse,
+    train_model,
+)
+from mvkit.learners import LabeledSample, RegressionSample, cv
 from mvkit.learners.samples import best_versions
 
 
@@ -114,6 +125,38 @@ class TestCvProtocol:
     def test_confusion_counts_sum_to_sample_count(self):
         r = cross_validate(LearnerSpec("tree"), classed(30, 3), k=5, seed=4)
         assert sum(c for _, _, c in r.confusion) == 30
+
+
+class TestCvScoresTheDispatcher:
+    """Tree and rules folds predict through the dispatcher `emit` would ship."""
+
+    SPECS = {"tree": LearnerSpec("tree"), "rules": LearnerSpec("rules", min_cover=1)}
+
+    @pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+    def test_every_test_sample_is_routed_by_a_fold_dispatcher(self, spec, monkeypatch):
+        routed: list = []
+
+        def spy(dispatcher, x):
+            routed.append(dispatcher)
+            return eval_dispatcher(dispatcher, x)
+
+        monkeypatch.setattr(cv, "eval_dispatcher", spy)
+        r = cross_validate(spec, classed(30, 3), k=5, seed=4)
+        assert len(routed) == 30
+        assert len({id(d) for d in routed}) == 5
+        assert sum(c for _, _, c in r.confusion) == 30
+
+    @pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+    def test_fold_errors_equal_the_models_own_predictions(self, spec):
+        samples = classed(30, 3)
+        r = cross_validate(spec, samples, k=5, seed=4)
+        predict = predict_tree if spec.algorithm == "tree" else predict_rules
+        for fold in range(5):
+            train = [s for s, f in zip(samples, r.fold_of_sample) if f != fold]
+            test = [s for s, f in zip(samples, r.fold_of_sample) if f == fold]
+            model = train_model(spec, train, seed=mix_seed(4, fold + 1))
+            wrong = sum(predict(model, s.features)[0] != s.label for s in test)
+            assert r.per_fold[fold] == wrong / len(test)
 
 
 class TestCvRegression:

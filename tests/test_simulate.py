@@ -1,5 +1,7 @@
 """Adaptive-binary simulation over held-out scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from mvkit import (
     train_ppm_models,
     train_tree_classifier,
 )
-from mvkit.dispatch import DispatcherSpec, Leaf
+from mvkit.dispatch import Branch, DispatcherSpec, Leaf
 
 from conftest import PLANTED_TEST_SEED
 
@@ -90,7 +92,7 @@ class TestPlantedPipeline:
         rep = simulate(test_scenario, models, result.selected)
         assert rep.selector_kind == "ppm"
         assert rep.mean_comparisons == 0.0
-        assert rep.growth.selector_growth == 0.0
+        assert rep.selector_growth == 0.0
         assert rep.fraction_of_representative_oracle > 0.9
 
     def test_train_overlap_reported(self, planted):
@@ -136,6 +138,29 @@ class TestGuards:
         with pytest.raises(DispatchError) as exc:
             simulate(toy_scenario, lambda x: 3, (1, 2))
         assert exc.value.category == "unknown version"
+
+
+class TestCodeGrowth:
+    """Both growths are fractions of the baseline binary size (1000 in the toy)."""
+
+    def test_dispatcher_free_growth(self, toy_scenario):
+        rep = simulate(toy_scenario, "oracle", (1, 2))
+        assert rep.selector_growth == 0.0
+        assert rep.multiversioning_growth == pytest.approx(0.2)
+
+    def test_selector_growth_is_bytes_over_baseline(self, toy_scenario):
+        spec = DispatcherSpec(1, (Branch(0, 1.5, 1, 2), Leaf(1), Leaf(2)))
+        rep = simulate(toy_scenario, spec, (1, 2, 3))
+        assert rep.selector_growth == spec.byte_size / 1000
+        assert rep.multiversioning_growth == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_rejects_nonpositive_baseline(self, toy_scenario, size):
+        base, *rest = toy_scenario.versions
+        sc = Scenario((replace(base, code_size=size), *rest), toy_scenario.datasets, toy_scenario.runtimes)
+        with pytest.raises(DispatchError) as exc:
+            simulate(sc, "oracle", (1, 2))
+        assert exc.value.category == "non-positive measurement"
 
 
 class TestMispickAccounting:
@@ -196,7 +221,6 @@ class TestLinearWork:
 
     @pytest.mark.parametrize("kind", ["dispatcher", "oracle"])
     def test_dataset_ids_are_read_a_bounded_number_of_times_each(self, kind):
-        from mvkit.dispatch import Branch
         from mvkit.scenario import DatasetRecord, Version
 
         versions = tuple(Version(v, f"v{v}", 100 + v, v == 0) for v in range(4))
