@@ -6,19 +6,20 @@ datasets and a complete matrix of measured runtimes. Speedups are always
 the baseline runtime divided by the version runtime, so the baseline row
 is exactly 1.0 and values below 1.0 are slowdowns.
 
-Scenarios are ingested from three CSV files (see ``load_scenario``). The
-path is columnar: each table is read once, its columns are converted in
-bulk, runtime rows land in the ``(dataset, version)`` matrix by one index
-assignment, and validation runs masks over whole columns. Only a faulty
-table is read again, row by row, to name the physical line of its first
-fault. All types are immutable after construction and safe to share
-across threads.
+Scenarios are ingested from three CSV files (see ``load_scenario``). One
+``np.loadtxt`` pass parses each numeric table; ``versions.csv`` and any table
+it refuses are read once as rows and converted by column, with the same inputs
+accepted and errors raised. Runtime rows land in the ``(dataset, version)``
+matrix by one index assignment, and validation runs masks over whole columns.
+Only a faulty table is read again, row by row, to name the physical line of
+its first fault. All types are immutable after construction and thread-safe.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -150,8 +151,9 @@ class SpeedupMatrix:
             )
         if self.baseline_id not in self.version_ids:
             raise ScenarioError("baseline count", f"baseline {self.baseline_id} not among versions")
-        if not np.isfinite(mat).all() or (mat <= 0).any():
-            raise ScenarioError("non-positive measurement", "speedups must be finite and > 0")
+        for i, j in np.argwhere(~(np.isfinite(mat) & (mat > 0)))[:1].tolist():
+            cell = f"version {self.version_ids[i]} on dataset {self.dataset_ids[j]} has {mat[i, j]}"
+            raise ScenarioError("non-positive measurement", f"speedups must be finite and > 0: {cell}")
         base_row = mat[self.version_ids.index(self.baseline_id)]
         if not np.all(base_row == 1.0):
             raise ScenarioError("baseline row", "baseline speedups must equal 1.0 exactly")
@@ -288,6 +290,7 @@ def _repeats(keys: list) -> np.ndarray:
 _VERSIONS_HEADER = ["id", "name", "code_size", "is_baseline"]
 _RUNTIMES_HEADER = ["dataset_id", "version_id", "runtime_seconds"]
 _EXPECTED = {int: "integer", float: "number"}
+_CELL_ENDS = bytes(byte in b",\r\n" for byte in range(256))  # translates a comma or line end to 1, the rest to 0
 
 Row = Sequence[str]
 Spec = Sequence[tuple[int, Callable[[str], object]]]  # (column, converter), in check order
@@ -361,6 +364,29 @@ def _columns(path: str | Path, rows: list[Row], spec: Spec, fault: RowCheck | No
         raise _first_fault(path, fault) from None
 
 
+def _bulk(path: str | Path, header: Callable[[int], list[str]]) -> list[list] | None:
+    """The body columns of a numeric table in one ``np.loadtxt`` pass, or None for the row path.
+
+    Only a table whose first line is ``header(width)``, all ASCII (a non-ASCII cell loadtxt refuses
+    can corrupt its next call) and with a cell end in every 320-byte block (so no cell reaches the
+    641 digits ``int`` may refuse) is parsed: ids as int64, the rest as float64, as ``int``/``float``
+    would, minus quotes, ``_`` and ids past int64. Any refusal or warning returns None."""
+    try:
+        data = Path(path).read_bytes()
+        head = data.split(b"\n", 1)[0].rstrip(b"\r").decode("utf-8").split(",")
+        ends = np.frombuffer(data.translate(_CELL_ENDS), np.bool_)
+        blocks = ends[: len(ends) // 320 * 320].reshape(-1, 320)  # a cell of 639 bytes fills one
+        if head != header(len(head)) or not data.isascii() or not blocks.any(axis=1).all():
+            return None
+        dtype = [(name, np.int64 if name.endswith("id") else np.float64) for name in head]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype, delimiter=",", skiprows=1, comments=None, encoding="ascii", ndmin=1)
+    except (OSError, ValueError, OverflowError, Warning):
+        return None
+    return [table[name].tolist() for name in head]
+
+
 def _positions(ids: list[int], keys: list[int]) -> np.ndarray:
     """Index of every key in ``ids``, or -1 for a key not among them."""
     index = dict(zip(ids, range(len(ids))))
@@ -369,13 +395,16 @@ def _positions(ids: list[int], keys: list[int]) -> np.ndarray:
 
 def load_datasets(path: str | Path) -> list[DatasetRecord]:
     """The records of a ``datasets.csv`` table; :func:`load_scenario` validates them."""
-    rows = _read_rows(path)
-    if not rows or rows[0][0].strip() != "id":
-        raise ScenarioError("parse error", f"{path}: expected header id,f0,f1,...")
-    feat_names = [c.strip() for c in rows[0][1:]]
-    if feat_names != [f"f{i}" for i in range(len(feat_names))] or not feat_names:
-        raise ScenarioError("parse error", f"{path}: expected feature columns f0,f1,...")
-    ids, *features = _columns(path, rows, [(0, int)] + [(j, float) for j in range(1, len(rows[0]))])
+    columns = _bulk(path, lambda width: ["id"] + [f"f{i}" for i in range(width - 1)] if width > 1 else [])
+    if columns is None:
+        rows = _read_rows(path)
+        if not rows or rows[0][0].strip() != "id":
+            raise ScenarioError("parse error", f"{path}: expected header id,f0,f1,...")
+        feat_names = [c.strip() for c in rows[0][1:]]
+        if feat_names != [f"f{i}" for i in range(len(feat_names))] or not feat_names:
+            raise ScenarioError("parse error", f"{path}: expected feature columns f0,f1,...")
+        columns = _columns(path, rows, [(0, int)] + [(j, float) for j in range(1, len(rows[0]))])
+    ids, *features = columns
     return list(map(DatasetRecord, ids, zip(*features)))
 
 
@@ -395,7 +424,7 @@ def load_scenario(
     * ``runtimes.csv``: ``dataset_id,version_id,runtime_seconds`` with one
       row for every (dataset, version) pair.
 
-    Each table is read once and converted column by column. Raises
+    Each table is read in one pass, a numeric one by :func:`_bulk`. Raises
     :class:`ScenarioError` on the first violation, in stable table order
     (versions, then datasets, then runtimes, each in row order); a fault
     in a row names the row's physical line in the file.
@@ -406,7 +435,6 @@ def load_scenario(
 
     datasets = load_datasets(datasets_path)
 
-    rrows = _read_rows(runtimes_path, _RUNTIMES_HEADER)
     seen: set[tuple[int, int]] = set()
 
     def runtime_fault(row: Row) -> Fault | None:
@@ -419,8 +447,8 @@ def load_scenario(
         seen.add(key)
         return _row_fault(row, 3, ((2, float),))
 
-    dataset_col, version_col, times = _columns(
-        runtimes_path, rrows, ((0, int), (1, int), (2, float)), runtime_fault
+    dataset_col, version_col, times = _bulk(runtimes_path, lambda width: _RUNTIMES_HEADER) or _columns(
+        runtimes_path, _read_rows(runtimes_path, _RUNTIMES_HEADER), ((0, int), (1, int), (2, float)), runtime_fault
     )
     rows = _positions([d.id for d in datasets], dataset_col)
     cols = _positions([v.id for v in versions], version_col)

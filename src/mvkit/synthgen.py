@@ -268,8 +268,10 @@ def _generate(
             factors = [math.inf] * runtimes.size
         with np.errstate(over="ignore"):
             runtimes *= np.reshape(factors, runtimes.shape)
-        if not ((runtimes > 0) & (runtimes < math.inf)).all():
-            raise SynthError("invalid config", f"noise_sigma {sigma} drives a runtime to 0 or past the float range")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = runtimes[:, :1] / runtimes  # the speedups `select` reads; nan, 0 or inf past a bad runtime
+    if not ((ratios > 0) & (ratios < math.inf)).all():
+        raise SynthError("invalid config", f"noise_sigma {config.noise_sigma} or a range makes a runtime or speedup 0 or inf")
 
     versions = tuple(
         Version(

@@ -99,7 +99,7 @@ class TestGen:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--noise-sigma", "400"), "noise_sigma 400.0 drives a runtime to 0 or past the float range"),
+            (("--noise-sigma", "400"), "noise_sigma 400.0 or a range makes a runtime or speedup 0 or inf"),
             (("--feature-range", "0,100000000000000000000000"), "feature_range spans 100000000000000000000000"),
         ],
         ids=["noise-factor-overflows", "feature-range-too-wide-to-list"],
@@ -111,6 +111,19 @@ class TestGen:
         args = ["gen", "--versions", "5", "--datasets", "10", "--features", "2", "--seed", "1"]
         assert main([*args, *flags, "--out-dir", "scen"]) == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--noise-sigma", "1000"), ("--base-range", "1e-300,1e-300", "--winner-range", "1.2,1e300")],
+        ids=["noise", "ranges"],
+    )
+    def test_speedup_past_the_float_range_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, flags):
+        # A speedup t(baseline) / t(version), or a runtime too, leaves the float range: no command could read it.
+        monkeypatch.chdir(tmp_path)
+        args = ["gen", "--versions", "2", "--datasets", "1", "--features", "1", "--seed", "4", *flags]
+        assert main([*args, "--out-dir", "scen"]) == 2
+        assert "invalid config: noise_sigma" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -138,7 +151,7 @@ class TestSelect:
         save_scenario(scenario, *(scen / n for n in SCENARIO_FILES[:3]))
         assert main(["select", "--scenario", str(scen), "--max-versions", "1"]) == 2
         err = capsys.readouterr().err
-        assert "non-positive measurement: speedups must be finite and > 0" in err
+        assert "non-positive measurement: speedups must be finite and > 0: version 1 on dataset 1 has inf" in err
 
     def test_zero_max_versions_exits_2(self, pipeline_dir):
         r = run_mvkit("select", "--scenario", pipeline_dir / "scen", "--max-versions", "0",

@@ -10,18 +10,31 @@ table, equal violation lists and equal picks.
 The oracle numbers a row by its position among the non-blank rows, and the
 loader by its physical line; the generated tables hold no blank lines, so
 both agree. Blank lines are tested on their own below.
+
+The loader reads ``datasets.csv`` and ``runtimes.csv`` in one ``np.loadtxt``
+pass and hands any table that pass refuses to the row path. The last part
+holds the loader against that row path alone (``_bulk`` patched to refuse
+everything): on the seeded tables, on hand-made edge cases and on every
+CSV mutation of the fuzz gate, both give bit-identical scenarios or equal
+errors. Tables ``gen`` writes must load without the row path.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
+import shutil
+import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvkit import scenario as scenario_module
+from mvkit.cli import main
 from mvkit.learners.samples import best_versions
 from mvkit.scenario import (
     DatasetRecord,
@@ -33,6 +46,8 @@ from mvkit.scenario import (
     load_scenario,
     validate_scenario,
 )
+
+from test_fuzz_inputs import CASES_PER_PAIR, PAIRS as FUZZ_PAIRS, SETUP as FUZZ_SETUP, case_rng, mutate
 
 # --- the scalar oracle ---------------------------------------------------------
 
@@ -474,3 +489,215 @@ class TestBestVersions:
         picks = best_versions(matrix, candidates, sizes)
         for i in range(n_datasets):
             assert picks[i] == oracle_best_version(matrix, i, candidates, sizes)
+
+
+# --- the bulk pass against the row path -------------------------------------------------
+
+
+def row_path_load(*paths) -> Scenario:
+    """``load_scenario`` with the bulk pass refusing every table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "_bulk", lambda path, header: None)
+        return load_scenario(*paths)
+
+
+def result(load, paths):
+    """A scenario, or what its load raised: (category, message) or (type, message)."""
+    try:
+        return load(*paths)
+    except ScenarioError as exc:
+        return (exc.category, str(exc))
+    except (ValueError, csv.Error) as exc:  # invalid UTF-8, or a field past the csv limit
+        return (type(exc).__name__, str(exc))
+
+
+def assert_same_result(paths) -> None:
+    got, want = result(load_scenario, paths), result(row_path_load, paths)
+    if isinstance(want, Scenario):
+        assert isinstance(got, Scenario), got
+        assert_same_scenario(got, want)
+    else:
+        assert got == want
+
+
+def refuse_row_path(monkeypatch) -> None:
+    """Make every ``_read_rows`` call but those for ``versions.csv`` fail the test."""
+    read_rows = scenario_module._read_rows
+
+    def versions_only(path, header=None):
+        assert Path(path).name == "versions.csv", f"{path} took the row path"
+        return read_rows(path, header)
+
+    monkeypatch.setattr(scenario_module, "_read_rows", versions_only)
+
+
+def _cell(name, row, column, text):
+    """An edge case setting one cell of a seeded table to ``text``; ``{}`` is the old value."""
+
+    def edit(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        cells = lines[row].split(b",")
+        cells[column] = text.replace(b"{}", cells[column].strip())
+        lines[row] = b",".join(cells)
+        return b"\n".join(lines)
+
+    return name, edit
+
+
+def _header(name, text):
+    """An edge case replacing the first line of a seeded table with ``text``."""
+    return name, lambda data: text + data[data.index(b"\n"):]
+
+
+# (table, edit of its bytes): each case of the bulk pass's contract.
+EDGE_CASES = {
+    "non-canonical runtimes header": _header("runtimes", b" dataset_id , version_id,runtime_seconds"),
+    "quoted runtimes header": _header("runtimes", b'"dataset_id",version_id,runtime_seconds'),
+    "wrong runtimes header": _header("runtimes", b"dataset,version,runtime"),
+    "non-canonical datasets header": ("datasets", lambda d: d.replace(b"id,", b"id ,\t", 1)),
+    "wrong datasets header": ("datasets", lambda d: d.replace(b"f0", b"g0", 1)),
+    "datasets header without features": _header("datasets", b"id"),
+    "underscore in an id": _cell("runtimes", 1, 1, b"0_{}"),
+    "underscore in a runtime": _cell("runtimes", 2, 2, b"1_0"),
+    "underscore in a feature": _cell("datasets", 1, 1, b"1_5"),
+    "quoted runtime": _cell("runtimes", 1, 2, b'"{}"'),
+    "quoted id": _cell("datasets", 1, 0, b'"{}"'),
+    "id of 2**63": _cell("runtimes", 1, 0, b"9223372036854775808"),
+    "id of -2**63 - 1": _cell("runtimes", 1, 1, b"-9223372036854775809"),
+    "1.0 as an id": _cell("runtimes", 1, 0, b"{}.0"),
+    "1e0 as an id": _cell("datasets", 1, 0, b"1e0"),
+    "whitespace-only row": ("runtimes", lambda d: d.replace(b"\n", b"\n \t \n", 1)),
+    "comma-only row": ("runtimes", lambda d: d.replace(b"\n", b"\n,,\n", 1)),
+    "empty runtimes body": ("runtimes", lambda d: d[:d.index(b"\n") + 1]),
+    "empty datasets body": ("datasets", lambda d: d[:d.index(b"\n") + 1]),
+    "comment line": ("runtimes", lambda d: d.replace(b"\n", b"\n# note\n", 1)),
+    "hash in a cell": _cell("runtimes", 1, 2, b"1.5#"),
+    "CRLF line ends": ("runtimes", lambda d: d.replace(b"\n", b"\r\n")),
+    "CR line ends": ("datasets", lambda d: d.replace(b"\n", b"\r")),
+    "CRLF after the header only": ("runtimes", lambda d: d.replace(b"\n", b"\r\n", 1)),
+    "plus sign": _cell("runtimes", 1, 0, b"+{}"),
+    "padded id": _cell("runtimes", 1, 1, b" {} "),
+    "non-ASCII padding": _cell("runtimes", 1, 2, "\u3000 2.5\xa0".encode()),
+    "non-ASCII digit": _cell("runtimes", 1, 2, "\u0661".encode()),
+    "inf runtime": _cell("runtimes", 1, 2, b"inf"),
+    "-Infinity runtime": _cell("runtimes", 1, 2, b"-Infinity"),
+    "nan runtime": _cell("runtimes", 1, 2, b"nan"),
+    "-0.0 runtime": _cell("runtimes", 1, 2, b"-0.0"),
+    "inf feature": _cell("datasets", 1, 1, b"inf"),
+    "-0.0 feature": _cell("datasets", 1, 1, b"-0.0"),
+    "1e-400 runtime": _cell("runtimes", 1, 2, b"1e-400"),
+    "1e500 runtime": _cell("runtimes", 1, 2, b"1e500"),
+    "subnormal runtime": _cell("runtimes", 1, 2, b"5e-324"),
+    "hex runtime": _cell("runtimes", 1, 2, b"0x1p0"),
+    "trailing comma": _cell("runtimes", 1, 2, b"1.5,"),
+    "trailing comma on every row": ("datasets", lambda d: d.replace(b"\n", b",\n")),
+    "NUL in a cell": _cell("runtimes", 1, 2, b"1.5\x00"),
+    "NUL line": ("runtimes", lambda d: d + b"\x00\n"),
+    "invalid UTF-8 in a cell": _cell("datasets", 1, 1, b"1.5\xff"),
+    "invalid UTF-8 in the header": ("runtimes", lambda d: b"\xc3" + d),
+    "byte order mark": ("runtimes", lambda d: b"\xef\xbb\xbf" + d),
+    "blank lines before the header": ("runtimes", lambda d: b"\n \n" + d),
+    "blank lines between rows": ("datasets", lambda d: d.replace(b"\n", b"\n\n\r\n")),
+    "no final line end": ("runtimes", lambda d: d.rstrip(b"\n")),
+    "zero-padded id": _cell("runtimes", 1, 0, b"0" * 600 + b"{}"),
+    "long zero-padded id": _cell("runtimes", 1, 0, b"0" * 5000 + b"{}"),
+    "long zero-padded runtime": _cell("runtimes", 1, 2, b"0" * 700 + b"1.5"),
+    "cell past the csv field limit": _cell("runtimes", 1, 2, b" " * 140_000 + b"1.5"),
+    "short row": ("runtimes", lambda d: d + b"1,2\n"),
+    "duplicate cell": ("runtimes", lambda d: d + d.split(b"\n")[1] + b"\n"),
+}
+
+
+class TestBulkAgainstRowPath:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_tables_load_the_same_without_the_row_path(self, seed, tmp_path, monkeypatch):
+        paths = write_tables(random_tables(random.Random(seed)), tmp_path)
+        want = row_path_load(*paths)
+        refuse_row_path(monkeypatch)
+        assert_same_scenario(load_scenario(*paths), want)
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_CASES))
+    def test_edge_case_gives_the_same_result(self, kind, tmp_path):
+        name, edit = EDGE_CASES[kind]
+        paths = write_tables(random_tables(random.Random(kind)), tmp_path)
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(edit(path.read_bytes()))
+        assert_same_result(paths)
+
+    @pytest.mark.parametrize("base", [2**63, 2**70], ids=["2**63", "2**70"])
+    def test_ids_past_int64_load_through_the_row_path(self, base, tmp_path):
+        tables = random_tables(random.Random(base))
+        for name, column in (("versions", 0), ("datasets", 0), ("runtimes", 0), ("runtimes", 1)):
+            for row in tables[name][1:]:
+                row[column] = str(int(row[column]) + base)
+        paths = write_tables(tables, tmp_path)
+        assert_same_result(paths)
+        assert min(load_scenario(*paths).dataset_ids) >= base
+
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    def test_broken_tables_raise_the_same_error(self, kind, tmp_path):
+        for seed in range(SEEDS_PER_MUTATION):
+            assert_same_result(write_tables(mutated(kind, seed), tmp_path))
+
+    @pytest.mark.parametrize(
+        "name, column, text",
+        [("runtimes", 0, b"{}%c"), ("runtimes", 1, b"%c{}"), ("runtimes", 2, b"%c{}"), ("runtimes", 2, b"{}%c"),
+         ("runtimes", 2, b"1%c5"), ("datasets", 1, b"%c{}%c")],
+    )
+    def test_every_ascii_byte_in_a_cell_gives_the_same_result(self, name, column, text, tmp_path):
+        paths = write_tables(random_tables(random.Random(text)), tmp_path)
+        path = tmp_path / f"{name}.csv"
+        original = path.read_bytes()
+        for byte in range(128):
+            path.write_bytes(_cell(name, 1, column, text.replace(b"%c", bytes([byte])))[1](original))
+            assert_same_result(paths)
+
+    def test_a_table_with_a_byte_outside_ascii_never_reaches_loadtxt(self, tmp_path, monkeypatch):
+        # In numpy 2.4 a failed loadtxt call on this id corrupts the next call.
+        path = tmp_path / "runtimes.csv"
+        path.write_text("dataset_id,version_id,runtime_seconds\n\U0002c6ca1\U0002c6ca,2,3.0\n", encoding="utf-8")
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("loadtxt was called"))
+        assert scenario_module._bulk(path, lambda width: ["dataset_id", "version_id", "runtime_seconds"]) is None
+
+    def test_a_table_loadtxt_warns_about_takes_the_row_path_under_any_filter(self, tmp_path):
+        path = tmp_path / "runtimes.csv"
+        path.write_text("dataset_id,version_id,runtime_seconds\n")  # loadtxt: "input contained no data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert scenario_module._bulk(path, lambda width: ["dataset_id", "version_id", "runtime_seconds"]) is None
+
+
+@pytest.fixture(scope="module")
+def fuzz_scenario(tmp_path_factory) -> Path:
+    """The scenario of the fuzz gate's corpus, written by its own ``gen`` line."""
+    root = tmp_path_factory.mktemp("fuzz-scenario")
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()):
+        mp.chdir(root)
+        assert main(list(FUZZ_SETUP[0])) == 0
+    return root / "scen"
+
+
+@pytest.mark.parametrize("pair", [pair for pair, (target, _) in enumerate(FUZZ_PAIRS) if target.endswith(".csv")])
+def test_fuzz_csv_mutations_give_the_same_result(fuzz_scenario, tmp_path, pair):
+    target = Path(FUZZ_PAIRS[pair][0]).relative_to("scen")
+    original = (fuzz_scenario / target).read_bytes()
+    names = ("versions.csv", "datasets.csv", "runtimes.csv")
+    for name in names:
+        shutil.copy(fuzz_scenario / target.parent / name, tmp_path / name)
+    paths = tuple(tmp_path / name for name in names)
+    for case in range(pair * CASES_PER_PAIR, (pair + 1) * CASES_PER_PAIR):
+        (tmp_path / target.name).write_bytes(mutate(original, case_rng(case)))
+        assert_same_result(paths)
+
+
+def test_generated_wide_tables_load_without_the_row_path(tmp_path, monkeypatch):
+    argv = ["gen", "--versions", "41", "--datasets", "2000", "--features", "4", "--regions", "16",
+            "--feature-range", "1,32", "--seed", "3", "--test-seed", "4", "--test-datasets", "50",
+            "--out-dir", str(tmp_path / "scen")]
+    assert main(argv) == 0
+    for scen in (tmp_path / "scen", tmp_path / "scen" / "test"):
+        paths = tuple(scen / name for name in ("versions.csv", "datasets.csv", "runtimes.csv"))
+        want = row_path_load(*paths)
+        with monkeypatch.context() as mp:
+            refuse_row_path(mp)
+            assert_same_scenario(load_scenario(*paths), want)
