@@ -7,12 +7,13 @@ the baseline runtime divided by the version runtime, so the baseline row
 is exactly 1.0 and values below 1.0 are slowdowns.
 
 Scenarios are ingested from three CSV files (see ``load_scenario``). One
-``np.loadtxt`` pass parses each numeric table; ``versions.csv`` and any table
-it refuses are read once as rows and converted by column, with the same inputs
-accepted and errors raised. Runtime rows land in the ``(dataset, version)``
-matrix by one index assignment, and validation runs masks over whole columns.
-Only a faulty table is read again, row by row, to name the physical line of
-its first fault. All types are immutable after construction and thread-safe.
+``np.loadtxt`` pass parses each numeric table into int64/float64 columns that
+stay arrays up to the ``(dataset, version)`` matrix, filled by one index
+assignment; ``versions.csv`` and any table loadtxt refuses are read once as
+rows and converted by column, with the same inputs accepted and errors raised.
+Validation runs masks over whole columns. Only a faulty table is read again,
+row by row, to name the physical line of its first fault. All types are
+immutable after construction and thread-safe.
 """
 
 from __future__ import annotations
@@ -305,7 +306,11 @@ def _read_rows(path: str | Path, header: list[str] | None = None) -> list[Row]:
     strings, but scans every live list again on each full collection.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(map(tuple, csv.reader(fh)))
+        reader = csv.reader(fh)
+        try:
+            rows = list(map(tuple, reader))
+        except csv.Error as exc:  # a field past the csv limit, say
+            raise ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}") from None
     rows = list(compress(rows, map(str.strip, map("".join, rows))))
     if header and (not rows or [c.strip() for c in rows[0]] != header):
         raise ScenarioError("parse error", f"{path}: expected header {','.join(header)}")
@@ -340,11 +345,14 @@ def _first_fault(path: str | Path, fault: RowCheck) -> ScenarioError:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         rows = (row for row in reader if "".join(row).strip())
-        next(rows, None)  # the header, checked before
-        for row in rows:
-            found = fault(row)
-            if found:
-                return ScenarioError(found[0], f"{path}:{reader.line_num}: {found[1]}")
+        try:
+            next(rows, None)  # the header, checked before
+            for row in rows:
+                found = fault(row)
+                if found:
+                    return ScenarioError(found[0], f"{path}:{reader.line_num}: {found[1]}")
+        except csv.Error as exc:
+            return ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}")
     return ScenarioError("parse error", f"{path}: the table changed while it was read")
 
 
@@ -364,33 +372,43 @@ def _columns(path: str | Path, rows: list[Row], spec: Spec, fault: RowCheck | No
         raise _first_fault(path, fault) from None
 
 
-def _bulk(path: str | Path, header: Callable[[int], list[str]]) -> list[list] | None:
+def _bulk(path: str | Path, header: Callable[[int], list[str]]) -> list[np.ndarray] | None:
     """The body columns of a numeric table in one ``np.loadtxt`` pass, or None for the row path.
 
-    Only a table whose first line is ``header(width)``, all ASCII (a non-ASCII cell loadtxt refuses
-    can corrupt its next call) and with a cell end in every 320-byte block (so no cell reaches the
-    641 digits ``int`` may refuse) is parsed: ids as int64, the rest as float64, as ``int``/``float``
-    would, minus quotes, ``_`` and ids past int64. Any refusal or warning returns None."""
+    Only a table whose first line is ``header(width)``, all ASCII (a non-ASCII cell loadtxt refuses can
+    corrupt its next call) and with a cell end in every 320-byte block (so no cell reaches the 641 digits
+    ``int`` may refuse) is parsed: ids as int64, the rest as float64, as ``int``/``float`` would, minus
+    quotes, ``_`` and ids past int64. Any refusal or warning returns None; columns stay arrays."""
     try:
-        data = Path(path).read_bytes()
-        head = data.split(b"\n", 1)[0].rstrip(b"\r").decode("utf-8").split(",")
-        ends = np.frombuffer(data.translate(_CELL_ENDS), np.bool_)
-        blocks = ends[: len(ends) // 320 * 320].reshape(-1, 320)  # a cell of 639 bytes fills one
-        if head != header(len(head)) or not data.isascii() or not blocks.any(axis=1).all():
-            return None
+        with open(path, "rb") as fh:
+            head = fh.readline().rstrip(b"\r\n").decode("utf-8").split(",")
+            if head != header(len(head)):
+                return None
+            fh.seek(0)
+            for chunk in iter(lambda: fh.read(320 << 10), b""):  # whole 320-byte blocks, never the whole file
+                ends = np.frombuffer(chunk.translate(_CELL_ENDS), np.bool_)
+                blocks = ends[: len(ends) // 320 * 320].reshape(-1, 320)  # a cell of 639 bytes fills one
+                if not chunk.isascii() or not blocks.any(axis=1).all():
+                    return None
         dtype = [(name, np.int64 if name.endswith("id") else np.float64) for name in head]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(path, dtype, delimiter=",", skiprows=1, comments=None, encoding="ascii", ndmin=1)
     except (OSError, ValueError, OverflowError, Warning):
         return None
-    return [table[name].tolist() for name in head]
+    return [table[name] for name in head]
 
 
-def _positions(ids: list[int], keys: list[int]) -> np.ndarray:
-    """Index of every key in ``ids``, or -1 for a key not among them."""
-    index = dict(zip(ids, range(len(ids))))
-    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+def _positions(ids: list[int], keys: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Index of every key in ``ids`` (its last, if repeated), or -1 for a key not among them."""
+    if not isinstance(keys, np.ndarray):  # row-path keys, ints of any size
+        index = dict(zip(ids, range(len(ids))))
+        return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+    # (id, index) by id, then index, after a sentinel that answers -1; an id past int64 matches no key.
+    table = np.array([(-(2**63), -1), *sorted((i, p) for p, i in enumerate(ids) if -(2**63) <= i < 2**63)], np.int64)
+    at = np.searchsorted(table[:, 0], keys, side="right") - 1
+    at[table[at, 0] != keys] = 0
+    return table[at, 1]
 
 
 def load_datasets(path: str | Path) -> list[DatasetRecord]:
@@ -404,6 +422,8 @@ def load_datasets(path: str | Path) -> list[DatasetRecord]:
         if feat_names != [f"f{i}" for i in range(len(feat_names))] or not feat_names:
             raise ScenarioError("parse error", f"{path}: expected feature columns f0,f1,...")
         columns = _columns(path, rows, [(0, int)] + [(j, float) for j in range(1, len(rows[0]))])
+    else:
+        columns = [column.tolist() for column in columns]  # records hold Python numbers
     ids, *features = columns
     return list(map(DatasetRecord, ids, zip(*features)))
 

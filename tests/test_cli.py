@@ -435,6 +435,22 @@ class TestInputsAndOutputs:
         assert r.returncode == 2, r.stderr
         assert "cannot read scenario" in r.stderr
 
+    @pytest.mark.parametrize("table, column", [("versions.csv", 1), ("runtimes.csv", 2)])
+    def test_cell_past_the_csv_field_limit_exits_2_and_writes_nothing(self, pipeline_dir, tmp_path, table, column):
+        (tmp_path / "scen").mkdir()
+        for name in SCENARIO_FILES[:3]:
+            (tmp_path / "scen" / name).write_bytes((pipeline_dir / "scen" / name).read_bytes())
+        lines = (tmp_path / "scen" / table).read_text().split("\n")
+        cells = lines[2].split(",")
+        cells[column] = " " * 140_000 + cells[column]  # csv refuses a field of more than 131,072 characters
+        lines[2] = ",".join(cells)
+        (tmp_path / "scen" / table).write_text("\n".join(lines))
+        before = tree_of(tmp_path)
+        r = run_mvkit("select", "--scenario", "scen", "--max-versions", "2", "--out", "sel.rep", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"parse error: {Path('scen') / table}:3: field larger than field limit" in r.stderr
+        assert tree_of(tmp_path) == before
+
     def test_missing_model_exits_2(self, tmp_path):
         r = run_mvkit("emit", "--model", "missing.mv", "--out", "disp.txt", cwd=tmp_path)
         assert r.returncode == 2, r.stderr

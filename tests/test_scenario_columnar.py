@@ -16,7 +16,8 @@ pass and hands any table that pass refuses to the row path. The last part
 holds the loader against that row path alone (``_bulk`` patched to refuse
 everything): on the seeded tables, on hand-made edge cases and on every
 CSV mutation of the fuzz gate, both give bit-identical scenarios or equal
-errors. Tables ``gen`` writes must load without the row path.
+errors. Tables ``gen`` writes must load without the row path, and their load
+must allocate at most three times the size of ``runtimes.csv``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import io
 import math
 import random
 import shutil
+import tracemalloc
 import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -549,6 +551,13 @@ def _header(name, text):
     return name, lambda data: text + data[data.index(b"\n"):]
 
 
+def _unknown_version_then_dataset(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    dataset, version, _ = lines[1].split(b",")
+    lines[1], lines[2] = dataset + b",9999,1.0", b"9999," + version + b",1.0"
+    return b"\n".join(lines)
+
+
 # (table, edit of its bytes): each case of the bulk pass's contract.
 EDGE_CASES = {
     "non-canonical runtimes header": _header("runtimes", b" dataset_id , version_id,runtime_seconds"),
@@ -605,6 +614,14 @@ EDGE_CASES = {
     "cell past the csv field limit": _cell("runtimes", 1, 2, b" " * 140_000 + b"1.5"),
     "short row": ("runtimes", lambda d: d + b"1,2\n"),
     "duplicate cell": ("runtimes", lambda d: d + d.split(b"\n")[1] + b"\n"),
+    # Ids the bulk pass maps by sorted search instead of a dict, and the order of their errors.
+    "repeated dataset id": ("datasets", lambda d: d + d.split(b"\n")[1] + b"\n"),
+    "version id of 2**63": _cell("versions", 1, 0, b"9223372036854775808"),
+    "version id of -2**63": _cell("versions", 1, 0, b"-9223372036854775808"),
+    "unknown id of -2**63": _cell("runtimes", 1, 1, b"-9223372036854775808"),
+    "unknown ids, then a repeated cell": ("runtimes", lambda d: d + b"9999,0,1.0\n" + d.split(b"\n")[1] + b"\n"),
+    "repeated cell of unknown ids": ("runtimes", lambda d: d + b"9999,9999,1.0\n9999,9999,2.0\n"),
+    "unknown version, then an unknown dataset": ("runtimes", _unknown_version_then_dataset),
 }
 
 
@@ -652,6 +669,48 @@ class TestBulkAgainstRowPath:
             path.write_bytes(_cell(name, 1, column, text.replace(b"%c", bytes([byte])))[1](original))
             assert_same_result(paths)
 
+    @pytest.mark.parametrize(
+        "ids, keys",
+        [
+            ([], [0, -1]),
+            ([3, 1, 3, 2**63, 1], [3, 1, 2, 0, -(2**63), 2**63 - 1]),
+            ([2**63 - 1, -(2**63), 5], [5, -(2**63), 2**63 - 1, 4]),
+            ([2**70, -(2**64), 7, 7, 7], [7, 0, -1]),
+            (list(range(50, 0, -1)) * 2, list(range(-5, 60))),
+        ],
+        ids=["no ids", "repeats and 2**63", "int64 extremes", "ids past int64", "every id twice"],
+    )
+    def test_positions_of_an_int64_array_match_the_dict(self, ids, keys):
+        want = scenario_module._positions(ids, keys)
+        got = scenario_module._positions(ids, np.array(keys, dtype=np.int64))
+        assert got.tolist() == want.tolist()
+
+    def test_the_cell_end_rule_holds_across_read_chunks(self, tmp_path):
+        # The checks read the file in chunks, yet take the same tables as the rule on the whole
+        # file: every aligned 320-byte block holds a comma or line end. A 333-byte cell starting
+        # near the end of the first chunk fills the block after it only from some offsets.
+        def whole_file_rule(data: bytes) -> bool:
+            ends = np.frombuffer(data.translate(scenario_module._CELL_ENDS), np.bool_)
+            return bool(ends[: len(ends) // 320 * 320].reshape(-1, 320).any(axis=1).all())
+
+        path, header = tmp_path / "runtimes.csv", b"dataset_id,version_id,runtime_seconds\n"
+        taken = set()
+        for start in range((320 << 10) - 16, (320 << 10) + 8):  # where the long cell starts
+            rows, pad = divmod(start - len(b"1,2,") - len(header), len(b"1,2,3.0\n"))
+            data = header + b"1,2," + b"0" * pad + b"3.0\n" + b"1,2,3.0\n" * (rows - 1)
+            data += b"1,2," + b"0" * 330 + b"1.5\n" + b"1,2,3.0\n" * 200
+            path.write_bytes(data)
+            columns = scenario_module._bulk(path, lambda width: ["dataset_id", "version_id", "runtime_seconds"])
+            assert (columns is not None) == whole_file_rule(data), start
+            taken.add(columns is not None)
+        assert taken == {True, False}
+
+    def test_a_field_past_the_csv_limit_is_a_parse_error_on_the_error_path(self, tmp_path):
+        path = tmp_path / "runtimes.csv"
+        path.write_text("dataset_id,version_id,runtime_seconds\n1,2,3.0\n\n1,3," + " " * 140_000 + "4.0\n")
+        error = scenario_module._first_fault(path, lambda row: None)
+        assert str(error) == f"parse error: {path}:4: field larger than field limit (131072)"
+
     def test_a_table_with_a_byte_outside_ascii_never_reaches_loadtxt(self, tmp_path, monkeypatch):
         # In numpy 2.4 a failed loadtxt call on this id corrupts the next call.
         path = tmp_path / "runtimes.csv"
@@ -690,14 +749,36 @@ def test_fuzz_csv_mutations_give_the_same_result(fuzz_scenario, tmp_path, pair):
         assert_same_result(paths)
 
 
-def test_generated_wide_tables_load_without_the_row_path(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def wide_scenario(tmp_path_factory) -> Path:
+    """A generated 41-version x 2000-dataset scenario (82,000 runtime rows) with a test split."""
+    root = tmp_path_factory.mktemp("wide") / "scen"
     argv = ["gen", "--versions", "41", "--datasets", "2000", "--features", "4", "--regions", "16",
             "--feature-range", "1,32", "--seed", "3", "--test-seed", "4", "--test-datasets", "50",
-            "--out-dir", str(tmp_path / "scen")]
-    assert main(argv) == 0
-    for scen in (tmp_path / "scen", tmp_path / "scen" / "test"):
+            "--out-dir", str(root)]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return root
+
+
+def test_generated_wide_tables_load_without_the_row_path(wide_scenario, monkeypatch):
+    for scen in (wide_scenario, wide_scenario / "test"):
         paths = tuple(scen / name for name in ("versions.csv", "datasets.csv", "runtimes.csv"))
         want = row_path_load(*paths)
         with monkeypatch.context() as mp:
             refuse_row_path(mp)
             assert_same_scenario(load_scenario(*paths), want)
+
+
+def test_load_allocates_at_most_three_times_the_runtimes_table(wide_scenario):
+    # Memory, not time: the bulk columns stay arrays, so the traced peak is a few int64/float64
+    # arrays of the runtime rows, where one Python object per cell took about six times the file.
+    paths = tuple(wide_scenario / name for name in ("versions.csv", "datasets.csv", "runtimes.csv"))
+    load_scenario(*paths)  # first-call allocations of numpy and csv are not the load's
+    tracemalloc.start()
+    try:
+        load_scenario(*paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * paths[2].stat().st_size
