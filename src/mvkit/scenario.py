@@ -11,8 +11,9 @@ Scenarios are ingested from three CSV files (see ``load_scenario``). One
 stay arrays up to the ``(dataset, version)`` matrix, filled by one index
 assignment; ``versions.csv`` and any table loadtxt refuses are read once as
 rows and converted by column, with the same inputs accepted and errors raised.
-Validation runs masks over whole columns. Only a faulty table is read again,
-row by row, to name the physical line of its first fault. All types are
+Validation walks the versions and datasets one record at a time and checks
+the runtime matrix in one pass. Only a faulty table is read again, row by
+row, to name the physical line of its first fault. All types are
 immutable after construction and thread-safe.
 """
 
@@ -23,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -102,10 +103,6 @@ class Scenario:
     @cached_property
     def dataset_ids(self) -> tuple[int, ...]:
         return tuple(d.id for d in self.datasets)
-
-    @cached_property
-    def _version_index(self) -> dict[int, int]:
-        return {v.id: i for i, v in enumerate(self.versions)}
 
     @property
     def feature_arity(self) -> int:
@@ -201,7 +198,7 @@ def speedups(scenario: Scenario) -> SpeedupMatrix:
     if base is None:
         raise ScenarioError("baseline count", "scenario has no unique baseline")
     runtimes = scenario.runtimes  # (D, V)
-    base_col = runtimes[:, scenario._version_index[base.id]]
+    base_col = runtimes[:, scenario.versions.index(base)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # A zero runtime, or a ratio past the float range, yields a
         # non-finite entry here; the matrix constructor turns that into a
@@ -219,10 +216,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Enumerate every invariant violation; an empty list means valid.
 
     Violations are data, not failures: the report is stably ordered by
-    table (versions, datasets, runtimes, scenario) and then by id, so two
-    runs over the same scenario produce identical reports. Each table's
-    checks are columns of one fault mask, and ``np.argwhere`` walks a mask
-    in row-major order, which is the report's order.
+    table (versions, datasets, runtimes, scenario), then by record in table
+    order (runtime cells row by row), then by check, so two runs over the
+    same scenario produce identical reports.
     """
     versions, datasets, runtimes = scenario.versions, scenario.datasets, scenario.runtimes
     violations: list[Violation] = []
@@ -231,34 +227,28 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         message = f"expected exactly 1 baseline, found {len(baseline_ids)}"
         violations.append(Violation("versions", tuple(baseline_ids), "baseline count", message))
 
-    # Feature vectors padded with zeros into one matrix, so ragged ones are checked too.
-    lengths = np.array([len(d.features) for d in datasets], dtype=np.intp)
-    arity = int(lengths[0]) if datasets else 0
-    present = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    values = np.zeros(present.shape)
-    values[present] = list(chain.from_iterable(d.features for d in datasets))
-
-    def version_fault(v: Version, k: int) -> tuple[tuple[int, ...], str, str]:
-        if k < 2:
-            return _id_fault("version", v.id, k)
-        return (v.id,), "non-positive measurement", f"version {v.id} has code_size {v.code_size} < 1"
-
-    def dataset_fault(d: DatasetRecord, k: int) -> tuple[tuple[int, ...], str, str]:
-        if k < 2:
-            return _id_fault("dataset", d.id, k)
-        if k == 2:
-            message = f"dataset {d.id} has arity {len(d.features)}, expected {max(arity, 1)}"
-            return (d.id,), "feature arity", message
-        return (d.id, k - 3), "non-finite feature", f"dataset {d.id} feature f{k - 3} is {d.features[k - 3]}"
-
-    # Columns: negative id, repeated id, then the table's own checks.
-    for table, records, checks, fault in (
-        ("versions", versions, [[v.code_size < 1 for v in versions]], version_fault),
-        ("datasets", datasets, [(lengths != arity) | (arity < 1), ~np.isfinite(values)], dataset_fault),
-    ):
-        ids = [r.id for r in records]
-        mask = np.column_stack([[i < 0 for i in ids], _repeats(ids), *checks])
-        violations.extend(Violation(table, *fault(records[i], k)) for i, k in np.argwhere(mask).tolist())
+    # Each record: a negative id, a repeated id, then its table's own checks.
+    arity = len(datasets[0].features) if datasets else 0
+    for table, records in (("versions", versions), ("datasets", datasets)):
+        noun, seen = table[:-1], set()
+        for r in records:
+            if r.id < 0:
+                violations.append(Violation(table, (r.id,), "invalid id", f"{noun} id {r.id} is negative"))
+            if r.id in seen:
+                violations.append(Violation(table, (r.id,), "duplicate id", f"{noun} id {r.id} appears twice"))
+            seen.add(r.id)
+            if table == "versions":
+                if r.code_size < 1:
+                    message = f"version {r.id} has code_size {r.code_size} < 1"
+                    violations.append(Violation(table, (r.id,), "non-positive measurement", message))
+                continue
+            if len(r.features) != arity or arity < 1:
+                message = f"dataset {r.id} has arity {len(r.features)}, expected {max(arity, 1)}"
+                violations.append(Violation(table, (r.id,), "feature arity", message))
+            for k, x in enumerate(r.features):
+                if not math.isfinite(x):
+                    message = f"dataset {r.id} feature f{k} is {x}"
+                    violations.append(Violation(table, (r.id, k), "non-finite feature", message))
 
     for i, j in np.argwhere(~(np.isfinite(runtimes) & (runtimes > 0))).tolist():
         d, v, t = datasets[i].id, versions[j].id, runtimes[i, j]
@@ -272,18 +262,6 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         message = f"need at least 2 versions and 1 dataset, found {len(versions)} and {len(datasets)}"
         violations.append(Violation("scenario", (), "scenario size", message))
     return violations
-
-
-def _id_fault(noun: str, id_: int, k: int) -> tuple[tuple[int, ...], str, str]:
-    if k == 0:
-        return (id_,), "invalid id", f"{noun} id {id_} is negative"
-    return (id_,), "duplicate id", f"{noun} id {id_} appears twice"
-
-
-def _repeats(keys: list) -> np.ndarray:
-    """Mask of the entries of ``keys`` equal to an earlier one; ids of any size compare exactly."""
-    first = np.fromiter(map({}.setdefault, keys, range(len(keys))), dtype=np.intp, count=len(keys))
-    return first != np.arange(len(keys))
 
 
 # --- CSV ingestion -----------------------------------------------------------
@@ -476,7 +454,7 @@ def load_scenario(
     if not known.all() or np.bincount(rows * len(versions) + cols).max(initial=0) > 1:
         # A repeated cell is a fault of its row, so it wins over an
         # unknown id; compare the ids themselves, known or not.
-        if _repeats(list(zip(dataset_col, version_col))).any():
+        if len(set(zip(dataset_col, version_col))) < len(dataset_col):
             raise _first_fault(runtimes_path, runtime_fault)
         k = int(known.argmin())
         if rows[k] < 0:

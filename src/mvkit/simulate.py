@@ -9,9 +9,10 @@ realizes less speedup than the in-set ideal for that dataset; picking a
 different version that performs identically is not a mispick.
 
 Both oracles are column-wise over the speedup matrix, the in-set one an
-argmax (see ``best_versions``) and the full one a maximum. Every speedup
-lookup is O(1), so a run costs O(D) lookups plus the selector's own work
-over D test datasets.
+argmax (see ``best_versions``) and the full one a maximum. Test dataset i
+is scored on column i, whatever its id: the realized and the in-set
+speedups of all D datasets are one gather each, so a run costs O(D) plus
+the selector's own work.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 from .dispatch import DispatcherSpec, DispatchError, eval_dispatcher
 from .learners.ppm import Regressor, ppm_select
 from .learners.samples import best_versions
-from .scenario import Scenario, SpeedupMatrix, speedups
+from .scenario import Scenario, speedups
 
 ORACLE = "oracle"
 BASELINE = "baseline"
@@ -63,36 +64,6 @@ def _geomean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _selector_fn(
-    selector: Selector,
-    matrix: SpeedupMatrix,
-    representative: tuple[int, ...],
-    code_sizes: dict[int, int],
-    in_set: list[int],
-) -> tuple[Callable[[int, Sequence[float]], tuple[int, int]], str]:
-    """Normalize every selector flavor to (dataset_index, features) -> (version, comparisons).
-
-    The oracle picks ``in_set[i]``, the in-set best version of dataset ``i``.
-    """
-    if isinstance(selector, DispatcherSpec):
-        return lambda i, x: eval_dispatcher(selector, x), "dispatcher"
-    if isinstance(selector, str):
-        if selector == ORACLE:
-            return lambda i, x: (in_set[i], 0), ORACLE
-        if selector == BASELINE:
-            return lambda i, x: (matrix.baseline_id, 0), BASELINE
-        raise DispatchError("unknown selector", f"selector {selector!r} is not recognized")
-    if isinstance(selector, Mapping):
-        return (
-            lambda i, x: (
-                ppm_select(selector, x, code_sizes, matrix.baseline_id, set(representative)),
-                0,
-            ),
-            "ppm",
-        )
-    return lambda i, x: (selector(x), 0), "callable"
-
-
 def simulate(
     scenario_test: Scenario,
     selector: Selector,
@@ -119,48 +90,60 @@ def simulate(
     code_sizes = scenario_test.code_sizes()
     allowed = frozenset(rep) | {matrix.baseline_id}
     in_set = best_versions(matrix, rep + (matrix.baseline_id,), code_sizes)
-    choose, kind = _selector_fn(selector, matrix, rep, code_sizes, in_set)
+    features = [d.features for d in scenario_test.datasets]
+    comparisons = [0] * len(features)
     spec = selector if isinstance(selector, DispatcherSpec) else None
     if spec is not None:
+        kind = "dispatcher"
         stray = spec.leaf_versions() - allowed
         if stray:
             raise DispatchError(
                 "unknown version",
                 f"dispatcher can choose versions {sorted(stray)} outside the representative set",
             )
-
-    outcomes: list[DatasetOutcome] = []
-    ideal: list[float] = []
-    mispicks = 0
-    for i, d in enumerate(scenario_test.datasets):
-        chosen, comparisons = choose(i, d.features)
-        if chosen not in allowed:
+        walks = [eval_dispatcher(spec, x) for x in features]
+        chosen = [version for version, _ in walks]
+        comparisons = [count for _, count in walks]
+    elif isinstance(selector, str):
+        if selector not in (ORACLE, BASELINE):
+            raise DispatchError("unknown selector", f"selector {selector!r} is not recognized")
+        kind = selector
+        chosen = in_set if selector == ORACLE else [matrix.baseline_id] * len(features)
+    elif isinstance(selector, Mapping):
+        kind = "ppm"
+        chosen = [ppm_select(selector, x, code_sizes, matrix.baseline_id, set(rep)) for x in features]
+    else:
+        kind = "callable"
+        chosen = [selector(x) for x in features]
+    for version in chosen:
+        if version not in allowed:
             raise DispatchError(
                 "unknown version",
-                f"selector chose version {chosen}, not in the representative set or baseline",
+                f"selector chose version {version}, not in the representative set or baseline",
             )
-        realized = matrix.speedup(chosen, d.id)
-        best_in_set = matrix.speedup(in_set[i], d.id)
-        if realized < best_in_set * (1.0 - MISPICK_SLACK):
-            mispicks += 1
-        ideal.append(best_in_set)
-        outcomes.append(DatasetOutcome(d.id, chosen, realized, comparisons))
 
-    geomean_realized = _geomean([o.realized_speedup for o in outcomes])
+    # Test dataset i is column i of the matrix, whatever its id.
+    columns = range(len(features))
+    realized = matrix.entries[matrix.row_positions(chosen), columns].tolist()
+    ideal = matrix.entries[matrix.row_positions(in_set), columns].tolist()
+    mispicks = sum(r < best * (1.0 - MISPICK_SLACK) for r, best in zip(realized, ideal))
+    outcomes = tuple(map(DatasetOutcome, scenario_test.dataset_ids, chosen, realized, comparisons))
+
+    geomean_realized = _geomean(realized)
     rep_geomean = _geomean(ideal)
     full_geomean = _geomean(matrix.entries.max(axis=0))
     overlap: tuple[int, ...] = ()
     if train_dataset_ids is not None:
         overlap = tuple(sorted(set(scenario_test.dataset_ids) & set(train_dataset_ids)))
     return SimulationReport(
-        outcomes=tuple(outcomes),
+        outcomes=outcomes,
         geomean_realized=geomean_realized,
         representative_geomean=rep_geomean,
         full_oracle_geomean=full_geomean,
         fraction_of_representative_oracle=geomean_realized / rep_geomean,
         fraction_of_full_oracle=geomean_realized / full_geomean,
         mispick_rate=mispicks / len(outcomes),
-        mean_comparisons=sum(o.comparisons for o in outcomes) / len(outcomes),
+        mean_comparisons=sum(comparisons) / len(outcomes),
         selector_growth=(spec.byte_size if spec is not None else 0) / baseline_size,
         multiversioning_growth=sum(code_sizes[v] for v in rep) / baseline_size,
         train_overlap=overlap,

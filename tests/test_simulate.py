@@ -194,6 +194,17 @@ class TestMispickAccounting:
         assert rep.mispick_rate == 1.0
 
 
+    def test_a_repeated_dataset_id_is_scored_on_its_own_column(self):
+        from mvkit.scenario import DatasetRecord, Version
+
+        versions = (Version(0, "b", 1000, True), Version(1, "v1", 100, False))
+        datasets = (DatasetRecord(1, (1.0,)), DatasetRecord(1, (2.0,)))
+        sc = Scenario(versions=versions, datasets=datasets, runtimes=np.array([[4.0, 1.0], [1.0, 2.0]]))
+        rep = simulate(sc, lambda x: 1, (1,))
+        assert [o.realized_speedup for o in rep.outcomes] == [4.0, 0.5]
+        assert rep.fraction_of_full_oracle == pytest.approx(2**-0.5, rel=1e-15)
+        assert rep.mispick_rate == 0.5
+
 class CountingIds(tuple):
     """A dataset-id tuple that counts element reads and ``index`` calls."""
 
