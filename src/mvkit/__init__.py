@@ -88,8 +88,7 @@ _NAMES = {
     ),
     "selection": (
         "Constraints", "PERF_PRIORITY", "PickStep", "PruneStep", "RepresentativeSet", "SIZE_PRIORITY",
-        "SelectionError", "SetMetrics", "evaluate_set", "exhaustive_select", "greedy_select",
-        "objective", "prune_redundant",
+        "SelectionError", "SetMetrics", "evaluate_set", "exhaustive_select", "greedy_select", "objective",
     ),
     "simulate": ("BASELINE", "DatasetOutcome", "ORACLE", "SimulationReport", "simulate"),
     "synthgen": (

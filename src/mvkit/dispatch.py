@@ -233,7 +233,7 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
 
     The template must define all four fragments (BRANCH with cond/then/
     else slots, VER with an id slot, FEAT with an i slot, CMP_LE with no
-    slots) and place one {{DISPATCH}} marker in its body. A slot value
+    slots) and place exactly one {{DISPATCH}} marker in its body. A slot value
     that starts on a line blank so far indents its later lines to match.
 
     One pass over an explicit stack writes every node once and indents
@@ -247,8 +247,9 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
     for name in FRAGMENT_NAMES:
         if name not in fragments:
             raise DispatchError("template error", f"template missing required fragment {name}")
-    if DISPATCH_MARK not in body:
-        raise DispatchError("template error", "template missing required placeholder {{DISPATCH}}")
+    marks = body.count(DISPATCH_MARK)
+    if marks != 1:
+        raise DispatchError("template error", f"template needs exactly one {DISPATCH_MARK} placeholder, found {marks}")
     nodes = spec.nodes
     parents = [1] + [0] * (len(nodes) - 1)  # {{DISPATCH}} is the entry's parent
     for node in nodes:

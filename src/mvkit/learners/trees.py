@@ -109,10 +109,6 @@ class TreeModel:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "depth", depth)
 
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if isinstance(n, Leaf))
-
 
 # --- shared induction machinery ----------------------------------------------
 

@@ -109,16 +109,16 @@ class Scenario:
         return len(self.datasets[0].features) if self.datasets else 0
 
     @property
-    def baseline(self) -> Version | None:
+    def baseline(self) -> Version:
+        """The one version flagged as the baseline; any other count is a "baseline count" error."""
         flagged = [v for v in self.versions if v.is_baseline]
-        return flagged[0] if len(flagged) == 1 else None
+        if len(flagged) != 1:
+            raise ScenarioError("baseline count", f"expected exactly 1 baseline, found {len(flagged)}")
+        return flagged[0]
 
     @property
     def baseline_binary_size(self) -> int:
-        base = self.baseline
-        if base is None:
-            raise ScenarioError("baseline count", "scenario has no unique baseline")
-        return base.code_size
+        return self.baseline.code_size
 
     def code_sizes(self) -> dict[int, int]:
         return {v.id: v.code_size for v in self.versions}
@@ -167,21 +167,12 @@ class SpeedupMatrix:
         return {vid: i for i, vid in enumerate(self.version_ids)}
 
     @cached_property
-    def _dataset_index(self) -> dict[int, int]:
-        # Reversed, so that the first of two equal ids keeps its column.
-        n = len(self.dataset_ids)
-        return dict(zip(reversed(self.dataset_ids), range(n - 1, -1, -1)))
-
-    @cached_property
     def candidate_ids(self) -> tuple[int, ...]:
         return tuple(v for v in self.version_ids if v != self.baseline_id)
 
     @property
     def n_datasets(self) -> int:
         return len(self.dataset_ids)
-
-    def speedup(self, version_id: int, dataset_id: int) -> float:
-        return float(self.entries[self._version_index[version_id], self._dataset_index[dataset_id]])
 
     def row_positions(self, version_ids: Iterable[int]) -> np.ndarray:
         """The rows of ``version_ids`` in ``entries`` and ``log_entries``, in the order given."""
@@ -195,8 +186,6 @@ def speedups(scenario: Scenario) -> SpeedupMatrix:
     because IEEE division of a finite positive number by itself is exact.
     """
     base = scenario.baseline
-    if base is None:
-        raise ScenarioError("baseline count", "scenario has no unique baseline")
     runtimes = scenario.runtimes  # (D, V)
     base_col = runtimes[:, scenario.versions.index(base)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -228,7 +217,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         violations.append(Violation("versions", tuple(baseline_ids), "baseline count", message))
 
     # Each record: a negative id, a repeated id, then its table's own checks.
-    arity = len(datasets[0].features) if datasets else 0
+    arity = scenario.feature_arity
     for table, records in (("versions", versions), ("datasets", datasets)):
         noun, seen = table[:-1], set()
         for r in records:
@@ -280,19 +269,25 @@ RowCheck = Callable[[Row], Fault | None]
 def _read_rows(path: str | Path, header: list[str] | None = None) -> list[Row]:
     """Every row of a table that holds something other than whitespace.
 
-    Rows are kept as tuples: the collector stops tracking a tuple of
-    strings, but scans every live list again on each full collection.
+    A CSV error past the header line ends the rows with an empty one, so
+    :func:`_columns` has :func:`_first_fault` name the first fault. Rows
+    are tuples: the collector stops tracking a tuple of strings, but scans
+    every live list again on each full collection.
     """
+    rows: list[Row] = []
+    error = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(map(tuple, reader))
-        except csv.Error as exc:  # a field past the csv limit, say
-            raise ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}") from None
+            rows.extend(map(tuple, reader))  # keeps the rows before a CSV error
+        except csv.Error as exc:
+            error = ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}")
     rows = list(compress(rows, map(str.strip, map("".join, rows))))
+    if error and not rows:
+        raise error
     if header and (not rows or [c.strip() for c in rows[0]] != header):
         raise ScenarioError("parse error", f"{path}: expected header {','.join(header)}")
-    return rows
+    return rows + [()] if error else rows
 
 
 def _flag(text: str) -> bool:

@@ -168,7 +168,7 @@ def greedy_select(
     when nothing fits the remaining budget. In size_priority mode the loop
     also stops as soon as the worst per-dataset loss is within
     ``loss_tolerance``. The pruning pass then drops members per
-    :func:`prune_redundant`, and the result reports the pruned set.
+    :func:`_prune`, and the result reports the pruned set.
     """
     ids = matrix.candidate_ids
     if not ids:
@@ -226,7 +226,14 @@ def _prune(
     code_sizes: dict[int, int],
     oracle: np.ndarray,
 ) -> tuple[list[int], list[PruneStep]]:
-    """The members :func:`prune_redundant` keeps, in their given order, and its removals."""
+    """Drop members whose removal is (nearly) free; the kept ones, in their order, and the removals.
+
+    Repeatedly removes the member with the smallest objective decrease
+    while that decrease stays below ``min_gain`` (perf_priority) or while
+    the worst per-dataset loss against ``oracle`` stays within
+    ``loss_tolerance`` (size_priority). Removal ties go to larger
+    code_size (0 when missing from ``code_sizes``), then larger id.
+    """
     kept, steps = list(members), []
     f_cur = float(_best_logs(matrix, kept).sum())
     while kept:
@@ -243,25 +250,6 @@ def _prune(
         kept, f_cur = rest, f_without[victim]
         steps.append(PruneStep(victim, decrease, f_cur))
     return kept, steps
-
-
-def prune_redundant(
-    matrix: SpeedupMatrix,
-    selected: set[int] | frozenset[int],
-    constraints: Constraints,
-    code_sizes: dict[int, int] | None = None,
-) -> set[int]:
-    """Drop members whose removal is (nearly) free.
-
-    Repeatedly removes the member with the smallest objective decrease
-    while that decrease stays below ``min_gain`` (perf_priority) or while
-    the worst per-dataset loss stays within ``loss_tolerance``
-    (size_priority). Removal ties go to larger code_size, then larger id.
-    Without ``code_sizes`` the size tie-break is inert.
-    """
-    _check_subset(matrix, selected)
-    oracle = _best(matrix, matrix.candidate_ids)
-    return set(_prune(matrix, sorted(selected), constraints, code_sizes or {}, oracle)[0])
 
 
 def exhaustive_select(

@@ -128,13 +128,6 @@ class GroundTruth:
     noiseless_speedups: np.ndarray
     winners_by_dataset: tuple[int, ...]
 
-    def region_of(self, features: Sequence[float]) -> int:
-        """Row-major cell index of a feature point."""
-        return _region_index(self.cuts, self.pieces, features)
-
-    def winner_of(self, features: Sequence[float]) -> int:
-        return self.region_winners[self.region_of(features)]
-
 
 def _region_index(cuts: Sequence[Sequence[float]], pieces: Sequence[int], features: Sequence[float]) -> int:
     """Row-major index of the cell of ``features``: per axis, the number of cuts it lies above."""
@@ -212,21 +205,20 @@ def generate_test(
     config: SynthConfig,
     test_seed: int,
     n_datasets: int | None = None,
-    id_offset: int | None = None,
 ) -> tuple[Scenario, GroundTruth]:
     """Fresh datasets over the identical planted structure.
 
     Keeps the training scenario's versions, cuts, and winners (they come
     from ``config.seed``) while drawing features, runtimes, and noise from
-    ``test_seed``. Dataset ids are offset past the training ids by
-    default so train/test overlap checks stay meaningful.
+    ``test_seed``. Test dataset ids always follow the training ids, so
+    train/test overlap checks stay meaningful.
     """
     if n_datasets is not None and n_datasets < 1:
         raise SynthError("invalid config", f"n_datasets must be >= 1, got {n_datasets}")
     return _generate(
         config,
         population_seed=test_seed,
-        id_offset=config.n_datasets if id_offset is None else id_offset,
+        id_offset=config.n_datasets,
         n_datasets=config.n_datasets if n_datasets is None else n_datasets,
     )
 

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvkit import deserialize, eval_dispatcher, interpret_rendered, modelio, parse, render, save_scenario
+from mvkit import (
+    DEFAULT_TEMPLATE, deserialize, eval_dispatcher, interpret_rendered, modelio, parse, render, save_scenario,
+)
 from mvkit.cli import _config_types, build_parser, main
 from mvkit.scenario import DatasetRecord, Scenario, Version
 
@@ -481,6 +483,26 @@ class TestInputsAndOutputs:
         assert r.returncode == 2, r.stderr
         assert "template error" in r.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["bad.tpl"]
+
+    @pytest.mark.parametrize("marks", [0, 2])
+    @pytest.mark.parametrize("algorithm", ["tree", "rules"])
+    def test_template_needs_exactly_one_dispatch_marker(self, staged, tmp_path, algorithm, marks):
+        if algorithm == "tree":
+            model = staged / "model.txt"
+        else:
+            model = tmp_path / "rules.mv"
+            model.write_text(
+                "MVMODEL v1; algorithm=rules; arity=1; rules=1; min_cover=2; min_precision=0.7; "
+                "seed=-\nR 1 1 0 le 5.5\nD 2\n"
+            )
+        marker = "    {{DISPATCH}}\n"
+        (tmp_path / "marks.tpl").write_text(DEFAULT_TEMPLATE.replace(marker, marker * marks))
+        before = tree_of(tmp_path)
+        r = run_mvkit("emit", "--model", model, "--out", "disp.txt",
+                      "--template", "marks.tpl", "--rendered-out", "disp.c", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"template error: template needs exactly one {{{{DISPATCH}}}} placeholder, found {marks}" in r.stderr
+        assert tree_of(tmp_path) == before
 
     @pytest.mark.parametrize(
         "command",

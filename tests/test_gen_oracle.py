@@ -21,6 +21,7 @@ from mvkit.synthgen import (
     SynthConfig,
     SynthError,
     _factor_regions,
+    _region_index,
     generate,
     generate_test,
     save_ground_truth,
@@ -66,8 +67,6 @@ def _plant(config):
 
 def _generate(config, population_seed, id_offset, n_datasets):
     sizes, cuts, pieces, winners = _plant(config)
-    truth_probe = GroundTruth(cuts, winners, pieces, np.zeros((0, 0)), ())
-
     rng = Rng(mix_seed(population_seed, 2))
     lo, hi = config.feature_range
     datasets = []
@@ -80,7 +79,7 @@ def _generate(config, population_seed, id_offset, n_datasets):
     speedups = np.ones((config.n_versions, n_datasets))
     winners_by_dataset = []
     for d, record in enumerate(datasets):
-        winner = truth_probe.winner_of(record.features)
+        winner = winners[_region_index(cuts, pieces, record.features)]
         winners_by_dataset.append(winner)
         for v in range(1, config.n_versions):
             if v == winner:
@@ -133,23 +132,23 @@ def _written(scenario, truth, directory: Path):
 
 # --- configs --------------------------------------------------------------------
 
-# (config, test seed, test dataset count, id offset); None keeps the default.
+# (config, test seed, test dataset count); None keeps the default.
 NAMED = {
-    "noisy": (SynthConfig(5, 60, 2, 4, seed=11, noise_sigma=0.2), 12, None, None),
-    "arity 1": (SynthConfig(4, 40, 1, 3, seed=12, feature_range=(1, 64)), 13, 25, None),
-    "arity 4": (SynthConfig(17, 50, 4, 16, seed=13, noise_sigma=0.05), 14, 70, None),
-    "2 versions, 1 dataset": (SynthConfig(2, 1, 2, 1, seed=14), 15, 1, None),
-    "1 region": (SynthConfig(6, 30, 3, 1, seed=15, noise_sigma=0.1), 16, 10, None),
-    "negative features": (SynthConfig(4, 40, 2, 3, seed=16, feature_range=(-5, 5), noise_sigma=0.3), 17, None, None),
-    "wide feature box": (SynthConfig(9, 30, 3, 8, seed=17, feature_range=(1, 100_000), noise_sigma=0.05), 18, 40, None),
-    "explicit id offset": (SynthConfig(5, 20, 2, 4, seed=18), 19, 15, 1_000_000),
-    "zero id offset": (SynthConfig(3, 20, 2, 2, seed=19, noise_sigma=0.4), 20, 20, 0),
+    "noisy": (SynthConfig(5, 60, 2, 4, seed=11, noise_sigma=0.2), 12, None),
+    "arity 1": (SynthConfig(4, 40, 1, 3, seed=12, feature_range=(1, 64)), 13, 25),
+    "arity 4": (SynthConfig(17, 50, 4, 16, seed=13, noise_sigma=0.05), 14, 70),
+    "2 versions, 1 dataset": (SynthConfig(2, 1, 2, 1, seed=14), 15, 1),
+    "1 region": (SynthConfig(6, 30, 3, 1, seed=15, noise_sigma=0.1), 16, 10),
+    "negative features": (SynthConfig(4, 40, 2, 3, seed=16, feature_range=(-5, 5), noise_sigma=0.3), 17, None),
+    "wide feature box": (SynthConfig(9, 30, 3, 8, seed=17, feature_range=(1, 100_000), noise_sigma=0.05), 18, 40),
+    "15 test datasets": (SynthConfig(5, 20, 2, 4, seed=18), 19, 15),
+    "3 versions, noise 0.4": (SynthConfig(3, 20, 2, 2, seed=19, noise_sigma=0.4), 20, 20),
     "custom ranges": (
         SynthConfig(
             6, 35, 2, 5, seed=20, winner_speedup_range=(3.0, 9.5), loser_speedup_range=(0.01, 2.9),
             base_runtime_range=(1e-6, 250.0), code_size_range=(1, 3), feature_range=(0, 8),
         ),
-        21, None, 5,
+        21, None,
     ),
 }
 
@@ -165,7 +164,7 @@ def _random_config(seed: int):
         n_versions, draw.randint(1, 80), arity, regions, seed=draw.getrandbits(64),
         noise_sigma=draw.choice([0.0, 0.0, 0.05, 0.3]), feature_range=(lo, hi),
     )
-    return config, draw.getrandbits(64), draw.choice([None, draw.randint(0, 90)]), draw.choice([None, draw.randint(0, 10**6)])
+    return config, draw.getrandbits(64), draw.choice([None, draw.randint(0, 90)])
 
 
 CASES = {**NAMED, **{f"seeded {k}": _random_config(k) for k in range(30)}}
@@ -173,11 +172,12 @@ CASES = {**NAMED, **{f"seeded {k}": _random_config(k) for k in range(30)}}
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_gen_writes_the_scalar_generators_bytes(case, tmp_path):
-    config, test_seed, n_test, id_offset = case
+    config, test_seed, n_test = case
     n = config.n_datasets if n_test is None else n_test
-    offset = config.n_datasets if id_offset is None else id_offset
-    expected = [_generate(config, config.seed, 0, config.n_datasets), _generate(config, test_seed, offset, n)]
-    got = [generate(config), generate_test(config, test_seed, n_test, id_offset)]
+    expected = [
+        _generate(config, config.seed, 0, config.n_datasets), _generate(config, test_seed, config.n_datasets, n)
+    ]
+    got = [generate(config), generate_test(config, test_seed, n_test)]
     for k, ((scenario, truth), (want_scenario, want_truth)) in enumerate(zip(got, expected)):
         assert _written(scenario, truth, tmp_path / str(k)) == _oracle_files(want_scenario, want_truth)
         assert np.array_equal(truth.noiseless_speedups, want_truth.noiseless_speedups)

@@ -4,12 +4,16 @@
 its public names is read. The API tests pin every public name and the
 submodule that defines it. The module-load tests each start a fresh
 interpreter and read its ``sys.modules``; none of them measures a time.
+The usage guard keeps a public name only while the pipeline runs it.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +49,7 @@ MVKIT_NAMES = {
     "selection": (
         "Constraints", "PERF_PRIORITY", "PickStep", "PruneStep", "RepresentativeSet", "SIZE_PRIORITY",
         "SelectionError", "SetMetrics", "evaluate_set", "exhaustive_select", "greedy_select",
-        "objective", "prune_redundant",
+        "objective",
     ),
     "simulate": ("BASELINE", "DatasetOutcome", "ORACLE", "SimulationReport", "simulate"),
     "synthgen": (
@@ -78,7 +82,7 @@ def names_of(table: dict[str, tuple[str, ...]]) -> list[str]:
 
 
 def test_name_counts():
-    assert len(set(names_of(MVKIT_NAMES))) == 84
+    assert len(set(names_of(MVKIT_NAMES))) == 83
     assert len(set(names_of(LEARNERS_NAMES))) == 28
 
 
@@ -108,6 +112,41 @@ class TestPublicApi:
         with pytest.raises(AttributeError, match="no_such_name"):
             package.no_such_name
         assert not hasattr(package, "no_such_name")
+
+
+# Public names that no src module or benchmark runs, each kept for a reason.
+KEPT_UNUSED = {
+    "exhaustive_select": "the brute-force optimum that greedy_select is checked against",
+    "objective": "f(S), the sum greedy_select grows, that its picks are checked against",
+    "predict_rules": "the rule-list reading that the compiled dispatcher is checked against",
+}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a module reads, every attribute it reads and every name it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_name_is_used_by_the_pipeline():
+    """No public name is there for tests alone.
+
+    Each is read by a src module other than the package tables, named in
+    bench/*.py, or kept in ``KEPT_UNUSED`` with its reason.
+    """
+    src = Path(mvkit.__file__).resolve().parent
+    used = set().union(*(referenced_names(p) for p in src.rglob("*.py") if p.name != "__init__.py"))
+    bench_dir = Path(__file__).resolve().parents[1] / "bench"
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in bench_dir.glob("*.py"))
+    unused = {n for n in names_of(mvkit._NAMES) if n not in used and not re.search(rf"\b{n}\b", bench)}
+    assert unused == set(KEPT_UNUSED)
 
 
 def test_submodules_still_import_by_name():

@@ -8,6 +8,8 @@ import pytest
 from mvkit import (
     Scenario,
     ScenarioError,
+    SynthConfig,
+    generate,
     load_scenario,
     save_scenario,
     speedups,
@@ -25,11 +27,11 @@ def two_by_one() -> Scenario:
 class TestSpeedups:
     def test_smallest_valid_scenario(self):
         m = speedups(two_by_one())
-        assert m.speedup(1, 1) == 2.0
-        assert m.speedup(0, 1) == 1.0
+        assert m.entries[m.row_positions([1])[0], 0] == 2.0
+        assert m.entries[m.row_positions([0])[0], 0] == 1.0
 
     def test_baseline_row_is_exactly_one(self, toy_matrix):
-        row = [toy_matrix.speedup(0, d) for d in toy_matrix.dataset_ids]
+        row = toy_matrix.entries[toy_matrix.row_positions([0])[0]].tolist()
         assert row == [1.0, 1.0, 1.0]
 
     def test_ratio_cases(self):
@@ -37,8 +39,8 @@ class TestSpeedups:
         datasets = (DatasetRecord(1, (0.0,)), DatasetRecord(2, (0.0,)))
         runtimes = np.array([[1.0, 0.5], [3.0, 4.0]])
         m = speedups(Scenario(versions=versions, datasets=datasets, runtimes=runtimes))
-        assert m.speedup(1, 1) == 2.0
-        assert m.speedup(1, 2) == 0.75
+        assert m.entries[m.row_positions([1])[0], 0] == 2.0
+        assert m.entries[m.row_positions([1])[0], 1] == 0.75
 
     def test_scaling_invariance(self, toy_scenario, toy_matrix):
         scaled = Scenario(
@@ -126,6 +128,59 @@ class TestValidation:
         sc = Scenario(versions=versions, datasets=datasets, runtimes=np.array([[1.0, 0.0]]))
         with pytest.raises(ScenarioError):
             speedups(sc)
+
+
+BASELINE_FLAGS = {"no baseline": (False, False), "two baselines": (True, True)}
+BASELINE_READERS = {
+    "baseline": lambda sc: sc.baseline,
+    "baseline_binary_size": lambda sc: sc.baseline_binary_size,
+    "speedups": speedups,
+}
+
+
+@pytest.mark.parametrize("read", BASELINE_READERS.values(), ids=BASELINE_READERS.keys())
+@pytest.mark.parametrize("flags", BASELINE_FLAGS.values(), ids=BASELINE_FLAGS.keys())
+def test_baseline_readers_refuse_any_count_but_one(flags, read):
+    versions = tuple(Version(v, f"v{v}", 10, flag) for v, flag in enumerate(flags))
+    sc = Scenario(versions=versions, datasets=(DatasetRecord(1, (0.0,)),), runtimes=np.ones((1, 2)))
+    with pytest.raises(ScenarioError) as exc:
+        read(sc)
+    assert exc.value.category == "baseline count"
+    assert str(exc.value) == f"baseline count: expected exactly 1 baseline, found {sum(flags)}"
+
+
+# (table, its first line, or None to keep it; the error after the path)
+FIRST_FAULTS = {
+    "runtimes row": ("runtimes.csv", None, ":4: expected number, got 'abc'"),
+    "runtimes header": (
+        "runtimes.csv", "dataset,version_id,runtime_seconds",
+        ": expected header dataset_id,version_id,runtime_seconds",
+    ),
+    "runtimes header past the field limit": (
+        "runtimes.csv", "dataset_id,version_id," + " " * 140_000 + "runtime_seconds",
+        ":1: field larger than field limit (131072)",
+    ),
+    "datasets row": ("datasets.csv", None, ":4: expected number, got 'abc'"),
+    "datasets header": ("datasets.csv", "dataset,f0,f1", ": expected header id,f0,f1,..."),
+    "datasets header past the field limit": (
+        "datasets.csv", "id,f0," + " " * 140_000 + "f1", ":1: field larger than field limit (131072)",
+    ),
+}
+
+
+@pytest.mark.parametrize("table, header, error", FIRST_FAULTS.values(), ids=FIRST_FAULTS.keys())
+def test_first_fault_is_named_before_a_later_csv_error(table, header, error, tmp_path):
+    """Line 4 ends in 'abc' and line 51 in a field past the csv limit, so only the row path reads it."""
+    paths = [tmp_path / n for n in ("versions.csv", "datasets.csv", "runtimes.csv")]
+    save_scenario(generate(SynthConfig(3, 60, 2, 2, seed=1))[0], *paths)
+    lines = (tmp_path / table).read_text().split("\n")
+    for k, cell in ((3, "abc"), (50, " " * 140_000 + lines[50].rpartition(",")[2])):
+        lines[k] = lines[k].rpartition(",")[0] + "," + cell
+    lines[0] = header or lines[0]
+    (tmp_path / table).write_text("\n".join(lines))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(*paths)
+    assert str(exc.value) == f"parse error: {tmp_path / table}{error}"
 
 
 class TestCsvRoundTrip:

@@ -12,10 +12,10 @@ from mvkit import (
     exhaustive_select,
     greedy_select,
     objective,
-    prune_redundant,
     speedups,
 )
 from mvkit.rng import Rng, mix_seed
+from mvkit.selection import _best, _prune
 from mvkit.scenario import SpeedupMatrix
 
 LN2 = math.log(2.0)
@@ -170,16 +170,14 @@ class TestGreedy:
 
 class TestPrune:
     def test_removes_fully_dominated_member(self, toy_matrix, toy_scenario):
-        kept = prune_redundant(
-            toy_matrix, {3, 1, 2}, Constraints(max_versions=3), toy_scenario.code_sizes()
-        )
-        assert kept == {1, 2}
+        oracle = _best(toy_matrix, toy_matrix.candidate_ids)
+        kept, _ = _prune(toy_matrix, [1, 2, 3], Constraints(max_versions=3), toy_scenario.code_sizes(), oracle)
+        assert kept == [1, 2]
 
     def test_keeps_contributing_members(self, toy_matrix, toy_scenario):
-        kept = prune_redundant(
-            toy_matrix, {1, 2}, Constraints(max_versions=3), toy_scenario.code_sizes()
-        )
-        assert kept == {1, 2}
+        oracle = _best(toy_matrix, toy_matrix.candidate_ids)
+        kept, steps = _prune(toy_matrix, [1, 2], Constraints(max_versions=3), toy_scenario.code_sizes(), oracle)
+        assert (kept, steps) == ([1, 2], [])
 
     def test_prune_steps_visible_in_greedy_trace(self, toy_matrix, toy_scenario):
         r = greedy_select(

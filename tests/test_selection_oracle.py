@@ -1,9 +1,10 @@
 """Selection through one row reader against the row-by-row code it replaced.
 
 The oracle below is the earlier selection module, verbatim from
-``_clamped_logs`` to ``evaluate_set``: it builds every subset's rows with
-one ``log_row``/``row`` call per version, special-cases the empty set,
-rebuilds the all-candidate oracle at every size-mode loss check, and
+``_clamped_logs`` to ``evaluate_set`` less its ``prune_redundant``
+wrapper (``selection._prune`` is compared with ``_prune_with_trace``). It
+builds every subset's rows with one ``log_row``/``row`` call per version,
+special-cases the empty set, rebuilds the all-candidate oracle at every size-mode loss check, and
 re-filters the pruned picks. ``_RowView`` gives it the per-version row
 accessors it was written against. Every result, float or trace, must be
 equal with ``==`` on seeded matrices whose quantized speedups make ties
@@ -193,25 +194,6 @@ def _prune_with_trace(
     return set(current), steps
 
 
-def prune_redundant(
-    matrix: SpeedupMatrix,
-    selected: set[int] | frozenset[int],
-    constraints: Constraints,
-    code_sizes: dict[int, int] | None = None,
-) -> set[int]:
-    """Drop members whose removal is (nearly) free.
-
-    Repeatedly removes the member with the smallest objective decrease
-    while that decrease stays below ``min_gain`` (perf_priority) or while
-    the worst per-dataset loss stays within ``loss_tolerance``
-    (size_priority). Removal ties go to larger code_size, then larger id.
-    Without ``code_sizes`` the size tie-break is inert.
-    """
-    _check_subset(matrix, selected)
-    kept, _ = _prune_with_trace(matrix, sorted(selected), constraints, code_sizes)
-    return kept
-
-
 def exhaustive_select(
     matrix: SpeedupMatrix,
     k: int,
@@ -313,6 +295,12 @@ def subsets(seed: int, candidates: tuple[int, ...]) -> list[frozenset[int]]:
     return [frozenset(), *(frozenset({v}) for v in candidates), some, frozenset(candidates)]
 
 
+def prune(matrix: SpeedupMatrix, subset: frozenset[int], c: Constraints, code_sizes: dict[int, int] | None):
+    """``selection._prune`` of ``subset`` in id order, against the all-candidate oracle."""
+    oracle = selection._best(matrix, matrix.candidate_ids)
+    return selection._prune(matrix, sorted(subset), c, code_sizes or {}, oracle)
+
+
 def outcome(fn, *args):
     """``fn``'s result, or its error's category and message."""
     try:
@@ -338,8 +326,9 @@ def test_prune_objective_and_evaluate_match_oracle(seed):
         assert selection.evaluate_set(matrix, subset) == evaluate_set(view, subset)
         for c in constraint_sets(seed, len(matrix.candidate_ids)):
             for code_sizes in (None, sizes):
-                new = selection.prune_redundant(matrix, subset, c, code_sizes)
-                assert new == prune_redundant(view, subset, c, code_sizes), (subset, c, code_sizes)
+                kept, steps = prune(matrix, subset, c, code_sizes)
+                old = _prune_with_trace(view, sorted(subset), c, code_sizes)
+                assert (set(kept), steps) == old, (subset, c, code_sizes)
 
 
 @pytest.mark.parametrize("seed", [s for s in SEEDS if len(random_case(s)[0].candidate_ids) <= 8])
@@ -364,5 +353,5 @@ def test_cases_cover_ties_slow_candidates_and_size_mode_prunes():
             decreases = sorted(f_full - selection.objective(matrix, full - {v}) for v in full)
             tied += decreases[0] == decreases[1]  # the prune tie-break decides the first removal
         for c in constraint_sets(seed, len(full)):
-            size_pruned += c.mode == SIZE_PRIORITY and len(selection.prune_redundant(matrix, full, c)) < len(full)
+            size_pruned += c.mode == SIZE_PRIORITY and len(prune(matrix, full, c, None)[0]) < len(full)
     assert empty and slow > 20 and tied > 20 and size_pruned > 20

@@ -2,8 +2,8 @@
 
 The oracle below is the earlier ``simulate`` with its ``_selector_fn``,
 verbatim: it turns every selector kind into a closure over the dataset
-index and reads each realized and in-set speedup through
-``SpeedupMatrix.speedup``, an id-to-column lookup. On seeded scenarios
+index and reads each realized and in-set speedup through ``speedup``,
+the id-to-column lookup ``SpeedupMatrix`` once had. On seeded scenarios
 with distinct dataset ids both must give equal reports, field by field,
 for every selector kind, with picks tied to the in-set best, picks within
 ``MISPICK_SLACK`` of it and strictly worse picks all common, and equal
@@ -37,6 +37,11 @@ from mvkit.simulate import (
 from mvkit.simulate import simulate as new_simulate
 
 # --- oracle: the per-dataset simulate ------------------------------------------
+
+
+def speedup(matrix: SpeedupMatrix, version_id: int, dataset_id: int) -> float:
+    """The speedup of a version in the first column of a dataset id."""
+    return float(matrix.entries[matrix.row_positions([version_id])[0], matrix.dataset_ids.index(dataset_id)])
 
 
 def _selector_fn(
@@ -115,8 +120,8 @@ def simulate(
                 "unknown version",
                 f"selector chose version {chosen}, not in the representative set or baseline",
             )
-        realized = matrix.speedup(chosen, d.id)
-        best_in_set = matrix.speedup(in_set[i], d.id)
+        realized = speedup(matrix, chosen, d.id)
+        best_in_set = speedup(matrix, in_set[i], d.id)
         if realized < best_in_set * (1.0 - MISPICK_SLACK):
             mispicks += 1
         ideal.append(best_in_set)
