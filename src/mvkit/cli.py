@@ -365,6 +365,8 @@ def cmd_gen(args: argparse.Namespace) -> list[Output]:
     from .synthgen import SynthConfig, generate, generate_test, ground_truth_table
 
     _require(args, ["versions", "datasets", "features", "seed", "out_dir"])
+    if args.test_datasets is not None and args.test_seed is None:
+        raise CliError("--test-datasets needs --test-seed")
     kwargs = _given(
         args, SynthConfig, n_versions="versions", n_datasets="datasets", feature_arity="features",
         n_regions="regions", winner_speedup_range="winner_range", loser_speedup_range="loser_range",

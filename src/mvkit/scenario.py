@@ -9,12 +9,12 @@ is exactly 1.0 and values below 1.0 are slowdowns.
 Scenarios are ingested from three CSV files (see ``load_scenario``). One
 ``np.loadtxt`` pass parses each numeric table into int64/float64 columns that
 stay arrays up to the ``(dataset, version)`` matrix, filled by one index
-assignment; ``versions.csv`` and any table loadtxt refuses are read once as
-rows and converted by column, with the same inputs accepted and errors raised.
-Validation walks the versions and datasets one record at a time and checks
-the runtime matrix in one pass. Only a faulty table is read again, row by
-row, to name the physical line of its first fault. All types are
-immutable after construction and thread-safe.
+assignment. ``versions.csv`` and the hand-written tables loadtxt refuses take
+the row path, one plain pass per table at about five times the bulk cost: it
+converts each row's cells in check order and raises at the first fault with
+its physical line. Both paths accept the same inputs and raise the same errors.
+Validation walks the versions and datasets one record at a time and checks the
+runtime matrix in one pass. All types are immutable after construction and thread-safe.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -260,34 +259,27 @@ _RUNTIMES_HEADER = ["dataset_id", "version_id", "runtime_seconds"]
 _EXPECTED = {int: "integer", float: "number"}
 _CELL_ENDS = bytes(byte in b",\r\n" for byte in range(256))  # translates a comma or line end to 1, the rest to 0
 
-Row = Sequence[str]
-Spec = Sequence[tuple[int, Callable[[str], object]]]  # (column, converter), in check order
-Fault = tuple[str, str]  # (category, message) of one rejected row
-RowCheck = Callable[[Row], Fault | None]
 
-
-def _read_rows(path: str | Path, header: list[str] | None = None) -> list[Row]:
-    """Every row of a table that holds something other than whitespace.
-
-    A CSV error past the header line ends the rows with an empty one, so
-    :func:`_columns` has :func:`_first_fault` name the first fault. Rows
-    are tuples: the collector stops tracking a tuple of strings, but scans
-    every live list again on each full collection.
-    """
-    rows: list[Row] = []
-    error = None
+def _rows(path: str | Path) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """``(physical line, row)`` for each row holding more than whitespace, parsed up to the first CSV error before
+    any is yielded: a byte that is not UTF-8 fails the table first, and the CSV error comes after the rows before it."""
+    rows, error = [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows.extend(map(tuple, reader))  # keeps the rows before a CSV error
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append((reader.line_num, tuple(row)))  # the collector stops scanning a tuple of str
         except csv.Error as exc:
             error = ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}")
-    rows = list(compress(rows, map(str.strip, map("".join, rows))))
-    if error and not rows:
+    yield from rows
+    if error:
         raise error
-    if header and (not rows or [c.strip() for c in rows[0]] != header):
+
+
+def _header(path: str | Path, table: Iterator[tuple[int, tuple[str, ...]]], header: list[str]) -> None:
+    if [c.strip() for c in next(table, (0, []))[1]] != header:
         raise ScenarioError("parse error", f"{path}: expected header {','.join(header)}")
-    return rows + [()] if error else rows
 
 
 def _flag(text: str) -> bool:
@@ -296,53 +288,36 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-def _row_fault(row: Row, width: int, spec: Spec) -> Fault | None:
-    """The first fault of ``row``: its field count, then each cell ``spec`` checks."""
+def _cells(path: str | Path, line: int, row: tuple[str, ...], width: int, spec: Iterable[tuple[int, Callable]]) -> list:
+    """The stripped cells of ``row`` that ``spec`` names as ``(column, converter)``, converted in its order; a wrong
+    field count, then the first cell that does not convert, is a parse error at ``path:line``."""
     if len(row) != width:
-        return "parse error", f"expected {width} fields, got {len(row)}"
+        raise ScenarioError("parse error", f"{path}:{line}: expected {width} fields, got {len(row)}")
+    cells = []
     for j, convert in spec:
         try:
-            convert(row[j].strip())
+            cells.append(convert(row[j].strip()))
         except ValueError as exc:
             found = str(exc) if convert is _flag else f"expected {_EXPECTED[convert]}, got {row[j]!r}"
-            return "parse error", found
-    return None
+            raise ScenarioError("parse error", f"{path}:{line}: {found}") from None
+    return cells
 
 
-def _first_fault(path: str | Path, fault: RowCheck) -> ScenarioError:
-    """The error for the first body row of ``path`` that ``fault`` rejects.
+def _runtime_columns(path: str | Path) -> tuple[list[int], list[int], list[float]]:
+    """The dataset id, version id and runtime columns of a ``runtimes.csv`` table, read row by row.
 
-    Only this error path reads a table row by row, to name the row's
-    physical line, blank lines included.
+    A row's ids are checked before its runtime: a repeated (dataset, version) is a fault of its row.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = (row for row in reader if "".join(row).strip())
-        try:
-            next(rows, None)  # the header, checked before
-            for row in rows:
-                found = fault(row)
-                if found:
-                    return ScenarioError(found[0], f"{path}:{reader.line_num}: {found[1]}")
-        except csv.Error as exc:
-            return ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}")
-    return ScenarioError("parse error", f"{path}: the table changed while it was read")
-
-
-def _columns(path: str | Path, rows: list[Row], spec: Spec, fault: RowCheck | None = None) -> list[list]:
-    """The body columns ``spec`` names, in its order, stripped and converted.
-
-    A wrong field count or a cell that does not convert raises the error
-    :func:`_first_fault` finds with ``fault`` (by default, ``spec``'s checks).
-    """
-    body, width = rows[1:], len(spec)
-    fault = fault or (lambda row: _row_fault(row, width, spec))
-    if not set(map(len, body)) <= {width}:
-        raise _first_fault(path, fault)
-    try:
-        return [list(map(convert, map(str.strip, map(itemgetter(j), body)))) for j, convert in spec]
-    except ValueError:
-        raise _first_fault(path, fault) from None
+    cells: dict[tuple[int, int], float] = {}
+    table = _rows(path)
+    _header(path, table, _RUNTIMES_HEADER)
+    for line, row in table:
+        d, v = key = tuple(_cells(path, line, row, 3, ((0, int), (1, int))))
+        if key in cells:
+            message = f"runtime for (dataset {d}, version {v}) appears twice"
+            raise ScenarioError("duplicate cell", f"{path}:{line}: {message}")
+        cells[key] = _cells(path, line, row, 3, ((2, float),))[0]
+    return [d for d, _ in cells], [v for _, v in cells], list(cells.values())
 
 
 def _bulk(path: str | Path, header: Callable[[int], list[str]]) -> list[np.ndarray] | None:
@@ -387,18 +362,21 @@ def _positions(ids: list[int], keys: Sequence[int] | np.ndarray) -> np.ndarray:
 def load_datasets(path: str | Path) -> list[DatasetRecord]:
     """The records of a ``datasets.csv`` table; :func:`load_scenario` validates them."""
     columns = _bulk(path, lambda width: ["id"] + [f"f{i}" for i in range(width - 1)] if width > 1 else [])
-    if columns is None:
-        rows = _read_rows(path)
-        if not rows or rows[0][0].strip() != "id":
-            raise ScenarioError("parse error", f"{path}: expected header id,f0,f1,...")
-        feat_names = [c.strip() for c in rows[0][1:]]
-        if feat_names != [f"f{i}" for i in range(len(feat_names))] or not feat_names:
-            raise ScenarioError("parse error", f"{path}: expected feature columns f0,f1,...")
-        columns = _columns(path, rows, [(0, int)] + [(j, float) for j in range(1, len(rows[0]))])
-    else:
-        columns = [column.tolist() for column in columns]  # records hold Python numbers
-    ids, *features = columns
-    return list(map(DatasetRecord, ids, zip(*features)))
+    if columns is not None:
+        ids, *features = [column.tolist() for column in columns]  # records hold Python numbers
+        return list(map(DatasetRecord, ids, zip(*features)))
+    table = _rows(path)
+    header = [c.strip() for c in next(table, (0, [""]))[1]]
+    if header[0] != "id":
+        raise ScenarioError("parse error", f"{path}: expected header id,f0,f1,...")
+    if header[1:] != [f"f{i}" for i in range(len(header) - 1)] or len(header) < 2:
+        raise ScenarioError("parse error", f"{path}: expected feature columns f0,f1,...")
+    spec = [(0, int)] + [(j, float) for j in range(1, len(header))]
+    records = []
+    for line, row in table:
+        dataset_id, *features = _cells(path, line, row, len(header), spec)
+        records.append(DatasetRecord(dataset_id, tuple(features)))
+    return records
 
 
 def load_scenario(
@@ -422,27 +400,16 @@ def load_scenario(
     (versions, then datasets, then runtimes, each in row order); a fault
     in a row names the row's physical line in the file.
     """
-    vrows = _read_rows(versions_path, _VERSIONS_HEADER)
-    flags, ids, names, sizes = _columns(versions_path, vrows, ((3, _flag), (0, int), (1, str), (2, int)))
-    versions = list(map(Version, ids, names, sizes, flags))
+    table = _rows(versions_path)
+    _header(versions_path, table, _VERSIONS_HEADER)
+    versions = []
+    for line, row in table:
+        flag, vid, name, size = _cells(versions_path, line, row, 4, ((3, _flag), (0, int), (1, str), (2, int)))
+        versions.append(Version(vid, name, size, flag))
 
     datasets = load_datasets(datasets_path)
-
-    seen: set[tuple[int, int]] = set()
-
-    def runtime_fault(row: Row) -> Fault | None:
-        found = _row_fault(row, 3, ((0, int), (1, int)))
-        if found:
-            return found
-        key = (int(row[0].strip()), int(row[1].strip()))
-        if key in seen:
-            return "duplicate cell", f"runtime for (dataset {key[0]}, version {key[1]}) appears twice"
-        seen.add(key)
-        return _row_fault(row, 3, ((2, float),))
-
-    dataset_col, version_col, times = _bulk(runtimes_path, lambda width: _RUNTIMES_HEADER) or _columns(
-        runtimes_path, _read_rows(runtimes_path, _RUNTIMES_HEADER), ((0, int), (1, int), (2, float)), runtime_fault
-    )
+    columns = _bulk(runtimes_path, lambda width: _RUNTIMES_HEADER)
+    dataset_col, version_col, times = columns or _runtime_columns(runtimes_path)
     rows = _positions([d.id for d in datasets], dataset_col)
     cols = _positions([v.id for v in versions], version_col)
     known = (rows >= 0) & (cols >= 0)
@@ -450,7 +417,8 @@ def load_scenario(
         # A repeated cell is a fault of its row, so it wins over an
         # unknown id; compare the ids themselves, known or not.
         if len(set(zip(dataset_col, version_col))) < len(dataset_col):
-            raise _first_fault(runtimes_path, runtime_fault)
+            _runtime_columns(runtimes_path)  # raises "duplicate cell" naming the line that repeats one
+            raise ScenarioError("parse error", f"{runtimes_path}: the table changed while it was read")
         k = int(known.argmin())
         if rows[k] < 0:
             raise ScenarioError("unknown id", f"runtimes reference unknown dataset id {dataset_col[k]}")

@@ -97,6 +97,13 @@ class TestGen:
         assert f"n_datasets must be >= 1, got {count}" in r.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_test_datasets_without_test_seed_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = list(GEN_ARGS)
+        del args[args.index("--test-seed"):args.index("--test-seed") + 2]
+        assert main([*args, "--out-dir", "scen"]) == 2
+        assert "error: --test-datasets needs --test-seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -29,6 +29,7 @@ import random
 import shutil
 import tracemalloc
 import warnings
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -373,29 +374,43 @@ def mutated(kind: str, seed: int) -> dict[str, list[list[str]]]:
     return tables
 
 
-class TestLoadAgainstOracle:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_valid_tables_load_to_the_same_scenario(self, seed, tmp_path):
-        paths = write_tables(random_tables(random.Random(seed)), tmp_path)
-        assert_same_scenario(load_scenario(*paths), oracle_load(*paths))
+def row_path_load(*paths) -> Scenario:
+    """``load_scenario`` with the bulk pass refusing every table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "_bulk", lambda path, header: None)
+        return load_scenario(*paths)
 
+
+# The loader as the pipeline runs it, and its row path alone, which reads every table the bulk pass accepts too.
+LOADERS = pytest.mark.parametrize("load", [load_scenario, row_path_load], ids=["load_scenario", "row_path"])
+
+
+class TestLoadAgainstOracle:
+    @LOADERS
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_tables_load_to_the_same_scenario(self, load, seed, tmp_path):
+        paths = write_tables(random_tables(random.Random(seed)), tmp_path)
+        assert_same_scenario(load(*paths), oracle_load(*paths))
+
+    @LOADERS
     @pytest.mark.parametrize("seed", range(SEEDS_PER_MUTATION))
     @pytest.mark.parametrize("kind", sorted(MUTATIONS))
-    def test_broken_tables_raise_the_same_error(self, kind, seed, tmp_path):
+    def test_broken_tables_raise_the_same_error(self, load, kind, seed, tmp_path):
         paths = write_tables(mutated(kind, seed), tmp_path)
-        got, want = outcome(load_scenario, paths), outcome(oracle_load, paths)
+        got, want = outcome(load, paths), outcome(oracle_load, paths)
         if isinstance(want, Scenario):
             assert_same_scenario(got, want)
         else:
             assert got == want
 
-    def test_ids_beyond_64_bits(self, tmp_path):
+    @LOADERS
+    def test_ids_beyond_64_bits(self, load, tmp_path):
         tables = random_tables(random.Random(5))
         for name, column in (("versions", 0), ("datasets", 0), ("runtimes", 0), ("runtimes", 1)):
             for row in tables[name][1:]:
                 row[column] = str(int(row[column]) + 2**70)
         paths = write_tables(tables, tmp_path)
-        scenario = load_scenario(*paths)
+        scenario = load(*paths)
         assert min(scenario.dataset_ids + scenario.version_ids) > 2**70
         assert_same_scenario(scenario, oracle_load(*paths))
 
@@ -496,13 +511,6 @@ class TestBestVersions:
 # --- the bulk pass against the row path -------------------------------------------------
 
 
-def row_path_load(*paths) -> Scenario:
-    """``load_scenario`` with the bulk pass refusing every table."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenario_module, "_bulk", lambda path, header: None)
-        return load_scenario(*paths)
-
-
 def result(load, paths):
     """A scenario, or what its load raised: (category, message) or (type, message)."""
     try:
@@ -523,14 +531,14 @@ def assert_same_result(paths) -> None:
 
 
 def refuse_row_path(monkeypatch) -> None:
-    """Make every ``_read_rows`` call but those for ``versions.csv`` fail the test."""
-    read_rows = scenario_module._read_rows
+    """Make every ``_rows`` call but those for ``versions.csv`` fail the test."""
+    rows = scenario_module._rows
 
-    def versions_only(path, header=None):
+    def versions_only(path):
         assert Path(path).name == "versions.csv", f"{path} took the row path"
-        return read_rows(path, header)
+        return rows(path)
 
-    monkeypatch.setattr(scenario_module, "_read_rows", versions_only)
+    monkeypatch.setattr(scenario_module, "_rows", versions_only)
 
 
 def _cell(name, row, column, text):
@@ -705,11 +713,20 @@ class TestBulkAgainstRowPath:
             taken.add(columns is not None)
         assert taken == {True, False}
 
-    def test_a_field_past_the_csv_limit_is_a_parse_error_on_the_error_path(self, tmp_path):
+    def test_a_field_past_the_csv_limit_is_a_parse_error_at_its_line(self, tmp_path):
         path = tmp_path / "runtimes.csv"
         path.write_text("dataset_id,version_id,runtime_seconds\n1,2,3.0\n\n1,3," + " " * 140_000 + "4.0\n")
-        error = scenario_module._first_fault(path, lambda row: None)
-        assert str(error) == f"parse error: {path}:4: field larger than field limit (131072)"
+        with pytest.raises(ScenarioError) as exc:
+            scenario_module._runtime_columns(path)
+        assert str(exc.value) == f"parse error: {path}:4: field larger than field limit (131072)"
+
+    def test_a_repeated_cell_the_second_read_does_not_find_is_named_as_a_change(self, tmp_path, monkeypatch):
+        paths = write_tables(random_tables(random.Random(6)), tmp_path)
+        runtimes = paths[2].read_text()
+        paths[2].write_text(runtimes + runtimes.split("\n")[1] + "\n")
+        monkeypatch.setattr(scenario_module, "_runtime_columns", lambda path: None)  # as if the repeat were gone
+        message = f"parse error: {paths[2]}: the table changed while it was read"
+        assert outcome(load_scenario, paths) == ("parse error", message)
 
     def test_a_table_with_a_byte_outside_ascii_never_reaches_loadtxt(self, tmp_path, monkeypatch):
         # In numpy 2.4 a failed loadtxt call on this id corrupts the next call.
@@ -782,3 +799,40 @@ def test_load_allocates_at_most_three_times_the_runtimes_table(wide_scenario):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * paths[2].stat().st_size
+
+
+def _bad_cell_under_a_loose_header(text: str) -> str:
+    lines = text.split("\n")
+    lines[0], lines[3] = " dataset_id , version_id,runtime_seconds", lines[3].rpartition(",")[0] + ",abc"
+    return "\n".join(lines)
+
+
+# (edit of a gen-written runtimes.csv, the error it raises, csv.reader objects a load builds per table)
+ROW_PASSES = {
+    "canonical tables": (lambda text: text, None, {"versions.csv": 1}),
+    "bad cell in a table the bulk pass refuses": (
+        _bad_cell_under_a_loose_header, "parse error", {"versions.csv": 1, "runtimes.csv": 1},
+    ),
+    "repeated cell in a table the bulk pass reads": (
+        lambda text: text + text.split("\n")[1] + "\n", "duplicate cell", {"versions.csv": 1, "runtimes.csv": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, category, readers", ROW_PASSES.values(), ids=ROW_PASSES.keys())
+def test_a_load_reads_each_row_path_table_once(fuzz_scenario, tmp_path, monkeypatch, edit, category, readers):
+    names = ("versions.csv", "datasets.csv", "runtimes.csv")
+    for name in names:
+        shutil.copy(fuzz_scenario / name, tmp_path / name)
+    runtimes = tmp_path / "runtimes.csv"
+    runtimes.write_text(edit(runtimes.read_text()))
+    built, reader = Counter(), csv.reader
+
+    def counting_reader(fh, *args, **kwargs):
+        built[Path(fh.name).name] += 1
+        return reader(fh, *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    got = outcome(load_scenario, [tmp_path / name for name in names])
+    assert (got[0] == category) if category else isinstance(got, Scenario)
+    assert built == readers
