@@ -172,6 +172,7 @@ def deserialize(text: str) -> DispatcherSpec:
 # --- template rendering ----------------------------------------------------------
 
 FRAGMENT_NAMES = ("BRANCH", "FEAT", "VER", "CMP_LE")
+EMPTY = "EMPTY"  # optional fragment: the statement written into a side left empty, for languages without empty blocks
 DISPATCH_MARK = "{{DISPATCH}}"
 
 DEFAULT_TEMPLATE = """\
@@ -201,17 +202,18 @@ def _parse_template(template: str) -> tuple[dict[str, str], str]:
     """Split fragment definition blocks from the surrounding body text.
 
     A block starts at a line `{{NAME ...}}` (NAME one of BRANCH, FEAT,
-    VER, CMP_LE) and runs to the next `{{END}}` line; everything else is
-    body. Fragment bodies keep internal newlines, minus one trailing one.
+    VER, CMP_LE, EMPTY) and runs to the next `{{END}}` line; everything
+    else is body. Fragment bodies keep internal newlines, minus one
+    trailing one.
     """
     fragments: dict[str, str] = {}
     body_lines: list[str] = []
     lines = template.splitlines()
     i = 0
-    opener = re.compile(r"\{\{(" + "|".join(FRAGMENT_NAMES) + r")(\s[^}]*)?\}\}\s*$")
+    opener = re.compile(r"\{\{(" + "|".join((*FRAGMENT_NAMES, EMPTY)) + r")(\s[^}]*)?\}\}\s*$")
     while i < len(lines):
         m = opener.fullmatch(lines[i].strip()) if lines[i].strip().startswith("{{") else None
-        if m and m.group(1) in FRAGMENT_NAMES:
+        if m:
             name = m.group(1)
             block: list[str] = []
             i += 1
@@ -235,6 +237,8 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
     else slots, VER with an id slot, FEAT with an i slot, CMP_LE with no
     slots) and place exactly one {{DISPATCH}} marker in its body. A slot value
     that starts on a line blank so far indents its later lines to match.
+    An optional EMPTY fragment (no slots) fills every then/else side left
+    empty, for a language with no empty blocks.
 
     One pass over an explicit stack writes every node once and indents
     each line once. A node with several parents is written right after the
@@ -296,7 +300,7 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
             raise DispatchError("template error", f"node {item} cannot fall out to a shared child")
         feat = fragments["FEAT"].replace("{{i}}", str(node.feature))
         cond = f"{feat} {fragments['CMP_LE']} {g17(node.threshold)}"
-        then, other = (None if c in shared else c for c in (node.left, node.right))
+        then, other = (fragments.get(EMPTY) if c in shared else c for c in (node.left, node.right))
         push(fragments["BRANCH"], "cond|then|else", {"cond": cond, "then": then, "else": other}, indent)
     return "".join(out) + ("" if body.endswith("\n") else "\n")
 

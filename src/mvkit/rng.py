@@ -16,6 +16,8 @@ the stability contract:
 * ``uniform()``  -- affine map of ``random()``
 * ``randint()``  -- ``next_u64() % span`` (modulo; bias is irrelevant here)
 * ``shuffle()``  -- Fisher-Yates, descending, ``next_u64() % (i + 1)`` for the index
+* ``shuffled_prefix(n, m)`` -- ``shuffle(list(range(n)))[:m]``, from the same
+  ``n - 1`` draws and leaving the same state
 """
 
 from __future__ import annotations
@@ -68,6 +70,26 @@ class Rng:
         js = self.u64s(max(n - 1, 0)) % np.arange(2, n + 1, dtype=np.uint64)[::-1]  # % (i + 1), i = n-1 .. 1
         for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
+
+    def shuffled_prefix(self, n: int, m: int) -> list[int]:
+        """``shuffle(list(range(n)))[:m]`` without building or permuting the list; needs ``n * n < 2**63``.
+
+        Step i swaps positions i and j_i <= i, so position k is final after step k (step 0 swaps nothing) and
+        holds what position j_k held just before it. Position q holds, just before step t >= q, what position i
+        held just before step i, for the least i > t with j_i = q, else q itself; sorted keys j_i * n + i find i.
+        """
+        import numpy as np
+        draws = self.u64s(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)  # j_i for i = n-1 .. 1
+        j = np.concatenate(([0], draws[::-1].astype(np.int64)))  # j_i for i = 0 .. n-1
+        keys = np.append(np.sort(j[1:] * n + np.arange(1, n)), n * n)  # the last key matches no position
+        m = min(m, n)
+        held, step, live = j[:m].copy(), np.arange(m), np.arange(m)  # position held[k] just before step[k]
+        while live.size:
+            key = keys[np.searchsorted(keys, held[live] * n + step[live] + 1)]
+            hit = key // n == held[live]
+            live, key = live[hit], key[hit]
+            held[live] = step[live] = key % n
+        return held.tolist()
 
 
 def mix_seed(seed: int, salt: int) -> int:

@@ -262,7 +262,8 @@ _CELL_ENDS = bytes(byte in b",\r\n" for byte in range(256))  # translates a comm
 
 def _rows(path: str | Path) -> Iterator[tuple[int, tuple[str, ...]]]:
     """``(physical line, row)`` for each row holding more than whitespace, parsed up to the first CSV error before
-    any is yielded: a byte that is not UTF-8 fails the table first, and the CSV error comes after the rows before it."""
+    any is yielded: a byte that is not UTF-8 fails the table first, at its line, and the CSV error comes after the
+    rows before it."""
     rows, error = [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -272,6 +273,15 @@ def _rows(path: str | Path) -> Iterator[tuple[int, tuple[str, ...]]]:
                     rows.append((reader.line_num, tuple(row)))  # the collector stops scanning a tuple of str
         except csv.Error as exc:
             error = ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError:  # its position counts from a decode chunk: find the byte in the whole file
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line, at = len((data[: exc.start] + b".").splitlines()), exc.start  # lines end as csv's do
+                message = f"byte 0x{data[at]:02x} at offset {at} is not UTF-8"
+                raise ScenarioError("parse error", f"{path}:{line}: {message}") from None
+            raise
     yield from rows
     if error:
         raise error

@@ -110,8 +110,9 @@ class TestGen:
         [
             (("--noise-sigma", "400"), "noise_sigma 400.0 or a range makes a runtime or speedup 0 or inf"),
             (("--feature-range", "0,100000000000000000000000"), "feature_range spans 100000000000000000000000"),
+            (("--feature-range", "1,1000000000"), "feature_range spans 999999999 cut slots, more than 10000000"),
         ],
-        ids=["noise-factor-overflows", "feature-range-too-wide-to-list"],
+        ids=["noise-factor-overflows", "feature-range-too-wide-to-list", "feature-range-past-the-cap"],
     )
     def test_config_past_the_float_or_index_range_exits_2_and_writes_nothing(
         self, tmp_path, monkeypatch, capsys, flags, message

@@ -1,5 +1,6 @@
 """Dispatcher compilation, the text format, templates, and the interpreter."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,9 @@ x[{{i}}]
 {{CMP_LE}}
 <=
 {{END}}
+{{EMPTY}}
+pass
+{{END}}
 def select_version(x):
     {{DISPATCH}}
 """
@@ -382,6 +386,24 @@ class TestOnePassRenderer:
             for _ in range(50):
                 x = tuple(rng.uniform(-60, 60) * 10.0 ** rng.randint(-8, 8) for _ in range(3))
                 assert scope["select_version"](x) == eval_dispatcher(spec, x)[0]
+
+    @pytest.mark.parametrize("rules,conditions", [(2, 2), (5, 2), (12, 3)])
+    def test_rule_list_rendering_runs_as_python(self, rules, conditions):
+        for model in (TestRulesLowering().rules_model(), random_rules(rules, conditions, 2, seed=rules)):
+            spec = compile_dispatcher(model)
+            scope: dict = {}
+            exec(render_template(spec, PYTHON_TEMPLATE), scope)
+            rng = Rng(rules)
+            for _ in range(200):
+                x = tuple(rng.uniform(-1, 11) for _ in range(model.arity))
+                assert scope["select_version"](x) == predict_rules(model, x)[0]
+
+    def test_empty_fragment_fills_exactly_the_sides_a_template_without_it_leaves_blank(self):
+        without = PYTHON_TEMPLATE.replace("{{EMPTY}}\npass\n{{END}}\n", "")
+        spec = compile_dispatcher(random_rules(5, 2, 2, seed=5))
+        blank = render_template(spec, without)
+        assert re.search(r"(?m)^ +$", blank)  # a side left empty for a fall-through
+        assert render_template(spec, PYTHON_TEMPLATE) == re.sub(r"(?m)^( +)$", r"\1pass", blank)
 
     def test_two_rule_list_renders_as_a_decision_list(self):
         rendered = render_template(compile_dispatcher(TestRulesLowering().rules_model()))

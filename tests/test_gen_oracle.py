@@ -141,6 +141,9 @@ NAMED = {
     "1 region": (SynthConfig(6, 30, 3, 1, seed=15, noise_sigma=0.1), 16, 10),
     "negative features": (SynthConfig(4, 40, 2, 3, seed=16, feature_range=(-5, 5), noise_sigma=0.3), 17, None),
     "wide feature box": (SynthConfig(9, 30, 3, 8, seed=17, feature_range=(1, 100_000), noise_sigma=0.05), 18, 40),
+    "300,000 cut slots per axis": (
+        SynthConfig(7, 25, 2, 6, seed=22, feature_range=(-100_000, 200_000), noise_sigma=0.05), 23, 30
+    ),
     "15 test datasets": (SynthConfig(5, 20, 2, 4, seed=18), 19, 15),
     "3 versions, noise 0.4": (SynthConfig(3, 20, 2, 2, seed=19, noise_sigma=0.4), 20, 20),
     "custom ranges": (

@@ -3,7 +3,8 @@
 ``Rng.u64s`` computes a block of outputs from the counter form of the
 generator, and ``Rng.shuffle`` takes all of its indices from one block.
 The oracle below is the scalar Fisher-Yates the shuffle replaced: one
-``randint(0, i)`` per position, in descending order.
+``randint(0, i)`` per position, in descending order. ``Rng.shuffled_prefix``
+is checked against the shuffle itself.
 """
 
 import random
@@ -58,3 +59,15 @@ def test_shuffle_equals_scalar_fisher_yates(length):
     scalar_shuffle(scalar, b)
     assert a == b
     assert bulk._state == scalar._state
+
+
+@pytest.mark.parametrize("n", [*range(71), 100_000])
+def test_shuffled_prefix_equals_the_shuffles_first_items(n):
+    for m in sorted({0, 1, 2, n, n + 2}):
+        seed = 104729 * n + m
+        prefix, full = Rng(seed), Rng(seed)
+        items = list(range(n))
+        full.shuffle(items)
+        assert prefix.shuffled_prefix(n, m) == items[:m]
+        assert prefix._state == full._state
+        assert prefix.u64s(3).tolist() == full.u64s(3).tolist()

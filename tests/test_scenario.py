@@ -1,6 +1,7 @@
 """Scenario tables, speedup derivation, validation, and CSV round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ def test_first_fault_is_named_before_a_later_csv_error(table, header, error, tmp
     with pytest.raises(ScenarioError) as exc:
         load_scenario(*paths)
     assert str(exc.value) == f"parse error: {tmp_path / table}{error}"
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("table", ["versions.csv", "datasets.csv", "runtimes.csv"])
+def test_a_byte_that_is_not_utf8_is_named_at_its_line_and_file_offset(table, end, tmp_path):
+    """The decoder counts positions from its chunk; the error counts them from the start of the file."""
+    paths = [tmp_path / n for n in ("versions.csv", "datasets.csv", "runtimes.csv")]
+    save_scenario(generate(SynthConfig(9, 300, 3, 8, seed=5))[0], *paths)
+    data = (tmp_path / table).read_bytes().replace(b"\n", end)
+    at = len(data) // 2 + re.search(rb"\d", data[len(data) // 2:]).start()  # a digit, mid-line
+    (tmp_path / table).write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(*paths)
+    line = data[:at].count(end) + 1
+    assert str(exc.value) == f"parse error: {tmp_path / table}:{line}: byte 0xff at offset {at} is not UTF-8"
 
 
 class TestCsvRoundTrip:

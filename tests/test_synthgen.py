@@ -197,3 +197,16 @@ class TestConfigValidation:
                 seed=1,
                 feature_range=(1, 4),
             )
+
+    @pytest.mark.parametrize("hi", [10**7 + 2, 10**9])
+    def test_feature_range_past_ten_million_cut_slots_is_refused(self, hi):
+        # Refused when the config is built, before any draw or allocation.
+        with pytest.raises(SynthError) as exc:
+            SynthConfig(n_versions=5, n_datasets=10, feature_arity=2, n_regions=4, seed=1, feature_range=(1, hi))
+        assert exc.value.category == "invalid config"
+        assert f"feature_range spans {hi - 1} cut slots, more than 10000000" in str(exc.value)
+
+    def test_feature_range_of_ten_million_cut_slots_is_accepted(self):
+        config = SynthConfig(n_versions=5, n_datasets=10, feature_arity=2, n_regions=4, seed=1,
+                             feature_range=(-5, 10**7 - 5))
+        assert config.feature_range[1] - config.feature_range[0] == 10**7
