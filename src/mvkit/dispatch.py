@@ -4,9 +4,10 @@ A dispatcher is the portable artifact that picks a version at run time:
 the acyclic node array of :mod:`mvkit.nodes` (feature <= threshold goes
 left) ending in version-id leaves, the same canonical array a classifier
 tree holds. Decision trees therefore compile as they are; a rule list is
-lowered to one chain of branches per rule, where every failure edge of a
-rule points at the one entry of the next rule (its shared fall-through),
-so n rules with c_i conditions take sum(c_i + 1) + 1 nodes.
+lowered, in rule order, to one chain of branches per rule, where every
+failure edge of a rule points at the first node of the next rule (its
+shared fall-through), so n rules with c_i conditions take sum(c_i + 1) + 1
+nodes, which :class:`DispatcherSpec` puts in canonical order.
 
 The canonical text form (`MVDISPATCH v1`) lists nodes in first-visit
 pre-order from the entry (node 0), one per line, with thresholds at 17
@@ -25,7 +26,7 @@ from functools import cached_property, partial
 from typing import Sequence
 
 from .errors import MvkitError
-from .learners.rules import GT, LE, RuleListModel
+from .learners.rules import LE, RuleListModel
 from .learners.trees import CLASSIFIER, TreeModel
 from .nodes import Branch, Leaf, Node, canonical, format_nodes, g17, parse_nodes, route
 
@@ -44,8 +45,8 @@ class DispatcherSpec:
     """Immutable compiled dispatcher; evaluation starts at node 0.
 
     Construction puts ``nodes`` in :func:`mvkit.nodes.canonical` order and
-    sets ``depth``; it refuses a cycle, a bad child index ("invalid
-    dispatcher") and a feature outside the arity ("feature range").
+    sets ``depth``; a cycle, a bad child index or a feature outside
+    ``[0, feature_arity)`` is "invalid dispatcher".
     ``byte_size`` is the length of the canonical serialization and stands
     in for the selection mechanism's code-size cost.
     """
@@ -55,12 +56,7 @@ class DispatcherSpec:
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
-        nodes, depth = canonical(self.nodes, 0, _INVALID)
-        for n in nodes:
-            if isinstance(n, Branch) and not 0 <= n.feature < self.feature_arity:
-                raise DispatchError(
-                    "feature range", f"feature index {n.feature} outside arity {self.feature_arity}"
-                )
+        nodes, depth = canonical(self.nodes, 0, self.feature_arity, _INVALID)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "depth", depth)
 
@@ -95,39 +91,30 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
 
 def _compile_rules(model: RuleListModel) -> DispatcherSpec:
     """Each rule becomes a chain of branches ending at its label leaf;
-    every failed condition falls through to the one entry of the next
+    every failed condition falls through to the first node of the next
     rule, and past the last rule to the default leaf."""
-    nodes: list[Node] = [Leaf(model.default_label)]
-    fall_through = 0
-    for rule in reversed(model.rules):
+    nodes: list[Node] = []
+    for rule in model.rules:
+        fall_through = len(nodes) + len(rule.conditions) + 1
+        for cond in rule.conditions:
+            on_pass = len(nodes) + 1
+            sides = (on_pass, fall_through) if cond.op == LE else (fall_through, on_pass)
+            nodes.append(Branch(cond.feature, cond.threshold, *sides))
         nodes.append(Leaf(rule.label))
-        on_pass = len(nodes) - 1
-        for cond in reversed(rule.conditions):
-            if cond.op == LE:
-                nodes.append(Branch(cond.feature, cond.threshold, on_pass, fall_through))
-            elif cond.op == GT:
-                nodes.append(Branch(cond.feature, cond.threshold, fall_through, on_pass))
-            else:
-                raise DispatchError("model kind", f"unknown condition op {cond.op!r}")
-            on_pass = len(nodes) - 1
-        fall_through = on_pass
-    return DispatcherSpec(model.arity, canonical(nodes, fall_through, _INVALID)[0])
+    nodes.append(Leaf(model.default_label))
+    return DispatcherSpec(model.arity, tuple(nodes))
 
 
 # --- evaluation ----------------------------------------------------------------
 
 
 def eval_dispatcher(spec: DispatcherSpec, x: Sequence[float]) -> tuple[int, int]:
-    """Route a feature vector; returns (version id, comparisons made).
-
-    Walks at most node-count steps; running past that, or hitting an
-    out-of-range index, reports "invalid dispatcher" rather than looping.
-    """
+    """Route a feature vector; returns (version id, comparisons made)."""
     if len(x) != spec.feature_arity:
         raise DispatchError(
             "feature arity", f"expected arity {spec.feature_arity}, got {len(x)}"
         )
-    index, comparisons = route(spec.nodes, x, _INVALID)
+    index, comparisons = route(spec.nodes, x)
     return spec.nodes[index].value, comparisons
 
 

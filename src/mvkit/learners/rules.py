@@ -31,11 +31,15 @@ GT = "gt"  # feature > threshold
 
 @dataclass(frozen=True)
 class Condition:
-    """One comparison: feature <= threshold (le) or feature > threshold (gt)."""
+    """One comparison: feature <= threshold (le) or feature > threshold (gt); any other op is "invalid rule"."""
 
     feature: int
     op: str
     threshold: float
+
+    def __post_init__(self) -> None:
+        if self.op not in (LE, GT):
+            raise LearnError("invalid rule", f"condition op must be {LE!r} or {GT!r}, got {self.op!r}")
 
     def holds(self, x: Sequence[float]) -> bool:
         value = x[self.feature]
@@ -67,12 +71,17 @@ class RuleConfig:
 
 @dataclass(frozen=True)
 class RuleListModel:
-    """First-match ordered rules with a default label fallback."""
+    """First-match ordered rules with a default label; a condition feature outside ``[0, arity)`` is "invalid rule"."""
 
     rules: tuple[Rule, ...]
     default_label: int
     arity: int
     config: RuleConfig
+
+    def __post_init__(self) -> None:
+        bad = [c.feature for rule in self.rules for c in rule.conditions if not 0 <= c.feature < self.arity]
+        if bad:
+            raise LearnError("invalid rule", f"condition feature {bad[0]} outside arity {self.arity}")
 
 
 def _grow_rule(pool: list[LabeledSample], target: int) -> tuple[Rule, list[int]]:

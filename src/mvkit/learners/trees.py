@@ -82,7 +82,7 @@ class TreeConfig:
 
 REGTREE_DEFAULTS = TreeConfig(min_split=4)
 
-# Trees built here are well formed; a failed walk means a hand-built model is broken.
+# Trees built here are well formed; a failed check means a hand-built model is broken.
 _INVALID = partial(LearnError, "invalid tree")
 
 
@@ -93,9 +93,9 @@ class TreeModel:
     ``kind`` is "classifier" (integer leaf values) or "regressor" (mean
     target leaves). ``arity`` is the feature-vector length every
     prediction input must match. Construction puts ``nodes`` in
-    :func:`mvkit.nodes.canonical` order and sets ``depth``; a cycle or a
-    bad child index is "invalid tree". A classifier's node array is
-    already a dispatcher's.
+    :func:`mvkit.nodes.canonical` order and sets ``depth``; a cycle, a
+    bad child index or a feature outside ``[0, arity)`` is "invalid tree".
+    A classifier's node array is already a dispatcher's.
     """
 
     kind: str
@@ -105,7 +105,7 @@ class TreeModel:
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
-        nodes, depth = canonical(self.nodes, 0, _INVALID)
+        nodes, depth = canonical(self.nodes, 0, self.arity, _INVALID)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "depth", depth)
 
@@ -224,7 +224,7 @@ def predict_tree(model: TreeModel, x: Sequence[float]) -> tuple[float, int]:
     """Route a feature vector to its leaf; returns (value, comparisons)."""
     if len(x) != model.arity:
         raise LearnError("feature arity", f"expected arity {model.arity}, got {len(x)}")
-    index, comparisons = route(model.nodes, x, _INVALID)
+    index, comparisons = route(model.nodes, x)
     value = model.nodes[index].value
     return (int(value) if model.kind == CLASSIFIER else float(value)), comparisons
 

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import MvkitError
 from .learners.linear import LinearModel
-from .learners.rules import Condition, GT, LE, Rule, RuleConfig, RuleListModel
+from .learners.rules import Condition, Rule, RuleConfig, RuleListModel
 from .learners.samples import LearnError
 from .learners.trees import CLASSIFIER, REGRESSOR, TreeConfig, TreeModel
 from .nodes import format_nodes, g17, parse_nodes
@@ -207,9 +207,7 @@ def loads(text: str) -> AnyModel:
                 label, n_conditions = int(parts[1]), int(parts[2])
                 triples = [parts[k:k + 3] for k in range(3, len(parts), 3)]
                 conditions = tuple(Condition(int(f), op, float(t)) for f, op, t in triples)
-                if parts[0] != "R" or len(conditions) != n_conditions or any(
-                    c.op not in (LE, GT) or not 0 <= c.feature < arity for c in conditions
-                ):
+                if parts[0] != "R" or len(conditions) != n_conditions or any(not 0 <= c.feature < arity for c in conditions):
                     raise ValueError
             except (ValueError, IndexError):
                 raise ModelIOError("parse error", f"line {linenos[at]}: malformed rule {lines[at]!r}") from None

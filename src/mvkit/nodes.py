@@ -9,10 +9,10 @@ trees and dispatchers hold the array in the order of :func:`canonical`.
 The walks here are iterative and linear in the node count, so depth is
 bounded by memory rather than by the interpreter's recursion limit.
 
-Every check takes ``error``, a callable that turns a message into the
-caller's exception (for example ``partial(DispatchError, "invalid
-dispatcher")``), so each document format keeps its own error class and
-category.
+Only :func:`canonical` checks an array; :func:`route` trusts it. That check
+and :func:`parse_nodes` take ``error``, a callable that turns a message into
+the caller's exception (for example ``partial(DispatchError, "invalid
+dispatcher")``), so each document format keeps its own error class and category.
 
 The text form is one line per node: ``B feature threshold left right`` or
 ``L value``, with thresholds at 17 significant digits so that
@@ -52,14 +52,15 @@ def g17(value: float) -> str:
     return format(value, ".17g")
 
 
-def canonical(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> tuple[tuple[Node, ...], int]:
+def canonical(nodes: Sequence[Node], entry: int, arity: int, error: ErrorFactory) -> tuple[tuple[Node, ...], int]:
     """The nodes reachable from ``entry`` in canonical order, and the branches on their longest path.
 
     Canonical order is first-visit, left-first pre-order with ``entry`` as
     node 0: a shared child is listed once, at its first visit, and
     unreachable nodes are dropped. One walk visits each node once; a path
-    that returns to a node still on it, or an index outside ``nodes``,
-    raises ``error``. An array already in canonical order keeps its node objects.
+    that returns to a node still on it, an index outside ``nodes`` or a
+    reachable branch on a feature outside ``[0, arity)`` raises ``error``.
+    An array already in canonical order keeps its node objects.
     """
     count = len(nodes)
     number = [-1] * count  # position in canonical order, once visited
@@ -77,6 +78,8 @@ def canonical(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> tuple[t
             order.append(index)
             node = nodes[index]
             if isinstance(node, Branch):
+                if not 0 <= node.feature < arity:
+                    raise error(f"feature index {node.feature} outside arity {arity}")
                 stack += [(index, node), (node.right, None), (node.left, None)]
             else:
                 below[index] = 0
@@ -88,27 +91,16 @@ def canonical(nodes: Sequence[Node], entry: int, error: ErrorFactory) -> tuple[t
     ), below[entry]
 
 
-def route(
-    nodes: Sequence[Node], x: Sequence[float], error: ErrorFactory, entry: int = 0
-) -> tuple[int, int]:
-    """Walk ``x`` from ``entry`` to a leaf; returns (leaf index, comparisons).
+def route(nodes: Sequence[Node], x: Sequence[float]) -> tuple[int, int]:
+    """Walk ``x`` from node 0 to a leaf; returns (leaf index, comparisons).
 
-    Takes at most node-count steps; running past that, an index outside
-    ``nodes`` or a feature outside ``x`` raises ``error`` rather than
-    looping or reading past the input.
+    ``nodes`` is an array :func:`canonical` accepted for ``len(x)`` features.
     """
-    index, comparisons = entry, 0
-    for _ in range(len(nodes) + 1):
-        if not 0 <= index < len(nodes):
-            raise error(f"node index {index} out of range")
-        node = nodes[index]
-        if not isinstance(node, Branch):
-            return index, comparisons
-        if not 0 <= node.feature < len(x):
-            raise error(f"feature index {node.feature} out of range")
+    index, comparisons = 0, 0
+    while isinstance(node := nodes[index], Branch):
         comparisons += 1
         index = node.left if x[node.feature] <= node.threshold else node.right
-    raise error("evaluation exceeded node count; cycle suspected")
+    return index, comparisons
 
 
 def format_nodes(nodes: Sequence[Node], leaf: Callable[[float], object]) -> list[str]:

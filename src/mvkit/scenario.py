@@ -20,6 +20,7 @@ runtime matrix in one pass. All types are immutable after construction and threa
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -260,34 +261,27 @@ _EXPECTED = {int: "integer", float: "number"}
 _CELL_ENDS = bytes(byte in b",\r\n" for byte in range(256))  # translates a comma or line end to 1, the rest to 0
 
 
-def _rows(path: str | Path) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """``(physical line, row)`` for each row holding more than whitespace, parsed up to the first CSV error before
-    any is yielded: a byte that is not UTF-8 fails the table first, at its line, and the CSV error comes after the
-    rows before it."""
-    rows, error = [], None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if "".join(row).strip():
-                    rows.append((reader.line_num, tuple(row)))  # the collector stops scanning a tuple of str
-        except csv.Error as exc:
-            error = ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}")
-        except UnicodeDecodeError:  # its position counts from a decode chunk: find the byte in the whole file
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line, at = len((data[: exc.start] + b".").splitlines()), exc.start  # lines end as csv's do
-                message = f"byte 0x{data[at]:02x} at offset {at} is not UTF-8"
-                raise ScenarioError("parse error", f"{path}:{line}: {message}") from None
-            raise
-    yield from rows
-    if error:
-        raise error
+def _rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """``(physical line, row)`` for each row holding more than whitespace. The table is decoded whole before any
+    row is parsed: a byte that is not UTF-8 fails the table first, at its line, and a CSV error comes after the rows
+    before it."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line, at = len((data[: exc.start] + b".").splitlines()), exc.start  # lines end as csv's do
+        message = f"byte 0x{data[at]:02x} at offset {at} is not UTF-8"
+        raise ScenarioError("parse error", f"{path}:{line}: {message}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ScenarioError("parse error", f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _header(path: str | Path, table: Iterator[tuple[int, tuple[str, ...]]], header: list[str]) -> None:
+def _header(path: str | Path, table: Iterator[tuple[int, list[str]]], header: list[str]) -> None:
     if [c.strip() for c in next(table, (0, []))[1]] != header:
         raise ScenarioError("parse error", f"{path}: expected header {','.join(header)}")
 
@@ -298,7 +292,7 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-def _cells(path: str | Path, line: int, row: tuple[str, ...], width: int, spec: Iterable[tuple[int, Callable]]) -> list:
+def _cells(path: str | Path, line: int, row: list[str], width: int, spec: Iterable[tuple[int, Callable]]) -> list:
     """The stripped cells of ``row`` that ``spec`` names as ``(column, converter)``, converted in its order; a wrong
     field count, then the first cell that does not convert, is a parse error at ``path:line``."""
     if len(row) != width:

@@ -1,5 +1,6 @@
 """Dispatcher compilation, the text format, templates, and the interpreter."""
 
+import random
 import re
 from pathlib import Path
 
@@ -25,10 +26,10 @@ from mvkit import (
     train_rule_list,
     train_tree_classifier,
 )
-from mvkit.dispatch import FRAGMENT_NAMES, Branch, Leaf, _parse_template
+from mvkit.dispatch import _INVALID, FRAGMENT_NAMES, Branch, Leaf, _parse_template
 from mvkit.learners import LabeledSample
 from mvkit.learners.rules import GT, LE, Condition, Rule, RuleListModel
-from mvkit.nodes import g17
+from mvkit.nodes import Node, canonical, g17
 from mvkit.rng import Rng
 
 from conftest import chain_node_lines, diamond_lines, dispatcher_text
@@ -185,6 +186,61 @@ class TestLinearLowering:
         for _ in range(500):
             x = (rng.uniform(-1, 11), rng.uniform(-1, 11))
             assert interpret_rendered(rendered, x) == predict_rules(model, x)[0]
+
+
+# --- oracle: the reverse lowering the rule-order one replaced, verbatim but for canonical's arity ---
+
+
+def oracle_compile_rules(model: RuleListModel) -> DispatcherSpec:
+    """Each rule becomes a chain of branches ending at its label leaf;
+    every failed condition falls through to the one entry of the next
+    rule, and past the last rule to the default leaf."""
+    nodes: list[Node] = [Leaf(model.default_label)]
+    fall_through = 0
+    for rule in reversed(model.rules):
+        nodes.append(Leaf(rule.label))
+        on_pass = len(nodes) - 1
+        for cond in reversed(rule.conditions):
+            if cond.op == LE:
+                nodes.append(Branch(cond.feature, cond.threshold, on_pass, fall_through))
+            elif cond.op == GT:
+                nodes.append(Branch(cond.feature, cond.threshold, fall_through, on_pass))
+            else:
+                raise DispatchError("model kind", f"unknown condition op {cond.op!r}")
+            on_pass = len(nodes) - 1
+        fall_through = on_pass
+    return DispatcherSpec(model.arity, canonical(nodes, fall_through, model.arity, _INVALID)[0])
+
+
+def seeded_rules(seed: int) -> RuleListModel:
+    """Up to six rules of zero to three conditions on arity ``1 + seed % 4``, thresholds often repeated."""
+    rng = random.Random(seed)
+    arity = 1 + seed % 4
+    rules = tuple(
+        Rule(
+            tuple(
+                Condition(rng.randrange(arity), rng.choice((LE, GT)), rng.choice((0.5, 1.5, rng.uniform(-5, 5))))
+                for _ in range(rng.choice((0, 1, 1, 2, 3)))
+            ),
+            rng.randint(1, 5),
+        )
+        for _ in range(rng.randint(0, 6))
+    )
+    return RuleListModel(rules, rng.randint(0, 5), arity, RuleConfig())
+
+
+def test_rule_order_lowering_writes_the_reverse_lowerings_bytes():
+    seen = {"no rules": 0, "a rule with no conditions before the last": 0, "gt first": 0}
+    arities = set()
+    for seed in range(3000):
+        model = seeded_rules(seed)
+        assert serialize(compile_dispatcher(model)) == serialize(oracle_compile_rules(model)), f"seed {seed}"
+        arities.add(model.arity)
+        seen["no rules"] += not model.rules
+        seen["a rule with no conditions before the last"] += any(not r.conditions for r in model.rules[:-1])
+        seen["gt first"] += any(r.conditions[:1] and r.conditions[0].op == GT for r in model.rules)
+    assert arities == {1, 2, 3, 4}
+    assert min(seen.values()) >= 100, seen
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 """Ordered rule-list learning by sequential covering."""
 
+import random
+
 import pytest
 
-from mvkit import LearnError, RuleConfig, predict_rules, train_rule_list
+from mvkit import LearnError, ModelIOError, RuleConfig, modelio, predict_rules, train_rule_list
 from mvkit.learners import LabeledSample
 from mvkit.learners.rules import Condition, Rule, RuleListModel
 from mvkit.rng import Rng
@@ -108,3 +110,53 @@ class TestPrediction:
         model = train_rule_list(SEPARABLE, RuleConfig(min_cover=1))
         with pytest.raises(LearnError):
             predict_rules(model, (1.0, 2.0))
+
+
+class TestValidByConstruction:
+    def test_an_op_other_than_le_or_gt_is_refused(self):
+        for op in ("lt", "LE", "<=", ""):
+            with pytest.raises(LearnError) as exc:
+                Condition(0, op, 0.5)
+            assert exc.value.category == "invalid rule"
+            assert exc.value.message == f"condition op must be 'le' or 'gt', got {op!r}"
+
+    def test_a_condition_feature_outside_the_arity_is_refused(self):
+        for feature in (2, 1, -1):
+            with pytest.raises(LearnError) as exc:
+                RuleListModel((Rule((Condition(feature, "le", 0.5),), 1),), 0, 1, RuleConfig())
+            assert exc.value.category == "invalid rule"
+            assert exc.value.message == f"condition feature {feature} outside arity 1"
+
+    def test_a_document_with_an_unknown_op_is_a_malformed_rule(self):
+        model = RuleListModel((Rule((Condition(0, "le", 0.5),), 1),), 0, 1, RuleConfig())
+        text = modelio.dumps(model).replace(" le ", " lt ")
+        with pytest.raises(ModelIOError) as exc:
+            modelio.loads(text)
+        assert (exc.value.category, exc.value.message) == ("parse error", "line 2: malformed rule 'R 1 1 0 lt 0.5'")
+
+    def test_every_hand_built_rule_list_that_constructs_survives_dumps_and_loads(self):
+        built = refused = 0
+        ops = ("le", "gt", "le", "gt", "lt")  # one in five is refused
+        for seed in range(600):
+            rng = random.Random(seed)
+            arity = rng.randint(1, 3)
+            try:
+                rules = tuple(
+                    Rule(
+                        tuple(
+                            Condition(rng.randint(-1, arity), rng.choice(ops), rng.uniform(-5, 5))
+                            for _ in range(rng.randint(0, 2))
+                        ),
+                        rng.randint(1, 4),
+                    )
+                    for _ in range(rng.randint(0, 3))
+                )
+                model = RuleListModel(rules, rng.randint(0, 4), arity, RuleConfig())
+            except LearnError as exc:
+                assert exc.category == "invalid rule"
+                refused += 1
+                continue
+            assert modelio.loads(modelio.dumps(model)) == model, f"seed {seed}"
+            predict_rules(model, tuple(rng.uniform(-5, 5) for _ in range(arity)))
+            built += 1
+        assert min(built, refused) >= 100

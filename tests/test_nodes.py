@@ -23,7 +23,8 @@ from mvkit import (
     save_scenario,
     serialize,
 )
-from mvkit import modelio
+from mvkit import LearnError, TreeConfig, modelio
+from mvkit.learners.trees import CLASSIFIER, TreeModel
 from mvkit.nodes import Branch, Leaf, Node, canonical, parse_nodes
 
 from conftest import (
@@ -288,7 +289,7 @@ class TestCanonicalMatchesOracle:
         for seed in range(500):
             nodes, entry = random_array(seed)
             expected = outcome(oracle, nodes, entry)
-            got = outcome(lambda ns, e: canonical(ns, e, _ORACLE_ERROR), nodes, entry)
+            got = outcome(lambda ns, e: canonical(ns, e, 3, _ORACLE_ERROR), nodes, entry)
             assert got == expected, f"seed {seed}"
             result = "error" if isinstance(expected[1], str) else "renumbered" if list(expected[0]) != nodes else "as is"
             key = (SHAPES[seed % len(SHAPES)], result)
@@ -302,10 +303,49 @@ class TestCanonicalMatchesOracle:
     def test_a_canonical_array_comes_back_with_the_same_node_objects(self):
         for seed in range(0, 500, 4):
             nodes, entry = random_array(seed)
-            once, depth = canonical(nodes, entry, _ORACLE_ERROR)
-            again, depth_again = canonical(list(once), 0, _ORACLE_ERROR)
+            once, depth = canonical(nodes, entry, 3, _ORACLE_ERROR)
+            again, depth_again = canonical(list(once), 0, 3, _ORACLE_ERROR)
             assert depth_again == depth
             assert len(again) == len(once) and all(a is b for a, b in zip(again, once))
+
+
+# --- features outside the arity -----------------------------------------------------
+
+def bad_feature(feature: int) -> tuple[Node, ...]:
+    """An arity-2 tree whose node 2 branches on ``feature``."""
+    return Branch(0, 0.5, 1, 2), Leaf(1), Branch(feature, 1.5, 3, 4), Leaf(2), Leaf(3)
+
+
+@pytest.mark.parametrize("feature", [2, -1])
+class TestFeaturesOutsideTheArity:
+    def test_a_hand_built_tree_is_refused_at_construction(self, feature):
+        with pytest.raises(LearnError) as exc:
+            TreeModel(CLASSIFIER, 2, bad_feature(feature), TreeConfig())
+        assert (exc.value.category, exc.value.message) == ("invalid tree", f"feature index {feature} outside arity 2")
+
+    def test_a_hand_built_dispatcher_is_refused_with_the_same_message(self, feature):
+        with pytest.raises(DispatchError) as exc:
+            DispatcherSpec(2, bad_feature(feature))
+        assert exc.value.category == "invalid dispatcher"
+        assert exc.value.message == f"feature index {feature} outside arity 2"
+
+    def test_an_unreachable_branch_is_dropped_not_checked(self, feature):
+        assert DispatcherSpec(2, (Leaf(1), *bad_feature(feature))).nodes == (Leaf(1),)
+
+
+def test_every_hand_built_tree_that_constructs_survives_dumps_and_loads():
+    built = refused = 0
+    for seed in range(400):
+        nodes, _ = random_array(seed)  # features 0..2 on arities 1..3
+        try:
+            model = TreeModel(CLASSIFIER, 1 + seed % 3, nodes, TreeConfig())
+        except LearnError as exc:
+            assert exc.category == "invalid tree"
+            refused += 1
+            continue
+        assert modelio.loads(modelio.dumps(model)) == model, f"seed {seed}"
+        built += 1
+    assert min(built, refused) >= 50
 
 
 # --- unreachable nodes --------------------------------------------------------------

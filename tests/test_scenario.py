@@ -199,6 +199,22 @@ def test_a_byte_that_is_not_utf8_is_named_at_its_line_and_file_offset(table, end
     assert str(exc.value) == f"parse error: {tmp_path / table}:{line}: byte 0xff at offset {at} is not UTF-8"
 
 
+def test_a_byte_that_is_not_utf8_is_named_before_an_earlier_csv_error(tmp_path):
+    """The row path decodes the whole table before it parses a row, so line 600's byte wins over line 4's
+    field past the csv limit, however far apart they are."""
+    paths = [tmp_path / n for n in ("versions.csv", "datasets.csv", "runtimes.csv")]
+    save_scenario(generate(SynthConfig(5, 160, 2, 4, seed=21, feature_range=(1, 12)))[0], *paths)
+    lines = (b" " + paths[2].read_bytes()).split(b"\n")  # a loose header: the bulk pass refuses the table
+    lines[3] += b" " * 140_000
+    lines[599] = lines[599][:-1] + b"\xff"
+    data = b"\n".join(lines)
+    paths[2].write_bytes(data)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(*paths)
+    at = data.index(b"\xff")
+    assert str(exc.value) == f"parse error: {paths[2]}:600: byte 0xff at offset {at} is not UTF-8"
+
+
 class TestCsvRoundTrip:
     def test_save_load_identity(self, toy_scenario, tmp_path):
         paths = [tmp_path / n for n in ("versions.csv", "datasets.csv", "runtimes.csv")]

@@ -807,7 +807,7 @@ def _bad_cell_under_a_loose_header(text: str) -> str:
     return "\n".join(lines)
 
 
-# (edit of a gen-written runtimes.csv, the error it raises, csv.reader objects a load builds per table)
+# (edit of a gen-written runtimes.csv, the error it raises, row-path reads a load makes per table)
 ROW_PASSES = {
     "canonical tables": (lambda text: text, None, {"versions.csv": 1}),
     "bad cell in a table the bulk pass refuses": (
@@ -819,20 +819,20 @@ ROW_PASSES = {
 }
 
 
-@pytest.mark.parametrize("edit, category, readers", ROW_PASSES.values(), ids=ROW_PASSES.keys())
-def test_a_load_reads_each_row_path_table_once(fuzz_scenario, tmp_path, monkeypatch, edit, category, readers):
+@pytest.mark.parametrize("edit, category, expected_reads", ROW_PASSES.values(), ids=ROW_PASSES.keys())
+def test_a_load_reads_each_row_path_table_once(fuzz_scenario, tmp_path, monkeypatch, edit, category, expected_reads):
     names = ("versions.csv", "datasets.csv", "runtimes.csv")
     for name in names:
         shutil.copy(fuzz_scenario / name, tmp_path / name)
     runtimes = tmp_path / "runtimes.csv"
     runtimes.write_text(edit(runtimes.read_text()))
-    built, reader = Counter(), csv.reader
+    reads, read_bytes = Counter(), Path.read_bytes
 
-    def counting_reader(fh, *args, **kwargs):
-        built[Path(fh.name).name] += 1
-        return reader(fh, *args, **kwargs)
+    def counting_read(path):
+        reads[path.name] += 1
+        return read_bytes(path)
 
-    monkeypatch.setattr(csv, "reader", counting_reader)
+    monkeypatch.setattr(Path, "read_bytes", counting_read)
     got = outcome(load_scenario, [tmp_path / name for name in names])
     assert (got[0] == category) if category else isinstance(got, Scenario)
-    assert built == readers
+    assert reads == expected_reads

@@ -26,7 +26,7 @@ from mvkit.learners.trees import (
     train_tree_classifier,
 )
 from mvkit.learners.splits import best_class_split, best_regression_split, majority
-from mvkit.nodes import Branch, Leaf, route
+from mvkit.nodes import Branch, Leaf
 
 from test_nodes import preorder
 
@@ -73,6 +73,13 @@ def _train_unpruned(samples, config):
     return TreeModel(CLASSIFIER, len(samples[0].features), nodes, config)
 
 
+def _leaf_from(nodes, x, index):
+    while isinstance(nodes[index], Branch):
+        node = nodes[index]
+        index = node.left if x[node.feature] <= node.threshold else node.right
+    return index
+
+
 def _reduced_error_prune(model, grow_set, holdout, config):
     nodes = list(model.nodes)
     grow_at = {0: list(grow_set)}
@@ -92,9 +99,7 @@ def _reduced_error_prune(model, grow_set, holdout, config):
     distribute(0)
 
     def subtree_errors(index, samples):
-        return sum(
-            1 for s in samples if nodes[route(nodes, s.features, _INVALID, index)[0]].value != s.label
-        )
+        return sum(1 for s in samples if nodes[_leaf_from(nodes, s.features, index)].value != s.label)
 
     def prune(index):
         node = nodes[index]
