@@ -72,10 +72,10 @@ _NAMES = {
         "deserialize", "eval_dispatcher", "interpret_rendered", "render_template", "serialize",
     ),
     "errors": ("MvkitError",),
-    "learners.cv": ("CVReport", "LearnerSpec", "cross_validate", "train_model"),
+    "learners.cv": ("CVReport", "LearnerSpec", "cross_validate", "predict_regression", "train_model"),
     "learners.linear": ("LinearModel", "predict_linear", "train_linear_regression"),
     "learners.metrics": ("error_rate", "rrse"),
-    "learners.ppm": ("predict_regression", "ppm_select", "train_ppm_models"),
+    "learners.ppm": ("ppm_select", "train_ppm_models"),
     "learners.rules": ("Condition", "Rule", "RuleConfig", "RuleListModel", "predict_rules", "train_rule_list"),
     "learners.samples": ("LabeledSample", "LearnError", "RegressionSample", "make_dc_labels", "make_ppm_samples"),
     "learners.trees": ("TreeConfig", "TreeModel", "predict_tree", "train_regression_tree", "train_tree_classifier"),

@@ -454,13 +454,7 @@ def cmd_train(args: argparse.Namespace) -> list[Output]:
             raise CliError("missing required option --seed (pruning uses a seeded holdout)")
         model = train_model(spec, samples, seed=args.seed)
     else:
-        model = train_ppm_models(
-            scenario,
-            matrix,
-            set(representative),
-            algorithm=spec.algorithm,
-            tree_config=spec.tree_config(args.seed),
-        )
+        model = train_ppm_models(spec, scenario, matrix, representative, args.seed)
         if not model:
             raise CliError("PPM training needs a non-empty representative set")
     return [(args.out, dumps(model))]

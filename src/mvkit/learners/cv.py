@@ -1,4 +1,5 @@
-"""Deterministic k-fold cross validation for both learner families."""
+"""The learner entry points: train one model, predict with a regressor,
+and deterministic k-fold cross validation for both learner families."""
 
 from __future__ import annotations
 
@@ -8,11 +9,11 @@ from typing import Sequence
 
 from ..dispatch import compile_dispatcher, eval_dispatcher
 from ..rng import Rng, mix_seed
-from .linear import predict_linear, train_linear_regression
+from .linear import LinearModel, predict_linear, train_linear_regression
 from .metrics import error_rate, rrse
 from .rules import RuleConfig, train_rule_list
 from .samples import LabeledSample, LearnError, RegressionSample
-from .trees import REGTREE_DEFAULTS, TreeConfig, predict_tree, train_regression_tree, train_tree_classifier
+from .trees import REGRESSOR, REGTREE_DEFAULTS, TreeConfig, TreeModel, predict_tree, train_regression_tree, train_tree_classifier
 
 FOLDS = 10  # the default fold count of cross_validate and `mvkit cv`
 
@@ -65,6 +66,18 @@ def train_model(spec: LearnerSpec, samples: Sequence, seed: int | None = None):
     if spec.algorithm == "regtree":
         return train_regression_tree(samples, spec.tree_config(seed))
     return train_linear_regression(samples)
+
+
+Regressor = TreeModel | LinearModel
+
+
+def predict_regression(model: Regressor, x: Sequence[float]) -> float:
+    """Predicted ln speedup at x, regardless of regressor family."""
+    if isinstance(model, TreeModel):
+        if model.kind != REGRESSOR:
+            raise LearnError("model kind", "classifier tree cannot serve as a regressor")
+        return predict_tree(model, x)[0]
+    return predict_linear(model, x)
 
 
 @dataclass(frozen=True)
@@ -144,16 +157,12 @@ def cross_validate(
         if spec.is_dc:  # scored through the dispatcher `emit` would ship
             dispatcher = compile_dispatcher(model)
             predictions = [eval_dispatcher(dispatcher, s.features)[0] for s in test]
-        elif spec.algorithm == "regtree":
-            predictions = [predict_tree(model, s.features)[0] for s in test]
-        else:
-            predictions = [predict_linear(model, s.features) for s in test]
-        if spec.is_dc:
             actual = [s.label for s in test]
             per_fold.append(error_rate(predictions, actual))
             for a, p in zip(actual, predictions):
                 confusion[(a, p)] = confusion.get((a, p), 0) + 1
         else:
+            predictions = [predict_regression(model, s.features) for s in test]
             actual = [s.target for s in test]
             train_mean = statistics.fmean(s.target for s in train)
             per_fold.append(rrse(predictions, actual, train_mean))

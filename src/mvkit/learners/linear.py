@@ -24,8 +24,8 @@ def train_linear_regression(samples: Sequence[RegressionSample]) -> LinearModel:
     """Least-squares fit of target = intercept + coefficients . features.
 
     Solves the normal equations directly; a singular design (collinear or
-    duplicated columns) gets a ridge jitter of 1e-8 on the diagonal, which
-    always yields a finite solution.
+    duplicated columns) gets a ridge jitter of 1e-8 on the diagonal, and a
+    fit still not finite after that (features that overflow) is refused.
     """
     import numpy as np  # here, not at the top: modelio loads this module for LinearModel alone
 
@@ -34,15 +34,17 @@ def train_linear_regression(samples: Sequence[RegressionSample]) -> LinearModel:
         [np.ones((len(samples), 1)), np.array([s.features for s in samples], dtype=float)]
     )
     targets = np.array([s.target for s in samples], dtype=float)
-    gram = design.T @ design
-    moment = design.T @ targets
-    try:
-        beta = np.linalg.solve(gram, moment)
-        if not np.isfinite(beta).all():
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        beta = np.linalg.solve(gram + RIDGE_JITTER * np.eye(gram.shape[0]), moment)
-    return LinearModel(intercept=float(beta[0]), coefficients=tuple(float(b) for b in beta[1:]))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite beta
+        gram = design.T @ design
+        moment = design.T @ targets
+        for system in (gram, gram + RIDGE_JITTER * np.eye(gram.shape[0])):
+            try:
+                beta = np.linalg.solve(system, moment)
+            except np.linalg.LinAlgError:
+                continue
+            if np.isfinite(beta).all():
+                return LinearModel(intercept=float(beta[0]), coefficients=tuple(float(b) for b in beta[1:]))
+    raise LearnError("non-finite fit", "least squares has no finite solution, even with the ridge fallback")
 
 
 def predict_linear(model: LinearModel, x: Sequence[float]) -> float:

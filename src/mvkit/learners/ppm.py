@@ -1,69 +1,32 @@
-"""Performance-prediction dispatch: per-version regressors, argmax select."""
+"""Performance-prediction dispatch: per-version regressors from ``cv.train_model``, argmax select."""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..scenario import Scenario, SpeedupMatrix
-from .linear import LinearModel, predict_linear, train_linear_regression
+from .cv import LearnerSpec, Regressor, predict_regression, train_model
 from .samples import LearnError, make_ppm_samples
-from .trees import REGRESSOR, REGTREE_DEFAULTS, TreeConfig, TreeModel, predict_tree, train_regression_tree
-
-Regressor = TreeModel | LinearModel
-
-
-def predict_regression(model: Regressor, x: Sequence[float]) -> float:
-    """Predicted ln speedup at x, regardless of regressor family."""
-    if isinstance(model, TreeModel):
-        if model.kind != REGRESSOR:
-            raise LearnError("model kind", "classifier tree cannot serve as a regressor")
-        value, _ = predict_tree(model, x)
-        return float(value)
-    return predict_linear(model, x)
 
 
 def train_ppm_models(
-    scenario: Scenario,
-    matrix: SpeedupMatrix,
-    representative: set[int] | frozenset[int],
-    algorithm: str = "regtree",
-    tree_config: TreeConfig = REGTREE_DEFAULTS,
+    spec: LearnerSpec, scenario: Scenario, matrix: SpeedupMatrix, representative: Iterable[int], seed: int | None = None
 ) -> dict[int, Regressor]:
-    """One ln-speedup regressor per representative version.
+    """One ln-speedup regressor of ``spec``'s algorithm per representative version.
 
     The baseline never gets a model; its prediction is the constant 0
     (ln 1) inside :func:`ppm_select`.
     """
-    if algorithm not in ("regtree", "linreg"):
-        raise LearnError("invalid config", f"unknown PPM algorithm {algorithm!r}")
-    models: dict[int, Regressor] = {}
-    for version in sorted(representative):
-        samples = make_ppm_samples(scenario, matrix, version)
-        if algorithm == "regtree":
-            models[version] = train_regression_tree(samples, tree_config)
-        else:
-            models[version] = train_linear_regression(samples)
-    return models
+    if spec.is_dc:
+        raise LearnError("invalid config", f"{spec.algorithm!r} is a classifier, not a per-version regressor")
+    return {v: train_model(spec, make_ppm_samples(scenario, matrix, v), seed) for v in sorted(representative)}
 
 
-def ppm_select(
-    models: Mapping[int, Regressor],
-    x: Sequence[float],
-    code_sizes: Mapping[int, int],
-    baseline_id: int,
-    representative: set[int] | frozenset[int] | None = None,
-) -> int:
+def ppm_select(models: Mapping[int, Regressor], x: Sequence[float], code_sizes: Mapping[int, int], baseline_id: int) -> int:
     """Pick the version with the highest predicted ln speedup at x.
 
-    The baseline competes with a constant prediction of 0. Ties go to the
-    smaller code_size, then the smaller id. With ``representative`` given,
-    a missing per-version model is an error rather than a silent skip.
+    Every model competes, and the baseline with a constant prediction of
+    0. Ties go to the smaller code_size, then the smaller id.
     """
-    wanted = set(representative) if representative is not None else set(models)
-    for version in wanted:
-        if version not in models:
-            raise LearnError("model incomplete", f"no model for representative version {version}")
-    predictions: dict[int, float] = {baseline_id: 0.0}
-    for version in sorted(wanted):
-        predictions[version] = predict_regression(models[version], x)
+    predictions = {baseline_id: 0.0} | {v: predict_regression(m, x) for v, m in models.items()}
     return min(predictions, key=lambda v: (-predictions[v], code_sizes.get(v, 0), v))

@@ -10,6 +10,7 @@ so dumps -> loads -> dumps is byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from functools import partial
 from typing import Mapping
@@ -262,6 +263,8 @@ def loads(text: str) -> AnyModel:
                 raise ModelIOError(
                     "parse error", f"line {linenos[at + 1]}: expected {arity + 1} numbers, got {len(numbers)}"
                 )
+            if not all(map(math.isfinite, numbers)):
+                raise ModelIOError("parse error", f"line {linenos[at + 1]}: non-finite coefficient")
             model[version] = LinearModel(numbers[0], tuple(numbers[1:]))
             at += 2
 

@@ -19,19 +19,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .dispatch import DispatcherSpec, DispatchError, eval_dispatcher
-from .learners.ppm import Regressor, ppm_select
-from .learners.samples import best_versions
+from .learners.samples import LearnError, best_versions
 from .scenario import Scenario, speedups
+
+if TYPE_CHECKING:
+    from .learners.cv import Regressor
 
 ORACLE = "oracle"
 BASELINE = "baseline"
 
 MISPICK_SLACK = 1e-12  # relative; absorbs float noise in speedup equality
 
-Selector = DispatcherSpec | Mapping[int, Regressor] | str | Callable[[Sequence[float]], int]
+Selector = DispatcherSpec | Mapping[int, "Regressor"] | str | Callable[[Sequence[float]], int]
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,9 @@ def simulate(
 
     ``representative`` is the shipped set (baseline excluded, implicitly
     available); the dispatcher or PPM models must only ever pick inside
-    it. ``train_dataset_ids`` enables the train/test overlap check the
-    report carries (overlapping ids are reported, not rejected).
+    it; a PPM bundle needs a model for each of them, and others are ignored.
+    ``train_dataset_ids`` enables the train/test overlap check the report
+    carries (overlapping ids are reported, not rejected).
     """
     matrix = speedups(scenario_test)
     rep = tuple(sorted(set(representative)))
@@ -110,8 +113,12 @@ def simulate(
         kind = selector
         chosen = in_set if selector == ORACLE else [matrix.baseline_id] * len(features)
     elif isinstance(selector, Mapping):
+        from .learners.ppm import ppm_select  # the learners load only for a bundle
         kind = "ppm"
-        chosen = [ppm_select(selector, x, code_sizes, matrix.baseline_id, set(rep)) for x in features]
+        if missing := [v for v in rep if v not in selector]:
+            raise LearnError("model incomplete", f"no model for representative version {missing[0]}")
+        models = {v: selector[v] for v in rep}
+        chosen = [ppm_select(models, x, code_sizes, matrix.baseline_id) for x in features]
     else:
         kind = "callable"
         chosen = [selector(x) for x in features]

@@ -431,6 +431,34 @@ class TestTrainCvEmitSimulate:
                       "--select-ids", "1,2,3,4", "--selector", "oracle", cwd=staged)
         assert r.returncode == 0, r.stderr
 
+    def test_bundle_missing_a_version_exits_2_and_writes_nothing(self, staged, tmp_path):
+        model = tmp_path / "reg.mv"
+        r = run_mvkit("train", "--scenario", staged / "scen", "--select-ids", "2,4",
+                      "--algorithm", "regtree", "--out", model, cwd=staged)
+        assert r.returncode == 0, r.stderr
+        r = run_mvkit("simulate", "--scenario", staged / "scen" / "test", "--select-ids", "4,3,2,1",
+                      "--model", model, "--out", tmp_path / "sim.rep", cwd=staged)
+        assert r.returncode == 2
+        assert "model incomplete: no model for representative version 1\n" in r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reg.mv"]
+
+    @pytest.mark.parametrize("algorithm", ["regtree", "linreg"])
+    def test_bundle_versions_outside_the_set_are_ignored(self, staged, tmp_path, monkeypatch, algorithm):
+        monkeypatch.chdir(staged)
+        wide, trimmed = tmp_path / "wide.mv", tmp_path / "trimmed.mv"
+        assert main(["train", "--scenario", "scen", "--select-ids", "1,2,3,4", "--algorithm", algorithm,
+                     "--out", str(wide)]) == 0
+        bundle = modelio.loads(wide.read_text())
+        trimmed.write_text(modelio.dumps({v: bundle[v] for v in (2, 3)}))
+        reports = []
+        for model in (wide, trimmed):
+            out = tmp_path / f"{model.stem}.rep"
+            assert main(["simulate", "--scenario", "scen/test", "--select-ids", "2,3", "--model", str(model),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b"\nselector_kind=ppm\n" in reports[0]
+
     def test_two_selectors_exit_2(self, staged):
         r = run_mvkit("simulate", "--scenario", staged / "scen" / "test",
                       "--selection", staged / "selection.txt",
@@ -440,6 +468,25 @@ class TestTrainCvEmitSimulate:
 
 
 class TestInputsAndOutputs:
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_overflowing_least_squares_exits_2_and_writes_nothing(self, pipeline_dir, tmp_path, command):
+        """Features scaled by 1e200 stay finite and valid, but the normal
+        equations overflow: the fit is refused, with no numpy warning."""
+        scen = tmp_path / "scen"
+        scen.mkdir()
+        for name in ("versions.csv", "runtimes.csv"):
+            (scen / name).write_bytes((pipeline_dir / "scen" / name).read_bytes())
+        header, *rows = (pipeline_dir / "scen" / "datasets.csv").read_text().splitlines()
+        scaled = [",".join([i, *(repr(float(x) * 1e200) for x in xs)]) for i, *xs in (r.split(",") for r in rows)]
+        (scen / "datasets.csv").write_text("\n".join([header, *scaled]) + "\n")
+        before = tree_of(tmp_path)
+        r = run_mvkit(command, "--scenario", scen, "--select-ids", "1,2,3,4", "--algorithm", "linreg",
+                      "--seed", "7", "--out", tmp_path / "out", cwd=tmp_path)
+        assert r.returncode == 2
+        assert "non-finite fit" in r.stderr
+        assert "Warning" not in r.stderr
+        assert tree_of(tmp_path) == before
+
     def test_missing_scenario_exits_2(self, tmp_path):
         r = run_mvkit("select", "--scenario", "nope", "--max-versions", "2", cwd=tmp_path)
         assert r.returncode == 2, r.stderr

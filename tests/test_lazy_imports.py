@@ -68,9 +68,9 @@ LEARNERS_NAMES = {
     ),
     "rules": ("RuleListModel", "Rule", "Condition", "RuleConfig", "train_rule_list", "predict_rules"),
     "linear": ("LinearModel", "train_linear_regression", "predict_linear"),
-    "ppm": ("train_ppm_models", "ppm_select", "predict_regression"),
+    "ppm": ("train_ppm_models", "ppm_select"),
     "metrics": ("error_rate", "rrse"),
-    "cv": ("CVReport", "LearnerSpec", "cross_validate", "train_model"),
+    "cv": ("CVReport", "LearnerSpec", "cross_validate", "predict_regression", "train_model"),
 }
 
 PACKAGES = [(mvkit, MVKIT_NAMES), (mvkit.learners, LEARNERS_NAMES)]
@@ -207,6 +207,19 @@ def test_import_cli_loads_no_numpy(tmp_path):
 
 def test_import_rng_loads_no_numpy(tmp_path):
     assert "numpy" not in loaded_after("import mvkit.rng", tmp_path)
+
+
+def test_simulate_loads_the_learners_only_for_a_bundle(tmp_path):
+    loaded = loaded_after(
+        "from mvkit import cli\n"
+        'assert cli.main(["gen", "--versions", "3", "--datasets", "12", "--features", "2",'
+        ' "--seed", "7", "--test-seed", "8", "--out-dir", "scen"]) == 0\n'
+        'assert cli.main(["simulate", "--scenario", "scen/test", "--select-ids", "1,2",'
+        ' "--selector", "oracle", "--out", "report.txt"]) == 0',
+        tmp_path,
+    )
+    assert "mvkit.simulate" in loaded
+    assert not loaded & {"mvkit.learners.cv", "mvkit.learners.ppm"}
 
 
 SAMPLES = [

@@ -1,5 +1,7 @@
 """Ordinary-least-squares regression on dataset features."""
 
+import warnings
+
 import pytest
 
 from mvkit import LearnError, predict_linear, train_linear_regression
@@ -59,6 +61,17 @@ class TestFit:
         for j in range(2):
             dot = sum(r * s.features[j] for r, s in zip(residuals, samples))
             assert dot == pytest.approx(0.0, abs=1e-6)
+
+    def test_overflowing_fit_is_refused_without_a_warning(self):
+        """Features near 1e200 are finite, but their squares overflow the
+        normal equations even after the ridge fallback: the fit raises
+        rather than returning NaN coefficients, and numpy warns of nothing."""
+        samples = [RegressionSample((1e200 * i, 2e200 * (i % 3)), float(i)) for i in range(1, 9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LearnError) as exc:
+                train_linear_regression(samples)
+        assert exc.value.category == "non-finite fit"
 
     def test_rejects_empty_input(self):
         with pytest.raises(LearnError):

@@ -207,11 +207,13 @@ class TestModelDocuments:
             (REGTREE_DOC.replace("\nL 1", "\n\nB 0 1.5 1 9\nL 1"), "line 4: child index out of range"),
             (REGTREE_DOC.replace("nodes=1", "nodes=2") + "\n\n", "line 6: expected 2 nodes, text ended"),
             (LINREG_DOC.replace("\nC 0 1", "\n\nC 0 x"), "line 4: malformed coefficients"),
+            (LINREG_DOC.replace("\nC 0 1", "\n\nC nan 1"), "line 4: non-finite coefficient"),
+            (LINREG_DOC.replace("\nC 0 1", "\n\nC 0 -inf"), "line 4: non-finite coefficient"),
             ("\n" + LINREG_DOC.replace("arity=1", "arity=0"), "line 2: arity must be >= 1"),
         ],
         ids=[
             "tree-header", "tree-node", "rules-trailing", "rules-default", "regtree-node",
-            "regtree-ended", "linreg-coefficients", "linreg-header",
+            "regtree-ended", "linreg-coefficients", "linreg-nan", "linreg-inf", "linreg-header",
         ],
     )
     def test_errors_after_blank_lines_name_the_physical_line(self, text, where):

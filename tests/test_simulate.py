@@ -8,6 +8,8 @@ import pytest
 from mvkit import (
     Constraints,
     DispatchError,
+    LearnError,
+    LearnerSpec,
     Scenario,
     compile_dispatcher,
     generate,
@@ -87,13 +89,19 @@ class TestPlantedPipeline:
             scenario.baseline_binary_size,
             Constraints(max_versions=4),
         )
-        models = train_ppm_models(scenario, matrix, set(result.selected))
+        models = train_ppm_models(LearnerSpec("regtree"), scenario, matrix, result.selected)
         test_scenario, _ = generate_test(cfg, PLANTED_TEST_SEED, 160)
         rep = simulate(test_scenario, models, result.selected)
         assert rep.selector_kind == "ppm"
         assert rep.mean_comparisons == 0.0
         assert rep.selector_growth == 0.0
         assert rep.fraction_of_representative_oracle > 0.9
+
+    def test_ppm_bundle_refuses_a_classifier_spec(self, planted):
+        _, scenario, _ = planted
+        with pytest.raises(LearnError) as exc:
+            train_ppm_models(LearnerSpec("tree"), scenario, speedups(scenario), (1, 2))
+        assert exc.value.category == "invalid config"
 
     def test_train_overlap_reported(self, planted):
         cfg, scenario, _ = planted

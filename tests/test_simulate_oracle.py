@@ -1,7 +1,8 @@
 """Simulation by column gathers against the per-dataset code it replaced.
 
-The oracle below is the earlier ``simulate`` with its ``_selector_fn``,
-verbatim: it turns every selector kind into a closure over the dataset
+The oracle below is the earlier ``simulate`` with its ``_selector_fn``
+and the ``ppm_select`` that checked the bundle on every call, verbatim:
+it turns every selector kind into a closure over the dataset
 index and reads each realized and in-set speedup through ``speedup``,
 the id-to-column lookup ``SpeedupMatrix`` once had. On seeded scenarios
 with distinct dataset ids both must give equal reports, field by field,
@@ -21,8 +22,9 @@ import pytest
 
 from mvkit.dispatch import Branch, DispatcherSpec, DispatchError, Leaf, eval_dispatcher
 from mvkit.errors import MvkitError
-from mvkit.learners.ppm import ppm_select, train_ppm_models
-from mvkit.learners.samples import best_versions
+from mvkit.learners.cv import LearnerSpec, Regressor, predict_regression
+from mvkit.learners.ppm import train_ppm_models
+from mvkit.learners.samples import LearnError, best_versions
 from mvkit.rng import Rng, mix_seed
 from mvkit.scenario import DatasetRecord, Scenario, SpeedupMatrix, Version, speedups
 from mvkit.simulate import (
@@ -42,6 +44,29 @@ from mvkit.simulate import simulate as new_simulate
 def speedup(matrix: SpeedupMatrix, version_id: int, dataset_id: int) -> float:
     """The speedup of a version in the first column of a dataset id."""
     return float(matrix.entries[matrix.row_positions([version_id])[0], matrix.dataset_ids.index(dataset_id)])
+
+
+def ppm_select(
+    models: Mapping[int, Regressor],
+    x: Sequence[float],
+    code_sizes: Mapping[int, int],
+    baseline_id: int,
+    representative: set[int] | frozenset[int] | None = None,
+) -> int:
+    """Pick the version with the highest predicted ln speedup at x.
+
+    The baseline competes with a constant prediction of 0. Ties go to the
+    smaller code_size, then the smaller id. With ``representative`` given,
+    a missing per-version model is an error rather than a silent skip.
+    """
+    wanted = set(representative) if representative is not None else set(models)
+    for version in wanted:
+        if version not in models:
+            raise LearnError("model incomplete", f"no model for representative version {version}")
+    predictions: dict[int, float] = {baseline_id: 0.0}
+    for version in sorted(wanted):
+        predictions[version] = predict_regression(models[version], x)
+    return min(predictions, key=lambda v: (-predictions[v], code_sizes.get(v, 0), v))
 
 
 def _selector_fn(
@@ -198,7 +223,7 @@ def selectors(seed: int, scenario: Scenario, rep: tuple[int, ...]) -> list[Selec
         BASELINE,
         lambda x: picks[int(sum(x)) % len(picks)],
         random_dispatcher(seed, scenario.feature_arity, allowed),
-        train_ppm_models(scenario, speedups(scenario), set(rep), algorithm),
+        train_ppm_models(LearnerSpec(algorithm), scenario, speedups(scenario), rep),
     ]
 
 
