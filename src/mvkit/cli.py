@@ -449,20 +449,18 @@ def cmd_train(args: argparse.Namespace) -> list[Output]:
     representative = _representative_ids(args)
     matrix = speedups(scenario)
     if spec.is_dc:
-        samples = make_dc_labels(scenario, matrix, set(representative))
+        samples = make_dc_labels(scenario, matrix, representative)
         if spec.prune and args.seed is None:
             raise CliError("missing required option --seed (pruning uses a seeded holdout)")
         model = train_model(spec, samples, seed=args.seed)
     else:
         model = train_ppm_models(spec, scenario, matrix, representative, args.seed)
-        if not model:
-            raise CliError("PPM training needs a non-empty representative set")
     return [(args.out, dumps(model))]
 
 
 def cmd_cv(args: argparse.Namespace) -> list[Output]:
     from .learners.cv import FOLDS, cross_validate
-    from .learners.samples import make_dc_labels, make_ppm_samples
+    from .learners.samples import LearnError, make_dc_labels, make_ppm_samples
     from .scenario import speedups
 
     _require(args, ["scenario", "seed"])
@@ -479,7 +477,7 @@ def cmd_cv(args: argparse.Namespace) -> list[Output]:
         representative=",".join(str(v) for v in representative),
     )
     if spec.is_dc:
-        samples = make_dc_labels(scenario, matrix, set(representative))
+        samples = make_dc_labels(scenario, matrix, representative)
         result = cross_validate(spec, samples, k=k, seed=args.seed)
         values.update(n_samples=len(samples), metric=result.metric_name, aggregate=result.aggregate)
         tables = (
@@ -491,7 +489,7 @@ def cmd_cv(args: argparse.Namespace) -> list[Output]:
             raise CliError("PPM cross-validation needs a non-empty representative set")
         results = {
             v: cross_validate(spec, make_ppm_samples(scenario, matrix, v), k=k, seed=mix_seed(args.seed, v))
-            for v in representative
+            for v in matrix.representative(representative, LearnError)
         }
         values.update(
             n_samples=matrix.n_datasets,
@@ -511,17 +509,12 @@ def cmd_cv(args: argparse.Namespace) -> list[Output]:
 
 def cmd_emit(args: argparse.Namespace) -> list[Output]:
     from .dispatch import DEFAULT_TEMPLATE, compile_dispatcher, render_template, serialize
-    from .learners.rules import RuleListModel
-    from .learners.trees import TreeModel
     from .modelio import loads
 
     _require(args, ["model", "out"])
     if args.rendered_out is not None and args.template is None:
         raise CliError("--rendered-out needs --template")
-    model = loads(_read_text(args.model, "model"))
-    if not isinstance(model, (TreeModel, RuleListModel)):
-        raise CliError("only classifier models compile to dispatchers; PPM bundles drive `simulate --model`")
-    spec = compile_dispatcher(model)
+    spec = compile_dispatcher(loads(_read_text(args.model, "model")))
     outputs: list[Output] = [(args.out, serialize(spec))]
     if args.template is not None:
         template = DEFAULT_TEMPLATE if args.template == "-" else _read_text(args.template, "template")
@@ -531,8 +524,6 @@ def cmd_emit(args: argparse.Namespace) -> list[Output]:
 
 def cmd_simulate(args: argparse.Namespace) -> list[Output]:
     from .dispatch import compile_dispatcher, deserialize
-    from .learners.rules import RuleListModel
-    from .learners.trees import TreeModel
     from .modelio import loads
     from .scenario import load_datasets
     from .simulate import simulate
@@ -547,11 +538,9 @@ def cmd_simulate(args: argparse.Namespace) -> list[Output]:
     if args.dispatcher is not None:
         selector = deserialize(_read_text(args.dispatcher, "dispatcher"))
     elif args.model is not None:
-        loaded = loads(_read_text(args.model, "model"))
-        if isinstance(loaded, (TreeModel, RuleListModel)):
-            selector = compile_dispatcher(loaded)
-        else:
-            selector = loaded
+        selector = loads(_read_text(args.model, "model"))
+        if not isinstance(selector, dict):  # a PPM bundle drives simulate itself
+            selector = compile_dispatcher(selector)
     else:
         selector = args.selector
 

@@ -76,7 +76,7 @@ class DispatcherSpec:
 
 
 def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
-    """Lower a trained DC model to a dispatcher with identical predictions."""
+    """Lower a classifier tree or rule list to a dispatcher with identical predictions; refuse any other model."""
     if isinstance(model, TreeModel):
         if model.kind != CLASSIFIER:
             raise DispatchError("model kind", "only classifier trees compile to dispatchers")
@@ -86,7 +86,7 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
         return DispatcherSpec(model.arity, model.nodes)
     if isinstance(model, RuleListModel):
         return _compile_rules(model)
-    raise DispatchError("model kind", f"cannot compile {type(model).__name__}")
+    raise DispatchError("model kind", f"only classifier models compile, not {type(model).__name__}; PPM bundles drive `simulate --model`")
 
 
 def _compile_rules(model: RuleListModel) -> DispatcherSpec:

@@ -19,7 +19,8 @@ def train_ppm_models(
     """
     if spec.is_dc:
         raise LearnError("invalid config", f"{spec.algorithm!r} is a classifier, not a per-version regressor")
-    return {v: train_model(spec, make_ppm_samples(scenario, matrix, v), seed) for v in sorted(representative)}
+    rep = matrix.representative(representative, LearnError)
+    return {v: train_model(spec, make_ppm_samples(scenario, matrix, v), seed) for v in rep}
 
 
 def ppm_select(models: Mapping[int, Regressor], x: Sequence[float], code_sizes: Mapping[int, int], baseline_id: int) -> int:

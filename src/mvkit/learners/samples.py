@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..errors import MvkitError
 
@@ -62,21 +62,17 @@ def best_versions(matrix: SpeedupMatrix, candidates: Sequence[int], code_sizes: 
 def make_dc_labels(
     scenario: Scenario,
     matrix: SpeedupMatrix,
-    representative: set[int] | frozenset[int],
+    representative: Iterable[int],
 ) -> list[LabeledSample]:
     """One labeled sample per dataset.
 
-    The label is the speedup argmax over the representative set plus the
-    always-available baseline (s = 1.0), tie-broken by smaller code_size
-    then smaller id. Features come straight from the dataset table.
+    The label is the speedup argmax over the representative set (candidates
+    only) plus the baseline every set ships (s = 1.0), tie-broken by smaller
+    code_size then smaller id. Features come straight from the dataset table.
     """
     if matrix.dataset_ids != scenario.dataset_ids:
         raise LearnError("dataset mismatch", "matrix and scenario list different datasets")
-    known = set(matrix.version_ids)
-    for v in representative:
-        if v not in known:
-            raise LearnError("unknown version", f"representative version {v} not in matrix")
-    pool = tuple(sorted(representative)) + (matrix.baseline_id,)
+    pool = matrix.representative(representative, LearnError) + (matrix.baseline_id,)
     labels = best_versions(matrix, pool, scenario.code_sizes())
     return [LabeledSample(d.features, label) for d, label in zip(scenario.datasets, labels)]
 
@@ -85,9 +81,7 @@ def make_ppm_samples(scenario: Scenario, matrix: SpeedupMatrix, version_id: int)
     """Per-version regression pairs: features -> ln s(version, d)."""
     if matrix.dataset_ids != scenario.dataset_ids:
         raise LearnError("dataset mismatch", "matrix and scenario list different datasets")
-    if version_id not in matrix.version_ids:
-        raise LearnError("unknown version", f"version {version_id} not in matrix")
-    logs = matrix.log_entries[matrix.row_positions([version_id])[0]]
+    logs = matrix.log_entries[matrix.row_positions(matrix.representative([version_id], LearnError))[0]]
     return [
         RegressionSample(features=d.features, target=float(logs[i]))
         for i, d in enumerate(scenario.datasets)

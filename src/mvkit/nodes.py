@@ -21,6 +21,7 @@ parse -> format reproduces the bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -122,7 +123,8 @@ def parse_nodes(
 ) -> tuple[Node, ...]:
     """Parse ``B``/``L`` lines; ``leaf`` parses a leaf's value.
 
-    Features must lie in ``[0, arity)`` and child indices among ``lines``.
+    Features must lie in ``[0, arity)`` and child indices among ``lines``. A
+    threshold may be infinite but not NaN; a float leaf must be finite.
     Errors name ``lines[k]`` as line ``linenos[k]``.
     """
     nodes: list[Node] = []
@@ -144,5 +146,9 @@ def parse_nodes(
                 raise error(f"line {lineno}: feature {node.feature} outside arity {arity}")
             if not (0 <= node.left < len(lines) and 0 <= node.right < len(lines)):
                 raise error(f"line {lineno}: child index out of range")
+            if math.isnan(node.threshold):
+                raise error(f"line {lineno}: threshold is NaN")
+        elif isinstance(node.value, float) and not math.isfinite(node.value):
+            raise error(f"line {lineno}: leaf {node.value} is not finite")
         nodes.append(node)
     return tuple(nodes)

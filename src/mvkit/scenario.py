@@ -174,6 +174,15 @@ class SpeedupMatrix:
     def n_datasets(self) -> int:
         return len(self.dataset_ids)
 
+    def representative(self, ids: Iterable[int], error: Callable[[str, str], Exception]) -> tuple[int, ...]:
+        """Sorted ``ids``, each once; ``error(category, message)`` refuses the baseline (every set ships it) and non-versions."""
+        rep = tuple(sorted(set(ids)))
+        for v in rep:
+            if v not in self.candidate_ids:
+                why = "the baseline, which every set ships" if v == self.baseline_id else "not in the matrix"
+                raise error("unknown version", f"representative version {v} is {why}")
+        return rep
+
     def row_positions(self, version_ids: Iterable[int]) -> np.ndarray:
         """The rows of ``version_ids`` in ``entries`` and ``log_entries``, in the order given."""
         return np.fromiter(map(self._version_index.__getitem__, version_ids), dtype=np.intp)

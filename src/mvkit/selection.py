@@ -1,7 +1,7 @@
 """Representative-set selection over a speedup matrix.
 
-The objective rewards a subset S of candidate versions by how well the
-best member of S (or the baseline) does on each dataset, in log space:
+The objective rewards a subset S of candidates (never the baseline, which
+every set ships) by how well S's best member or the baseline does, in log space:
 
     f(S) = sum over datasets d of  max(0, max_{v in S} ln s(v, d))
 
@@ -126,13 +126,6 @@ class SetMetrics:
     oracle_geomean: float
 
 
-def _check_subset(matrix: SpeedupMatrix, subset: Iterable[int]) -> None:
-    known = set(matrix.candidate_ids)
-    for v in subset:
-        if v not in known:
-            raise SelectionError("unknown version", f"version {v} is not a candidate in the matrix")
-
-
 def _best_logs(matrix: SpeedupMatrix, members: Iterable[int]) -> np.ndarray:
     """Per-dataset max(0, max over members of ln s): the baseline's 0 is the initial value."""
     return matrix.log_entries[matrix.row_positions(members)].max(axis=0, initial=0.0)
@@ -148,9 +141,9 @@ def _max_loss(matrix: SpeedupMatrix, oracle: np.ndarray, members: Iterable[int])
     return float((oracle / _best(matrix, members) - 1.0).max(initial=0.0))
 
 
-def objective(matrix: SpeedupMatrix, subset: set[int] | frozenset[int]) -> float:
+def objective(matrix: SpeedupMatrix, subset: Iterable[int]) -> float:
     """f(S): summed per-dataset best log-speedup over S plus baseline."""
-    _check_subset(matrix, subset)
+    subset = matrix.representative(subset, SelectionError)
     return float(_best_logs(matrix, subset).sum())
 
 
@@ -285,9 +278,9 @@ def exhaustive_select(
     return frozenset(best_subset), best_f
 
 
-def evaluate_set(matrix: SpeedupMatrix, subset: set[int] | frozenset[int]) -> SetMetrics:
+def evaluate_set(matrix: SpeedupMatrix, subset: Iterable[int]) -> SetMetrics:
     """Compare a fixed subset against the full-candidate oracle."""
-    _check_subset(matrix, subset)
+    subset = matrix.representative(subset, SelectionError)
     candidates = matrix.candidate_ids
     losses = _best(matrix, candidates) / _best(matrix, subset) - 1.0
     return SetMetrics(

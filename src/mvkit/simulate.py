@@ -74,19 +74,14 @@ def simulate(
 ) -> SimulationReport:
     """Drive the selector across every test dataset and score it.
 
-    ``representative`` is the shipped set (baseline excluded, implicitly
-    available); the dispatcher or PPM models must only ever pick inside
-    it; a PPM bundle needs a model for each of them, and others are ignored.
+    ``representative`` names candidates only: the baseline ships with every
+    set, and naming it is an error. The selector picks in the set or the
+    baseline; a PPM bundle needs a model for each member, others are ignored.
     ``train_dataset_ids`` enables the train/test overlap check the report
     carries (overlapping ids are reported, not rejected).
     """
     matrix = speedups(scenario_test)
-    rep = tuple(sorted(set(representative)))
-    for v in rep:
-        if v not in matrix.version_ids:
-            raise DispatchError(
-                "unknown version", f"representative version {v} absent from test matrix"
-            )
+    rep = matrix.representative(representative, DispatchError)
     baseline_size = scenario_test.baseline_binary_size
     if baseline_size <= 0:
         raise DispatchError("non-positive measurement", f"baseline binary size must be > 0, got {baseline_size}")
