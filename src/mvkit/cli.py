@@ -523,8 +523,7 @@ def cmd_emit(args: argparse.Namespace) -> list[Output]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> list[Output]:
-    from .dispatch import compile_dispatcher, deserialize
-    from .modelio import loads
+    from .dispatch import deserialize
     from .scenario import load_datasets
     from .simulate import simulate
 
@@ -538,6 +537,9 @@ def cmd_simulate(args: argparse.Namespace) -> list[Output]:
     if args.dispatcher is not None:
         selector = deserialize(_read_text(args.dispatcher, "dispatcher"))
     elif args.model is not None:
+        from .dispatch import compile_dispatcher
+        from .modelio import loads
+
         selector = loads(_read_text(args.model, "model"))
         if not isinstance(selector, dict):  # a PPM bundle drives simulate itself
             selector = compile_dispatcher(selector)

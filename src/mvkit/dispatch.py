@@ -4,10 +4,12 @@ A dispatcher is the portable artifact that picks a version at run time:
 the acyclic node array of :mod:`mvkit.nodes` (feature <= threshold goes
 left) ending in version-id leaves, the same canonical array a classifier
 tree holds. Decision trees therefore compile as they are; a rule list is
-lowered, in rule order, to one chain of branches per rule, where every
-failure edge of a rule points at the first node of the next rule (its
-shared fall-through), so n rules with c_i conditions take sum(c_i + 1) + 1
-nodes, which :class:`DispatcherSpec` puts in canonical order.
+lowered, from its last rule back, to one chain of branches per rule, where
+a failure edge of a rule points into the next rule (its shared
+fall-through). Trailing rules that conclude the default label are dropped,
+and conditions a rule shares with the start of the next rule are tested
+once, so n rules with c_i conditions take at most sum(c_i + 1) + 1 nodes,
+which :class:`DispatcherSpec` puts in canonical order.
 
 The canonical text form (`MVDISPATCH v1`) lists nodes in first-visit
 pre-order from the entry (node 0), one per line, with thresholds at 17
@@ -23,12 +25,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import MvkitError
-from .learners.rules import LE, RuleListModel
-from .learners.trees import CLASSIFIER, TreeModel
 from .nodes import Branch, Leaf, Node, canonical, format_nodes, g17, parse_nodes, route
+
+if TYPE_CHECKING:
+    from .learners.rules import RuleListModel
+    from .learners.trees import TreeModel
 
 HEADER_PREFIX = "MVDISPATCH v1"
 
@@ -77,6 +81,9 @@ class DispatcherSpec:
 
 def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
     """Lower a classifier tree or rule list to a dispatcher with identical predictions; refuse any other model."""
+    from .learners.rules import RuleListModel  # the learners load only to compile a model
+    from .learners.trees import CLASSIFIER, TreeModel
+
     if isinstance(model, TreeModel):
         if model.kind != CLASSIFIER:
             raise DispatchError("model kind", "only classifier trees compile to dispatchers")
@@ -90,19 +97,31 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
 
 
 def _compile_rules(model: RuleListModel) -> DispatcherSpec:
-    """Each rule becomes a chain of branches ending at its label leaf;
-    every failed condition falls through to the first node of the next
-    rule, and past the last rule to the default leaf."""
-    nodes: list[Node] = []
-    for rule in model.rules:
-        fall_through = len(nodes) + len(rule.conditions) + 1
-        for cond in rule.conditions:
-            on_pass = len(nodes) + 1
-            sides = (on_pass, fall_through) if cond.op == LE else (fall_through, on_pass)
-            nodes.append(Branch(cond.feature, cond.threshold, *sides))
+    """Each rule becomes a chain of branches ending at its label leaf, built
+    back to front after the trailing rules that conclude the default label
+    are dropped. A rule whose first p conditions equal the next rule's
+    makes that rule's copies of them unreachable: its failure at condition
+    j < p goes where the next rule's failure at j goes, and a later one to
+    the next rule's condition p (or its leaf)."""
+    from .learners.rules import LE
+
+    rules = list(model.rules)
+    while rules and rules[-1].label == model.default_label:
+        rules.pop()
+    nodes: list[Node] = [Leaf(model.default_label)]
+    later, at, miss = (), [0], []  # the next rule's conditions, its node per condition then its leaf, and their failure edges
+    for rule in reversed(rules):
+        conds, shared = rule.conditions, 0
+        while shared < min(len(conds), len(later)) and conds[shared] == later[shared]:
+            shared += 1
+        miss = miss[:shared] + [at[shared]] * (len(conds) - shared)
         nodes.append(Leaf(rule.label))
-    nodes.append(Leaf(model.default_label))
-    return DispatcherSpec(model.arity, tuple(nodes))
+        at = [len(nodes) - 1]
+        for cond, fail in zip(reversed(conds), reversed(miss)):
+            nodes.append(Branch(cond.feature, cond.threshold, *((at[-1], fail) if cond.op == LE else (fail, at[-1]))))
+            at.append(len(nodes) - 1)
+        later, at = conds, at[::-1]
+    return DispatcherSpec(model.arity, canonical(nodes, at[0], model.arity, _INVALID)[0])
 
 
 # --- evaluation ----------------------------------------------------------------

@@ -144,7 +144,10 @@ def predict_rules(model: RuleListModel, x: Sequence[float]) -> tuple[int, int]:
     """First matching rule wins, else the default label.
 
     Returns (label, conditions evaluated); evaluation of a rule stops at
-    its first failing condition.
+    its first failing condition. The compiled dispatcher may make fewer
+    comparisons than this counts: it tests a condition shared with the
+    previous rule's opening once, and drops the trailing rules that conclude
+    the default label.
     """
     if len(x) != model.arity:
         raise LearnError("feature arity", f"expected arity {model.arity}, got {len(x)}")

@@ -39,6 +39,17 @@ class SynthError(MvkitError):
 # The widest feature range: each axis draws a uint64 per cut slot (at 10**7 slots a two-axis gen takes about
 # 1.5 s and 350 MB of peak memory), and Rng.shuffled_prefix needs slots**2 < 2**63.
 MAX_CUT_SLOTS = 10**7
+# The largest tables one scenario holds: at 10**6 runtime cells (versions x datasets) and 10**6 feature cells
+# (datasets x arity), a two-core Xeon took 6 to 10 s and at most 430 MB of peak memory per scenario.
+MAX_RUNTIME_CELLS = MAX_FEATURE_CELLS = 10**6
+
+
+def _check_cells(n_versions: int, n_datasets: int, arity: int) -> None:
+    """Refuse a scenario past either cap before anything is drawn."""
+    for what, cells, cap in (("runtime cells (versions x datasets)", n_versions * n_datasets, MAX_RUNTIME_CELLS),
+                             ("feature cells (datasets x arity)", n_datasets * arity, MAX_FEATURE_CELLS)):
+        if cells > cap:
+            raise SynthError("invalid config", f"{cells} {what}, more than {cap}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,7 @@ class SynthConfig:
             raise SynthError("invalid config", f"n_datasets must be >= 1, got {self.n_datasets}")
         if self.feature_arity < 1:
             raise SynthError("invalid config", f"feature_arity must be >= 1, got {self.feature_arity}")
+        _check_cells(self.n_versions, self.n_datasets, self.feature_arity)
         if not 1 <= self.n_regions <= self.n_versions - 1:
             raise SynthError(
                 "invalid config",
@@ -103,7 +115,7 @@ class SynthConfig:
         if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
             raise SynthError("invalid config", f"noise_sigma must be >= 0, got {self.noise_sigma}")
         slots = self.feature_range[1] - self.feature_range[0]
-        capacity = (slots + 1) ** self.feature_arity
+        capacity = (slots + 1) ** min(self.feature_arity, self.n_regions.bit_length())  # past that, 2**k > n_regions
         if self.n_regions > capacity:
             raise SynthError(
                 "invalid config",
@@ -213,14 +225,11 @@ def generate_test(
     ``test_seed``. Test dataset ids always follow the training ids, so
     train/test overlap checks stay meaningful.
     """
-    if n_datasets is not None and n_datasets < 1:
+    n_datasets = config.n_datasets if n_datasets is None else n_datasets
+    if n_datasets < 1:
         raise SynthError("invalid config", f"n_datasets must be >= 1, got {n_datasets}")
-    return _generate(
-        config,
-        population_seed=test_seed,
-        id_offset=config.n_datasets,
-        n_datasets=config.n_datasets if n_datasets is None else n_datasets,
-    )
+    _check_cells(config.n_versions, n_datasets, config.feature_arity)
+    return _generate(config, population_seed=test_seed, id_offset=config.n_datasets, n_datasets=n_datasets)
 
 
 def _uniforms(draws: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -124,6 +124,24 @@ class TestGen:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--datasets", "100000000", "500000000 runtime cells (versions x datasets), more than 1000000"),
+            ("--features", "100000000", "16000000000 feature cells (datasets x arity), more than 1000000"),
+            ("--versions", "100000000", "16000000000 runtime cells (versions x datasets), more than 1000000"),
+            ("--test-datasets", "100000000", "500000000 runtime cells (versions x datasets), more than 1000000"),
+        ],
+        ids=["datasets", "features", "versions", "test-datasets"],
+    )
+    def test_scenario_past_a_cell_cap_exits_2_before_it_allocates(self, tmp_path, monkeypatch, capsys, flag, value, message):
+        monkeypatch.chdir(tmp_path)
+        args = list(GEN_ARGS)
+        args[args.index(flag) + 1] = value
+        assert main([*args, "--out-dir", "scen"]) == 2
+        assert f"invalid config: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "flags",
         [("--noise-sigma", "1000"), ("--base-range", "1e-300,1e-300", "--winner-range", "1.2,1e300")],
         ids=["noise", "ranges"],

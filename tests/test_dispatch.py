@@ -1,5 +1,6 @@
 """Dispatcher compilation, the text format, templates, and the interpreter."""
 
+import itertools
 import random
 import re
 from pathlib import Path
@@ -26,11 +27,14 @@ from mvkit import (
     train_rule_list,
     train_tree_classifier,
 )
+from mvkit.cli import main
 from mvkit.dispatch import _INVALID, FRAGMENT_NAMES, Branch, Leaf, _parse_template
 from mvkit.learners import LabeledSample
 from mvkit.learners.rules import GT, LE, Condition, Rule, RuleListModel
+from mvkit.modelio import loads
 from mvkit.nodes import Node, canonical, g17
 from mvkit.rng import Rng
+from mvkit.scenario import load_datasets
 
 from conftest import chain_node_lines, diamond_lines, dispatcher_text
 
@@ -229,18 +233,104 @@ def seeded_rules(seed: int) -> RuleListModel:
     return RuleListModel(rules, rng.randint(0, 5), arity, RuleConfig())
 
 
+def threshold_grid(model: RuleListModel) -> list[tuple[float, ...]]:
+    """Per feature, each threshold and one point past the highest: a point on both sides of every threshold."""
+    axes = [sorted({c.threshold for r in model.rules for c in r.conditions if c.feature == f}) for f in range(model.arity)]
+    return list(itertools.product(*([*axis, axis[-1] + 1.0] if axis else [0.0] for axis in axes)))
+
+
+def ends_in_the_default(model: RuleListModel) -> bool:
+    return bool(model.rules) and model.rules[-1].label == model.default_label
+
+
+def opens_like_the_rule_before(model: RuleListModel) -> bool:
+    pairs = zip(model.rules, model.rules[1:])
+    return any(a.conditions[:1] and a.conditions[:1] == b.conditions[:1] for a, b in pairs)
+
+
 def test_rule_order_lowering_writes_the_reverse_lowerings_bytes():
-    seen = {"no rules": 0, "a rule with no conditions before the last": 0, "gt first": 0}
+    """Byte for byte where nothing is shared or dropped; elsewhere the same picks, never dearer."""
+    seen = {"no rules": 0, "a rule with no conditions before the last": 0, "gt first": 0, "rewritten": 0}
     arities = set()
     for seed in range(3000):
         model = seeded_rules(seed)
-        assert serialize(compile_dispatcher(model)) == serialize(oracle_compile_rules(model)), f"seed {seed}"
+        spec, oracle = compile_dispatcher(model), oracle_compile_rules(model)
+        if not (ends_in_the_default(model) or opens_like_the_rule_before(model)):
+            assert serialize(spec) == serialize(oracle), f"seed {seed}"
+        else:
+            seen["rewritten"] += 1
+            assert len(spec.nodes) <= len(oracle.nodes), f"seed {seed}"
+            for x in threshold_grid(model):
+                (got, cost), (want, oracle_cost) = eval_dispatcher(spec, x), eval_dispatcher(oracle, x)
+                assert got == want and cost <= oracle_cost, f"seed {seed} at {x}"
         arities.add(model.arity)
         seen["no rules"] += not model.rules
         seen["a rule with no conditions before the last"] += any(not r.conditions for r in model.rules[:-1])
         seen["gt first"] += any(r.conditions[:1] and r.conditions[0].op == GT for r in model.rules)
     assert arities == {1, 2, 3, 4}
     assert min(seen.values()) >= 100, seen
+
+
+def repeated_rules(seed: int) -> RuleListModel:
+    """Up to 20 rules of zero to four conditions on arity ``1 + seed % 3``, thresholds and labels from few values.
+
+    Half the rules open with a prefix of the rule before, so consecutive rules often share
+    conditions, and the last rules often conclude the default label.
+    """
+    rng = random.Random(seed)
+    arity = 1 + seed % 3
+    rules: list[Rule] = []
+    for _ in range(rng.randint(0, 20)):
+        kept = rules[-1].conditions[:rng.randint(0, 4)] if rules and rng.random() < 0.5 else ()
+        fresh = tuple(
+            Condition(rng.randrange(arity), rng.choice((LE, GT)), rng.choice((0.5, 1.5, 2.5)))
+            for _ in range(rng.randint(0, 4) - len(kept))
+        )
+        rules.append(Rule(kept + fresh, rng.randint(0, 3)))
+    return RuleListModel(tuple(rules), rng.randint(0, 3), arity, RuleConfig())
+
+
+def test_shared_conditions_lower_to_every_readings_pick_at_no_more_comparisons():
+    seen = {"shares a condition": 0, "drops a default tail": 0, "20 rules": 0, "4 conditions": 0}
+    arities = set()
+    for seed in range(3000):
+        model = repeated_rules(seed)
+        spec = compile_dispatcher(model)
+        rendered = render_template(spec)
+        scope: dict = {}
+        exec(render_template(spec, PYTHON_TEMPLATE), scope)
+        for x in threshold_grid(model):
+            want, counted = predict_rules(model, x)
+            got, cost = eval_dispatcher(spec, x)
+            assert got == want and cost <= counted, f"seed {seed} at {x}"
+            assert interpret_rendered(rendered, x) == want, f"seed {seed} at {x}"
+            assert scope["select_version"](x) == want, f"seed {seed} at {x}"
+        arities.add(model.arity)
+        seen["shares a condition"] += opens_like_the_rule_before(model)
+        seen["drops a default tail"] += ends_in_the_default(model)
+        seen["20 rules"] += len(model.rules) == 20
+        seen["4 conditions"] += any(len(r.conditions) == 4 for r in model.rules)
+    assert arities == {1, 2, 3}
+    assert min(seen.values()) >= 100, seen
+
+
+QUICK_START_RULES_GEN = [
+    "gen", "--versions", "5", "--datasets", "160", "--features", "2", "--regions", "4", "--seed", "21",
+    "--feature-range", "1,12", "--test-datasets", "80", "--noise-sigma", "0.1", "--test-seed", "77",
+]
+
+
+def test_quick_start_rule_list_at_noise_0_1_takes_17_nodes_and_283_comparisons(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*QUICK_START_RULES_GEN, "--out-dir", "scen"]) == 0
+    assert main(["select", "--scenario", "scen", "--max-versions", "4", "--out", "sel.rep"]) == 0
+    assert main(["train", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", "rules", "--out", "model.mv"]) == 0
+    model = loads(Path("model.mv").read_text(encoding="utf-8"))
+    spec = compile_dispatcher(model)
+    test = load_datasets("scen/test/datasets.csv")
+    assert (len(model.rules), len(spec.nodes), len(test)) == (12, 17, 80)
+    assert sum(eval_dispatcher(spec, d.features)[1] for d in test) == 283
+    assert [eval_dispatcher(spec, d.features)[0] for d in test] == [predict_rules(model, d.features)[0] for d in test]
 
 
 class TestSerialization:

@@ -222,6 +222,21 @@ def test_simulate_loads_the_learners_only_for_a_bundle(tmp_path):
     assert not loaded & {"mvkit.learners.cv", "mvkit.learners.ppm"}
 
 
+def test_simulate_with_a_dispatcher_loads_no_learner_or_model_module(tmp_path):
+    (tmp_path / "d.txt").write_text("MVDISPATCH v1; arity=2; nodes=3\nB 0 4.5 1 2\nL 1\nL 2\n", encoding="utf-8")
+    loaded = loaded_after(
+        "from mvkit import cli\n"
+        'assert cli.main(["gen", "--versions", "3", "--datasets", "12", "--features", "2",'
+        ' "--seed", "7", "--test-seed", "8", "--out-dir", "scen"]) == 0\n'
+        'assert cli.main(["simulate", "--scenario", "scen/test", "--select-ids", "1,2",'
+        ' "--dispatcher", "d.txt", "--train-scenario", "scen", "--out", "report.txt"]) == 0',
+        tmp_path,
+    )
+    assert {"mvkit.dispatch", "mvkit.simulate"} <= loaded
+    learners = {f"mvkit.learners.{m}" for m in ("cv", "linear", "ppm", "rules", "splits", "trees")}
+    assert not loaded & {"mvkit.modelio", *learners}
+
+
 SAMPLES = [
     LabeledSample((float(x), float(y)), 1 + (x > 3) + 2 * (y > 5))
     for x in range(8)
