@@ -3,38 +3,50 @@
 A dispatcher is the portable artifact that picks a version at run time:
 the acyclic node array of :mod:`mvkit.nodes` (feature <= threshold goes
 left) ending in version-id leaves, the same canonical array a classifier
-tree holds. Decision trees therefore compile as they are; a rule list is
-lowered, from its last rule back, to one chain of branches per rule, where
-a failure edge of a rule points into the next rule (its shared
-fall-through). Trailing rules that conclude the default label are dropped,
-and conditions a rule shares with the start of the next rule are tested
-once, so n rules with c_i conditions take at most sum(c_i + 1) + 1 nodes,
-which :class:`DispatcherSpec` puts in canonical order.
+tree holds. Decision trees therefore compile as they are. A rule list
+first drops its trailing rules that conclude the default label. Its own
+thresholds then cut the feature space into a grid of cells, each picking
+one version, and a bottom-up search over the grid's sub-boxes finds the
+tree with the fewest comparisons summed over the cells (then the fewest
+branches), with one leaf per version. That tree ships unless it has more
+nodes than the rule chain: one chain of branches per rule, where a
+failure edge of a rule points into the next rule (its shared
+fall-through) and conditions a rule shares with the start of the next
+rule are tested once. A grid of more than ``BOX_BUDGET`` sub-boxes ships
+the chain without a search. :class:`DispatcherSpec` puts either in
+canonical order.
 
 The canonical text form (`MVDISPATCH v1`) lists nodes in first-visit
 pre-order from the entry (node 0), one per line, with thresholds at 17
 significant digits; it is byte-stable and serves as the dispatcher's
 size measure. A rendered source-code view is produced from a fragment
-template in one pass that writes every node once (a shared node right
-after the statement of its first parent), and a reference interpreter
-for the default C-like template closes the loop in tests.
+template in one pass that writes a leaf at every branch that reaches it
+and every branch once (a shared branch right after the statement of its
+first parent), and a reference interpreter for the default C-like
+template closes the loop in tests.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import product
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import MvkitError
 from .nodes import Branch, Leaf, Node, canonical, format_nodes, g17, parse_nodes, route
 
 if TYPE_CHECKING:
-    from .learners.rules import RuleListModel
+    from .learners.rules import Rule, RuleListModel
     from .learners.trees import TreeModel
 
 HEADER_PREFIX = "MVDISPATCH v1"
+# The most sub-boxes of a rule list's threshold grid that the exact search visits. Their count is a product over
+# the tested features, so it grows exponentially with them; past the budget the rule chain ships.
+BOX_BUDGET = 4096
 
 
 class DispatchError(MvkitError):
@@ -97,17 +109,140 @@ def compile_dispatcher(model: TreeModel | RuleListModel) -> DispatcherSpec:
 
 
 def _compile_rules(model: RuleListModel) -> DispatcherSpec:
+    """The cheapest tree over the rule list's threshold grid, or its chain.
+
+    The trailing rules that conclude the default label are dropped first.
+    A grid of at most ``BOX_BUDGET`` sub-boxes gets :func:`_grid_tree`,
+    which ships unless it has more nodes than :func:`_rule_chain`.
+    """
+    rules = list(model.rules)
+    while rules and rules[-1].label == model.default_label:
+        rules.pop()
+    chain = _rule_chain(model, rules)
+    thresholds: dict[int, set[float]] = {}
+    for rule in rules:
+        for cond in rule.conditions:
+            thresholds.setdefault(cond.feature, set()).add(cond.threshold)
+    axes = {f: sorted(thresholds[f]) for f in sorted(thresholds)}
+    if math.prod((len(t) + 1) * (len(t) + 2) // 2 for t in axes.values()) > BOX_BUDGET:
+        return chain
+    tree = _grid_tree(model, rules, axes)
+    return tree if len(tree.nodes) <= len(chain.nodes) else chain
+
+
+def _grid_tree(model: RuleListModel, rules: list[Rule], axes: dict[int, list[float]]) -> DispatcherSpec:
+    """The tree that picks the rules' version on every cell of the grid that
+    ``axes`` (each tested feature's sorted thresholds) cut, at the fewest
+    comparisons summed over the cells, then the fewest branches, then the
+    lowest (feature, threshold) split; one leaf per version.
+
+    Two neighbouring slabs of cells that pick the same versions merge into
+    one slab that weighs as many cells: a split between them is never the
+    one chosen, since moving its threshold to the next one down (or up)
+    routes one slab like the other at no more cost. A sub-box of the
+    merged grid takes one interval (lo, hi) per feature and is stored at
+    the sum of (hi * n + lo) * stride, so the parts of every split along a
+    feature sit at two evenly spaced runs of indices. One pass fills every
+    box after its parts, by each interval's width.
+    """
+    from .learners.rules import LE
+
+    # Cells, first feature fastest, take the version of the first rule that holds on them.
+    sizes = [len(t) + 1 for t in axes.values()]
+    cell_strides = [math.prod(sizes[:k]) for k in range(len(sizes))]
+    labels = [model.default_label] * math.prod(sizes)
+    for rule in reversed(rules):
+        ids = [0]
+        for k, (f, thresholds) in enumerate(axes.items()):
+            lo, hi = 0, sizes[k] - 1
+            for cond in rule.conditions:
+                if cond.feature == f:
+                    j = thresholds.index(cond.threshold)
+                    lo, hi = (lo, min(hi, j)) if cond.op == LE else (max(lo, j + 1), hi)
+            ids = [i + c * cell_strides[k] for i in ids for c in range(lo, hi + 1)]
+        for i in ids:
+            labels[i] = rule.label
+    # Per feature that still splits: the thresholds between differing slabs, the stride of its boxes, and per merged
+    # slab (its unit box's offset, its first cell's offset, its cells).
+    features, cuts, strides, slabs, total = [], [], [], [], 1
+    for k, (f, thresholds) in enumerate(axes.items()):
+        s, n = cell_strides[k], sizes[k]
+        kept = [j for j in range(n - 1) if any(
+            labels[b + j * s:b + j * s + s] != labels[b + j * s + s:b + j * s + 2 * s] for b in range(0, len(labels), s * n))]
+        if kept:
+            starts, m = [0, *(j + 1 for j in kept)], len(kept) + 1
+            features.append(f)
+            cuts.append([thresholds[j] for j in kept])
+            strides.append(total)
+            slabs.append([((c * m + c) * total, lo * s, hi - lo) for c, (lo, hi) in enumerate(zip(starts, [*starts[1:], n]))])
+            total *= m * m
+    version: list[int | None] = [None] * total
+    cells, key = [1] * total, [0] * total
+    units = [(0, 0, 1)]
+    for per_slab in slabs:
+        units = [(box + b, first + c, weight * w) for b, c, w in per_slab for box, first, weight in units]
+    for box, first, weight in units:
+        version[box], cells[box] = labels[first], weight
+    # `order` lists every box after its parts. Aligned with it, `splits[k]` holds per interval of feature k the
+    # slices of its split parts: (left start, left step, right step, right stop), as offsets from the box.
+    order, splits = [0], []
+    for k, ts in enumerate(cuts):
+        n, s = len(ts) + 1, strides[k]
+        spans = [(lo, lo + w) for w in range(n) for lo in range(n - w)]
+        order = [box + (hi * n + lo) * s for lo, hi in spans for box in order]
+        splits.append([((lo - hi) * n * s, n * s, s, (hi - lo + 1) * s) if hi > lo else None for lo, hi in spans])
+    # A box's key is its comparisons summed over its cells, times `scale`, plus its branches.
+    scale = total + 1
+    for box, parts in zip(order, product(*reversed(splits))):
+        best = None
+        for split in reversed(parts):
+            if split is None:
+                continue
+            left, step, right, stop = split
+            if best is None:  # the first split tells the box's cells and whether one version fills it
+                cells[box] = cells[box + left] + cells[box + right]
+                if version[box + left] is not None and version[box + left] == version[box + right]:
+                    version[box] = version[box + left]
+                    break
+                best = min(map(add, key[box + left:box:step], key[box + right:box + stop:right]))
+            else:
+                best = min(best, *map(add, key[box + left:box:step], key[box + right:box + stop:right]))
+        else:
+            if best is not None:
+                key[box] = best + cells[box] * scale + 1
+    nodes: list[Node] = []
+    leaf_of: dict[int, int] = {}
+    todo = [(order[-1], -1, 0)]  # (box, parent node, side): the last box is the whole grid
+    while todo:
+        box, parent, side = todo.pop()
+        if version[box] is not None:
+            index = leaf_of.setdefault(version[box], len(nodes))
+            if index == len(nodes):
+                nodes.append(Leaf(version[box]))
+        else:  # the lowest (feature, threshold) split whose parts add up to the box's key
+            index, parts = len(nodes), key[box] - cells[box] * scale - 1
+            for k, ts in enumerate(cuts):
+                n, s = len(ts) + 1, strides[k]
+                hi, lo = divmod(box // s % (n * n), n)
+                j = next((j for j in range(lo, hi) if key[box + (j - hi) * n * s] + key[box + (j + 1 - lo) * s] == parts), None)
+                if j is not None:
+                    break
+            nodes.append(Branch(features[k], ts[j], -1, -1))
+            todo += [(box + (j + 1 - lo) * s, index, 1), (box + (j - hi) * n * s, index, 0)]
+        if parent >= 0:
+            node = nodes[parent]
+            nodes[parent] = Branch(node.feature, node.threshold, *((index, node.right) if side == 0 else (node.left, index)))
+    return DispatcherSpec(model.arity, tuple(nodes))
+
+
+def _rule_chain(model: RuleListModel, rules: list[Rule]) -> DispatcherSpec:
     """Each rule becomes a chain of branches ending at its label leaf, built
-    back to front after the trailing rules that conclude the default label
-    are dropped. A rule whose first p conditions equal the next rule's
+    back to front. A rule whose first p conditions equal the next rule's
     makes that rule's copies of them unreachable: its failure at condition
     j < p goes where the next rule's failure at j goes, and a later one to
     the next rule's condition p (or its leaf)."""
     from .learners.rules import LE
 
-    rules = list(model.rules)
-    while rules and rules[-1].label == model.default_label:
-        rules.pop()
     nodes: list[Node] = [Leaf(model.default_label)]
     later, at, miss = (), [0], []  # the next rule's conditions, its node per condition then its leaf, and their failure edges
     for rule in reversed(rules):
@@ -246,12 +381,13 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
     An optional EMPTY fragment (no slots) fills every then/else side left
     empty, for a language with no empty blocks.
 
-    One pass over an explicit stack writes every node once and indents
-    each line once. A node with several parents is written right after the
-    statement of the first branch that reaches it, and every side inside
-    that statement leading to it stays empty, so control falls out to it.
-    Any other sharing (a node already written, or a shared node that is
-    not the innermost one waiting) is a "template error".
+    One pass over an explicit stack writes a leaf at every branch that
+    reaches it, every branch once, and indents each line once. A branch
+    with several parents is written right after the statement of the first
+    branch that reaches it, and every side inside that statement leading
+    to it stays empty, so control falls out to it. Any other sharing of a
+    branch (one already written, or a shared one that is not the innermost
+    one waiting) is a "template error".
     """
     fragments, body = _parse_template(template)
     for name in FRAGMENT_NAMES:
@@ -296,7 +432,7 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
         if isinstance(node, Leaf):
             push(fragments["VER"], "id", {"id": str(node.value)}, indent)
             continue
-        shared = {c for c in (node.left, node.right) if parents[c] > 1}
+        shared = {c for c in (node.left, node.right) if parents[c] > 1 and isinstance(nodes[c], Branch)}
         for child in shared:
             if not seen[child]:
                 seen[child] = 1

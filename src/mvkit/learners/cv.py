@@ -3,7 +3,7 @@ and deterministic k-fold cross validation for both learner families."""
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -164,7 +164,7 @@ def cross_validate(
         else:
             predictions = [predict_regression(model, s.features) for s in test]
             actual = [s.target for s in test]
-            train_mean = statistics.fmean(s.target for s in train)
+            train_mean = math.fsum(s.target for s in train) / len(train)
             per_fold.append(rrse(predictions, actual, train_mean))
 
     sizes = [0] * k
@@ -175,7 +175,7 @@ def cross_validate(
         seed=seed,
         metric_name="error_rate" if spec.is_dc else "rrse_percent",
         per_fold=tuple(per_fold),
-        aggregate=statistics.fmean(per_fold),
+        aggregate=math.fsum(per_fold) / len(per_fold),
         fold_sizes=tuple(sizes),
         fold_of_sample=tuple(fold_of),
         confusion=tuple(sorted((a, p, n) for (a, p), n in confusion.items())),

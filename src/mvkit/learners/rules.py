@@ -19,6 +19,7 @@ the condition a separate pass per candidate would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +32,11 @@ GT = "gt"  # feature > threshold
 
 @dataclass(frozen=True)
 class Condition:
-    """One comparison: feature <= threshold (le) or feature > threshold (gt); any other op is "invalid rule"."""
+    """One comparison: feature <= threshold (le) or not (gt); any other op or a NaN threshold is "invalid rule".
+
+    ``gt`` reads ``not x <= t``, as a dispatcher branch does, so a NaN
+    feature fails every ``le`` and meets every ``gt``.
+    """
 
     feature: int
     op: str
@@ -40,10 +45,11 @@ class Condition:
     def __post_init__(self) -> None:
         if self.op not in (LE, GT):
             raise LearnError("invalid rule", f"condition op must be {LE!r} or {GT!r}, got {self.op!r}")
+        if math.isnan(self.threshold):
+            raise LearnError("invalid rule", "condition threshold is NaN")
 
     def holds(self, x: Sequence[float]) -> bool:
-        value = x[self.feature]
-        return value <= self.threshold if self.op == LE else value > self.threshold
+        return (x[self.feature] <= self.threshold) == (self.op == LE)
 
 
 @dataclass(frozen=True)
@@ -144,10 +150,10 @@ def predict_rules(model: RuleListModel, x: Sequence[float]) -> tuple[int, int]:
     """First matching rule wins, else the default label.
 
     Returns (label, conditions evaluated); evaluation of a rule stops at
-    its first failing condition. The compiled dispatcher may make fewer
-    comparisons than this counts: it tests a condition shared with the
-    previous rule's opening once, and drops the trailing rules that conclude
-    the default label.
+    its first failing condition. The compiled dispatcher picks the same
+    label with its own count: the cheapest tree over the rule list's
+    threshold grid makes the fewest comparisons summed over the grid's
+    cells, not the fewest at every input.
     """
     if len(x) != model.arity:
         raise LearnError("feature arity", f"expected arity {model.arity}, got {len(x)}")

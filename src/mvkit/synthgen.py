@@ -39,6 +39,11 @@ class SynthError(MvkitError):
 # The widest feature range: each axis draws a uint64 per cut slot (at 10**7 slots a two-axis gen takes about
 # 1.5 s and 350 MB of peak memory), and Rng.shuffled_prefix needs slots**2 < 2**63.
 MAX_CUT_SLOTS = 10**7
+# Planting draws every axis's whole cut-slot range, and each axis also costs about as much as 512 slots (one
+# Rng.shuffled_prefix call, about 40 us). At most 2.5 * 10**7 such draws in all (features x (slots + 512)):
+# a two-core Xeon took 1.6 s at that bound (two axes of 10**7 slots, or 46,040 of 31), and 44 s for 10**6 axes of 31.
+AXIS_SLOTS = 512
+MAX_PLANT_SLOTS = 25 * 10**6
 # The largest tables one scenario holds: at 10**6 runtime cells (versions x datasets) and 10**6 feature cells
 # (datasets x arity), a two-core Xeon took 6 to 10 s and at most 430 MB of peak memory per scenario.
 MAX_RUNTIME_CELLS = MAX_FEATURE_CELLS = 10**6
@@ -112,6 +117,12 @@ class SynthConfig:
             raise SynthError("invalid config", f"feature_range must be an ordered integer pair, got ({lo}, {hi})")
         if hi - lo > MAX_CUT_SLOTS:
             raise SynthError("invalid config", f"feature_range spans {hi - lo} cut slots, more than {MAX_CUT_SLOTS}")
+        plant = self.feature_arity * (hi - lo + AXIS_SLOTS)
+        if plant > MAX_PLANT_SLOTS:
+            raise SynthError(
+                "invalid config",
+                f"{self.feature_arity} features x ({hi - lo} cut slots + {AXIS_SLOTS}) is {plant} draws, more than {MAX_PLANT_SLOTS}",
+            )
         if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
             raise SynthError("invalid config", f"noise_sigma must be >= 0, got {self.noise_sigma}")
         slots = self.feature_range[1] - self.feature_range[0]

@@ -8,6 +8,7 @@ import pytest
 from mvkit import (
     DEFAULT_TEMPLATE, deserialize, eval_dispatcher, interpret_rendered, modelio, parse, render, save_scenario,
 )
+from mvkit import synthgen
 from mvkit.cli import _config_types, build_parser, main
 from mvkit.scenario import DatasetRecord, Scenario, Version
 
@@ -138,6 +139,26 @@ class TestGen:
         args = list(GEN_ARGS)
         args[args.index(flag) + 1] = value
         assert main([*args, "--out-dir", "scen"]) == 2
+        assert f"invalid config: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--features", "1000000"), "1000000 features x (31 cut slots + 512) is 543000000 draws, more than 25000000"),
+            (("--features", "3", "--feature-range", "1,10000001"),
+             "3 features x (10000000 cut slots + 512) is 30001536 draws, more than 25000000"),
+        ],
+        ids=["many-features", "three-widest-ranges"],
+    )
+    def test_planting_past_the_draw_cap_exits_2_before_it_draws(self, tmp_path, monkeypatch, capsys, flags, message):
+        # Both pass the cell caps (one dataset); planting them would draw one number per cut slot of every axis.
+        def no_draws(config):
+            raise AssertionError("_plant ran")
+
+        monkeypatch.setattr(synthgen, "_plant", no_draws)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--versions", "5", "--datasets", "1", "--seed", "1", *flags, "--out-dir", "scen"]) == 2
         assert f"invalid config: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

@@ -1,6 +1,8 @@
 """Dispatcher compilation, the text format, templates, and the interpreter."""
 
+import functools
 import itertools
+import math
 import random
 import re
 from pathlib import Path
@@ -28,7 +30,7 @@ from mvkit import (
     train_tree_classifier,
 )
 from mvkit.cli import main
-from mvkit.dispatch import _INVALID, FRAGMENT_NAMES, Branch, Leaf, _parse_template
+from mvkit.dispatch import _INVALID, BOX_BUDGET, FRAGMENT_NAMES, Branch, Leaf, _parse_template
 from mvkit.learners import LabeledSample
 from mvkit.learners.rules import GT, LE, Condition, Rule, RuleListModel
 from mvkit.modelio import loads
@@ -115,6 +117,28 @@ class TestRulesLowering:
         for x in (2.0, 3.0, 3.5, 6.0, 6.5, 7.0, 7.5, 100.0):
             assert predict_rules(model, (x,))[0] == eval_dispatcher(spec, (x,))[0]
 
+    def test_equal_cost_splits_go_to_the_lowest_feature_then_threshold(self):
+        # Both cases cost 6 and 5 comparisons over their cells whichever test comes first.
+        two_features = RuleListModel((Rule((Condition(1, LE, 1.0), Condition(0, LE, 1.0)), 1),), 9, 2, RuleConfig())
+        assert serialize(compile_dispatcher(two_features)) == (
+            "MVDISPATCH v1; arity=2; nodes=4\nB 0 1 1 3\nB 1 1 2 3\nL 1\nL 9\n"
+        )
+        two_thresholds = RuleListModel((Rule((Condition(0, LE, 2.0), Condition(0, GT, 1.0)), 1),), 9, 1, RuleConfig())
+        assert serialize(compile_dispatcher(two_thresholds)) == (
+            "MVDISPATCH v1; arity=1; nodes=4\nB 0 1 1 2\nL 9\nB 0 2 3 1\nL 1\n"
+        )
+
+    def test_a_tree_with_more_nodes_than_the_chain_ships_the_chain(self):
+        # Both failures of rule 0 share rule 1's test in the chain: 6 nodes. The cheapest tree makes as many
+        # comparisons over the 8 cells, 18, but repeats that test: 7 nodes.
+        model = RuleListModel(
+            (Rule((Condition(2, LE, 1.5), Condition(1, LE, 2.5)), 2), Rule((Condition(0, GT, 2.5),), 1)), 0, 3, RuleConfig()
+        )
+        spec, tree = compile_dispatcher(model), cheapest_tree(model)
+        assert serialize(spec) == serialize(chain_compile_rules(model))
+        assert (len(spec.nodes), cell_cost(spec, model)) == (6, (18, 3))
+        assert (len(tree.nodes), cell_cost(tree, model)) == (7, (18, 4))
+
     def test_learned_rules_lower_equivalently(self):
         rng = Rng(77)
         samples = [
@@ -150,14 +174,16 @@ def random_rules(rules: int, conditions: int, arity: int, seed: int) -> RuleList
 
 
 class TestLinearLowering:
-    """Every failure edge of a rule points at the one entry of the next rule."""
+    """Past the box budget, every failure edge of a rule points at the one entry of the next rule."""
 
     def test_five_rules_of_two_conditions_take_sixteen_nodes(self):
-        spec = compile_dispatcher(random_rules(5, 2, 2, seed=5))
-        assert len(spec.nodes) == 5 * (2 + 1) + 1
+        model = random_rules(5, 2, 5, seed=0)
+        assert grid_boxes(model) > BOX_BUDGET
+        assert len(compile_dispatcher(model).nodes) == 5 * (2 + 1) + 1
 
     def test_forty_rules_of_three_conditions_agree_everywhere(self):
         model = random_rules(40, 3, 3, seed=40)
+        assert grid_boxes(model) > BOX_BUDGET
         spec = compile_dispatcher(model)
         assert len(spec.nodes) == 40 * (3 + 1) + 1
         text = serialize(spec)
@@ -171,14 +197,16 @@ class TestLinearLowering:
             assert eval_dispatcher(again, x)[0] == want
 
     def test_two_rule_document_is_numbered_in_first_visit_preorder(self):
+        # Cells (-inf, 3], (3, 6], (6, 7], (7, inf) pick 1, 9, 2, 9: splitting at 6 first costs 8 comparisons
+        # over the four cells, splitting at 3 or 7 first costs 9, and the chain costs 10.
         spec = compile_dispatcher(TestRulesLowering().rules_model())
         assert serialize(spec) == (
             "MVDISPATCH v1; arity=1; nodes=6\n"
-            "B 0 3 1 2\n"  # rule 0: x <= 3 returns 1, else rule 1
+            "B 0 6 1 4\n"
+            "B 0 3 2 3\n"  # x <= 3 returns 1, else the default
             "L 1\n"
-            "B 0 6 3 4\n"  # rule 1: x > 6 ...
-            "L 9\n"  # the default, shared by both failure edges of rule 1
-            "B 0 7 5 3\n"  # ... and x <= 7 returns 2
+            "L 9\n"  # the default, one leaf for both branches that reach it
+            "B 0 7 5 3\n"  # x <= 7 returns 2, else the default
             "L 2\n"
         )
 
@@ -216,19 +244,122 @@ def oracle_compile_rules(model: RuleListModel) -> DispatcherSpec:
     return DispatcherSpec(model.arity, canonical(nodes, fall_through, model.arity, _INVALID)[0])
 
 
-def seeded_rules(seed: int) -> RuleListModel:
-    """Up to six rules of zero to three conditions on arity ``1 + seed % 4``, thresholds often repeated."""
+# --- oracle: the rule chain that the grid search replaced below the budget, verbatim ---
+
+
+def chain_compile_rules(model: RuleListModel) -> DispatcherSpec:
+    """Each rule becomes a chain of branches ending at its label leaf, built
+    back to front after the trailing rules that conclude the default label
+    are dropped. A rule whose first p conditions equal the next rule's
+    makes that rule's copies of them unreachable: its failure at condition
+    j < p goes where the next rule's failure at j goes, and a later one to
+    the next rule's condition p (or its leaf)."""
+    rules = list(model.rules)
+    while rules and rules[-1].label == model.default_label:
+        rules.pop()
+    nodes: list[Node] = [Leaf(model.default_label)]
+    later, at, miss = (), [0], []  # the next rule's conditions, its node per condition then its leaf, and their failure edges
+    for rule in reversed(rules):
+        conds, shared = rule.conditions, 0
+        while shared < min(len(conds), len(later)) and conds[shared] == later[shared]:
+            shared += 1
+        miss = miss[:shared] + [at[shared]] * (len(conds) - shared)
+        nodes.append(Leaf(rule.label))
+        at = [len(nodes) - 1]
+        for cond, fail in zip(reversed(conds), reversed(miss)):
+            nodes.append(Branch(cond.feature, cond.threshold, *((at[-1], fail) if cond.op == LE else (fail, at[-1]))))
+            at.append(len(nodes) - 1)
+        later, at = conds, at[::-1]
+    return DispatcherSpec(model.arity, canonical(nodes, at[0], model.arity, _INVALID)[0])
+
+
+# --- the threshold grid of the rules a dispatcher keeps ---
+
+
+def kept_axes(model: RuleListModel) -> dict[int, list[float]]:
+    """Each feature that a rule before the default-label tail tests, with its sorted thresholds."""
+    rules = list(model.rules)
+    while rules and rules[-1].label == model.default_label:
+        rules.pop()
+    axes: dict[int, set[float]] = {}
+    for rule in rules:
+        for cond in rule.conditions:
+            axes.setdefault(cond.feature, set()).add(cond.threshold)
+    return {f: sorted(axes[f]) for f in sorted(axes)}
+
+
+def grid_boxes(model: RuleListModel) -> int:
+    """Sub-boxes of the kept grid: per tested feature, the intervals of its cells."""
+    return math.prod((len(t) + 1) * (len(t) + 2) // 2 for t in kept_axes(model).values())
+
+
+def cell_points(model: RuleListModel) -> list[tuple[float, ...]]:
+    """One point per cell of the kept grid: on each tested feature every threshold, then NaN, which every
+    comparison sends right, so it lies above the highest threshold even when that is inf; 0.0 elsewhere."""
+    axes = kept_axes(model)
+    return list(itertools.product(*([*axes[f], math.nan] if f in axes else [0.0] for f in range(model.arity))))
+
+
+def cheapest_tree(model: RuleListModel) -> DispatcherSpec:
+    """The tree that picks ``predict_rules``' version on every cell of the kept grid at the fewest comparisons
+    summed over the cells, then the fewest branches, then the lowest (feature, threshold) split, with one leaf
+    per version: every split of every sub-box, by recursion."""
+    axes = kept_axes(model)
+    features = list(axes)
+    cells = list(itertools.product(*(range(len(axes[f]) + 1) for f in features)))
+    version = dict(zip(cells, (predict_rules(model, x)[0] for x in cell_points(model))))
+
+    @functools.cache
+    def best(box: tuple[tuple[int, int], ...]) -> tuple[int, int, tuple | int]:
+        """(comparisons, branches, tree): a tree is a version or (feature, threshold, left tree, right tree)."""
+        inside = list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+        if len({version[c] for c in inside}) == 1:
+            return 0, 0, version[inside[0]]
+        options = []
+        for k, (lo, hi) in enumerate(box):
+            for j in range(lo, hi):
+                left, right = best(box[:k] + ((lo, j),) + box[k + 1:]), best(box[:k] + ((j + 1, hi),) + box[k + 1:])
+                tree = (features[k], axes[features[k]][j], left[2], right[2])
+                options.append((len(inside) + left[0] + right[0], 1 + left[1] + right[1], k, j, tree))
+        cost, branches, _, _, tree = min(options)  # (k, j) tell every option apart, so trees are never compared
+        return cost, branches, tree
+
+    nodes: list[Node] = []
+    leaves: dict[int, int] = {}
+
+    def add(tree) -> int:
+        if not isinstance(tree, tuple):
+            if tree not in leaves:
+                leaves[tree] = len(nodes)
+                nodes.append(Leaf(tree))
+            return leaves[tree]
+        nodes.append(None)
+        at = len(nodes) - 1
+        nodes[at] = Branch(tree[0], tree[1], add(tree[2]), add(tree[3]))
+        return at
+
+    add(best(tuple((0, len(t)) for t in axes.values()))[2])
+    return DispatcherSpec(model.arity, tuple(nodes))
+
+
+def cell_cost(spec: DispatcherSpec, model: RuleListModel) -> tuple[int, int]:
+    """(comparisons summed over the kept grid's cells, branches) of a dispatcher."""
+    return sum(eval_dispatcher(spec, x)[1] for x in cell_points(model)), sum(isinstance(n, Branch) for n in spec.nodes)
+
+
+def wide_rules(seed: int) -> RuleListModel:
+    """Eight to sixteen rules of zero to three conditions on arity ``2 + seed % 3``, thresholds often repeated."""
     rng = random.Random(seed)
-    arity = 1 + seed % 4
+    arity = 2 + seed % 3
     rules = tuple(
         Rule(
             tuple(
                 Condition(rng.randrange(arity), rng.choice((LE, GT)), rng.choice((0.5, 1.5, rng.uniform(-5, 5))))
-                for _ in range(rng.choice((0, 1, 1, 2, 3)))
+                for _ in range(rng.choice((0, 1, 2, 3, 3)))
             ),
             rng.randint(1, 5),
         )
-        for _ in range(rng.randint(0, 6))
+        for _ in range(rng.randint(8, 16))
     )
     return RuleListModel(rules, rng.randint(0, 5), arity, RuleConfig())
 
@@ -249,12 +380,16 @@ def opens_like_the_rule_before(model: RuleListModel) -> bool:
 
 
 def test_rule_order_lowering_writes_the_reverse_lowerings_bytes():
-    """Byte for byte where nothing is shared or dropped; elsewhere the same picks, never dearer."""
-    seen = {"no rules": 0, "a rule with no conditions before the last": 0, "gt first": 0, "rewritten": 0}
+    """Past the box budget the chain ships: the reverse lowering's bytes where nothing is shared or dropped,
+    elsewhere the same picks, never dearer; and always the bytes of the chain kept above."""
+    seen = {"a rule with no conditions before the last": 0, "gt first": 0, "rewritten": 0, "past the budget": 0}
     arities = set()
     for seed in range(3000):
-        model = seeded_rules(seed)
+        model = wide_rules(seed)
+        if grid_boxes(model) <= BOX_BUDGET:
+            continue
         spec, oracle = compile_dispatcher(model), oracle_compile_rules(model)
+        assert serialize(spec) == serialize(chain_compile_rules(model)), f"seed {seed}"
         if not (ends_in_the_default(model) or opens_like_the_rule_before(model)):
             assert serialize(spec) == serialize(oracle), f"seed {seed}"
         else:
@@ -264,11 +399,11 @@ def test_rule_order_lowering_writes_the_reverse_lowerings_bytes():
                 (got, cost), (want, oracle_cost) = eval_dispatcher(spec, x), eval_dispatcher(oracle, x)
                 assert got == want and cost <= oracle_cost, f"seed {seed} at {x}"
         arities.add(model.arity)
-        seen["no rules"] += not model.rules
+        seen["past the budget"] += 1
         seen["a rule with no conditions before the last"] += any(not r.conditions for r in model.rules[:-1])
         seen["gt first"] += any(r.conditions[:1] and r.conditions[0].op == GT for r in model.rules)
-    assert arities == {1, 2, 3, 4}
-    assert min(seen.values()) >= 100, seen
+    assert arities == {2, 3, 4}
+    assert min(seen.values()) >= 300, seen
 
 
 def repeated_rules(seed: int) -> RuleListModel:
@@ -290,21 +425,31 @@ def repeated_rules(seed: int) -> RuleListModel:
     return RuleListModel(tuple(rules), rng.randint(0, 3), arity, RuleConfig())
 
 
-def test_shared_conditions_lower_to_every_readings_pick_at_no_more_comparisons():
-    seen = {"shares a condition": 0, "drops a default tail": 0, "20 rules": 0, "4 conditions": 0}
+def test_rule_lists_compile_to_the_cheapest_tree_that_picks_every_cells_version():
+    """Within the budget: every reading picks ``predict_rules``' version on every cell and at every threshold,
+    with no more nodes and no more comparisons summed over the cells than the chain; the dispatcher is
+    the cheapest tree the recursion over sub-boxes finds, unless that has more nodes than the chain."""
+    seen = {"shares a condition": 0, "drops a default tail": 0, "20 rules": 0, "4 conditions": 0, "checked cheapest": 0}
     arities = set()
     for seed in range(3000):
         model = repeated_rules(seed)
-        spec = compile_dispatcher(model)
+        assert grid_boxes(model) <= BOX_BUDGET
+        spec, chain = compile_dispatcher(model), chain_compile_rules(model)
         rendered = render_template(spec)
         scope: dict = {}
         exec(render_template(spec, PYTHON_TEMPLATE), scope)
-        for x in threshold_grid(model):
-            want, counted = predict_rules(model, x)
-            got, cost = eval_dispatcher(spec, x)
-            assert got == want and cost <= counted, f"seed {seed} at {x}"
+        infinities = [(v,) * model.arity for v in (-math.inf, math.inf)]
+        for x in cell_points(model) + threshold_grid(model) + infinities:
+            want = predict_rules(model, x)[0]
+            assert eval_dispatcher(spec, x)[0] == want, f"seed {seed} at {x}"
             assert interpret_rendered(rendered, x) == want, f"seed {seed} at {x}"
             assert scope["select_version"](x) == want, f"seed {seed} at {x}"
+        assert len(spec.nodes) <= len(chain.nodes), f"seed {seed}"
+        assert cell_cost(spec, model)[0] <= cell_cost(chain, model)[0], f"seed {seed}"
+        if seed % 5 == 0:
+            tree = cheapest_tree(model)
+            assert serialize(spec) == serialize(tree if len(tree.nodes) <= len(chain.nodes) else chain), f"seed {seed}"
+            seen["checked cheapest"] += 1
         arities.add(model.arity)
         seen["shares a condition"] += opens_like_the_rule_before(model)
         seen["drops a default tail"] += ends_in_the_default(model)
@@ -320,17 +465,36 @@ QUICK_START_RULES_GEN = [
 ]
 
 
-def test_quick_start_rule_list_at_noise_0_1_takes_17_nodes_and_283_comparisons(tmp_path, monkeypatch):
+def quick_start_rule_list(tmp_path, monkeypatch) -> RuleListModel:
     monkeypatch.chdir(tmp_path)
     assert main([*QUICK_START_RULES_GEN, "--out-dir", "scen"]) == 0
     assert main(["select", "--scenario", "scen", "--max-versions", "4", "--out", "sel.rep"]) == 0
     assert main(["train", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", "rules", "--out", "model.mv"]) == 0
-    model = loads(Path("model.mv").read_text(encoding="utf-8"))
-    spec = compile_dispatcher(model)
+    return loads(Path("model.mv").read_text(encoding="utf-8"))
+
+
+def test_quick_start_rule_list_at_noise_0_1_takes_13_nodes_and_212_comparisons(tmp_path, monkeypatch):
+    model = quick_start_rule_list(tmp_path, monkeypatch)
+    spec, chain = compile_dispatcher(model), chain_compile_rules(model)
     test = load_datasets("scen/test/datasets.csv")
-    assert (len(model.rules), len(spec.nodes), len(test)) == (12, 17, 80)
-    assert sum(eval_dispatcher(spec, d.features)[1] for d in test) == 283
+    assert (len(model.rules), len(spec.nodes), spec.byte_size, len(test)) == (12, 13, 162, 80)
+    assert sum(eval_dispatcher(spec, d.features)[1] for d in test) == 212
+    assert (len(chain.nodes), sum(eval_dispatcher(chain, d.features)[1] for d in test)) == (17, 283)
     assert [eval_dispatcher(spec, d.features)[0] for d in test] == [predict_rules(model, d.features)[0] for d in test]
+
+
+def test_a_nan_feature_gets_the_same_version_from_every_reading(tmp_path, monkeypatch):
+    # A NaN fails every "x <= t", so it meets every "gt" condition and takes every right branch.
+    model = quick_start_rule_list(tmp_path, monkeypatch)
+    spec = compile_dispatcher(model)
+    scope: dict = {}
+    exec(render_template(spec, PYTHON_TEMPLATE), scope)
+    for x in [(math.nan, 3.0), (3.0, math.nan), (math.nan, math.nan), (math.nan, -math.inf), (math.inf, math.nan)]:
+        want = predict_rules(model, x)[0]
+        assert eval_dispatcher(spec, x)[0] == want, x
+        assert interpret_rendered(render_template(spec), x) == want, x
+        assert scope["select_version"](x) == want, x
+    assert predict_rules(model, (math.nan, 3.0))[0] == 1
 
 
 class TestSerialization:
@@ -546,31 +710,66 @@ class TestOnePassRenderer:
 
     def test_empty_fragment_fills_exactly_the_sides_a_template_without_it_leaves_blank(self):
         without = PYTHON_TEMPLATE.replace("{{EMPTY}}\npass\n{{END}}\n", "")
-        spec = compile_dispatcher(random_rules(5, 2, 2, seed=5))
+        spec = compile_dispatcher(random_rules(5, 2, 5, seed=0))  # past the budget: a chain with shared branches
         blank = render_template(spec, without)
         assert re.search(r"(?m)^ +$", blank)  # a side left empty for a fall-through
         assert render_template(spec, PYTHON_TEMPLATE) == re.sub(r"(?m)^( +)$", r"\1pass", blank)
 
-    def test_two_rule_list_renders_as_a_decision_list(self):
+    def test_two_rule_list_renders_its_shared_default_in_place(self):
         rendered = render_template(compile_dispatcher(TestRulesLowering().rules_model()))
         assert rendered == (
             "int select_version(const double *x) {\n"
-            "    if (x[0] <= 3) {\n"
-            "        return 1;\n"
-            "    } else {\n"
-            "        if (x[0] <= 6) {\n"
-            "            \n"  # x <= 6 fails rule 1: fall out to the default
+            "    if (x[0] <= 6) {\n"
+            "        if (x[0] <= 3) {\n"
+            "            return 1;\n"
             "        } else {\n"
-            "            if (x[0] <= 7) {\n"
-            "                return 2;\n"
-            "            } else {\n"
-            "                \n"
-            "            }\n"
+            "            return 9;\n"  # the one default leaf, written at each branch that reaches it
             "        }\n"
-            "        return 9;\n"  # the shared default, written once
+            "    } else {\n"
+            "        if (x[0] <= 7) {\n"
+            "            return 2;\n"
+            "        } else {\n"
+            "            return 9;\n"
+            "        }\n"
             "    }\n"
             "}\n"
         )
+
+    def test_a_chain_falls_out_to_the_next_rules_shared_test(self):
+        model = RuleListModel(
+            rules=(
+                Rule((Condition(0, LE, 3.0), Condition(0, GT, 1.0)), 1),
+                Rule((Condition(0, GT, 6.0), Condition(0, LE, 7.0)), 2),
+            ),
+            default_label=9,
+            arity=1,
+            config=RuleConfig(),
+        )
+        rendered = render_template(chain_compile_rules(model))
+        assert rendered == (
+            "int select_version(const double *x) {\n"
+            "    if (x[0] <= 3) {\n"
+            "        if (x[0] <= 1) {\n"
+            "            \n"  # both failures of rule 0 fall out to rule 1's first test
+            "        } else {\n"
+            "            return 1;\n"
+            "        }\n"
+            "    } else {\n"
+            "        \n"
+            "    }\n"
+            "    if (x[0] <= 6) {\n"
+            "        return 9;\n"  # the default leaf, written in place at each branch that reaches it
+            "    } else {\n"
+            "        if (x[0] <= 7) {\n"
+            "            return 2;\n"
+            "        } else {\n"
+            "            return 9;\n"
+            "        }\n"
+            "    }\n"
+            "}\n"
+        )
+        for x in (0.0, 1.0, 2.0, 3.0, 5.0, 6.5, 7.0, 8.0, math.nan):
+            assert interpret_rendered(rendered, (x,)) == predict_rules(model, (x,))[0]
 
     @pytest.mark.parametrize("branches", [200, 400, 800, 1600])
     def test_chain_lines_grow_linearly(self, branches):
@@ -587,7 +786,7 @@ class TestOnePassRenderer:
     def test_forty_rules_of_three_conditions_render_and_agree(self):
         model = random_rules(40, 3, 3, seed=40)
         rendered = render_template(compile_dispatcher(model))
-        assert rendered.count("return ") == 40 + 1
+        assert rendered.count("return ") == 40 + 3  # each rule's leaf, and the default at the last rule's three tests
         rng = Rng(4040)
         for _ in range(300):
             x = tuple(rng.uniform(-1, 11) for _ in range(3))
@@ -596,19 +795,19 @@ class TestOnePassRenderer:
     def test_diamond_writes_each_level_once_and_agrees(self):
         spec = deserialize(dispatcher_text(diamond_lines(20)))
         rendered = render_template(spec)
-        assert rendered.count("if (") == 20 and rendered.count("return ") == 1
+        assert rendered.count("if (") == 20 and rendered.count("return ") == 2  # the leaf on both sides of the last
         for x in (-1.0, 0.0, 0.5, 7.0, 19.0, 19.5, 20.0, 1e9):
             assert interpret_rendered(rendered, (x,)) == eval_dispatcher(spec, (x,))[0]
 
     @pytest.mark.parametrize(
         "nodes",
         [
-            # the shared leaf 2 is reached from both subtrees of the root
-            (Branch(0, 5.0, 1, 4), Branch(0, 2.0, 2, 3), Leaf(7), Leaf(1),
-             Branch(0, 8.0, 2, 5), Leaf(3)),
-            # branch 2 reaches the root's waiting leaf 5 and a new shared leaf 3
-            (Branch(0, 5.0, 1, 5), Branch(0, 2.0, 2, 4), Branch(0, 1.0, 3, 5), Leaf(1),
-             Branch(0, 3.0, 3, 6), Leaf(7), Leaf(3)),
+            # the shared branch 2 is reached from both subtrees of the root
+            (Branch(0, 5.0, 1, 4), Branch(0, 2.0, 2, 3), Branch(0, 1.0, 6, 7), Leaf(1),
+             Branch(0, 8.0, 2, 5), Leaf(3), Leaf(7), Leaf(8)),
+            # branch 2 reaches the root's waiting branch 5 and a new shared branch 3
+            (Branch(0, 5.0, 1, 5), Branch(0, 2.0, 2, 4), Branch(0, 1.0, 3, 5), Branch(0, 0.5, 7, 8),
+             Branch(0, 3.0, 3, 6), Branch(0, 9.0, 8, 7), Leaf(7), Leaf(1), Leaf(2)),
         ],
         ids=["siblings", "not-innermost"],
     )

@@ -261,3 +261,29 @@ def test_emit_loads_no_numpy(train, tmp_path):
     assert (tmp_path / "d.c").read_text(encoding="utf-8").strip()
     assert "mvkit.dispatch" in loaded
     assert not loaded & {"numpy", "mvkit.scenario", "mvkit.selection"}
+
+
+def test_train_and_cv_load_no_statistics_module(tmp_path):
+    # statistics pulls in fractions and decimal; cv averages with math.fsum instead.
+    setup = run_python(
+        "-c",
+        "from mvkit import cli\n"
+        'assert cli.main(["gen", "--versions", "5", "--datasets", "40", "--features", "2", "--regions", "3",'
+        ' "--seed", "7", "--out-dir", "scen"]) == 0\n'
+        'assert cli.main(["select", "--scenario", "scen", "--max-versions", "3", "--out", "sel.rep"]) == 0',
+        cwd=tmp_path,
+    )
+    assert setup.returncode == 0, setup.stderr
+    commands = [
+        ["train", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", algorithm, "--out", f"{algorithm}.mv"]
+        for algorithm in ("tree", "rules", "regtree", "linreg")
+    ] + [
+        ["cv", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", algorithm, "--seed", "7", "--k", "4",
+         "--out", f"{algorithm}.rep"]
+        for algorithm in ("tree", "rules", "regtree", "linreg")
+    ]
+    loaded = loaded_after(
+        "from mvkit import cli\n" + "".join(f"assert cli.main({c!r}) == 0\n" for c in commands), tmp_path
+    )
+    assert "mvkit.learners.cv" in loaded
+    assert not loaded & {"statistics", "fractions", "decimal"}

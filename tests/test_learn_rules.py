@@ -1,5 +1,6 @@
 """Ordered rule-list learning by sequential covering."""
 
+import math
 import random
 
 import pytest
@@ -119,6 +120,24 @@ class TestValidByConstruction:
                 Condition(0, op, 0.5)
             assert exc.value.category == "invalid rule"
             assert exc.value.message == f"condition op must be 'le' or 'gt', got {op!r}"
+
+    def test_a_nan_threshold_is_refused(self):
+        for op in ("le", "gt"):
+            with pytest.raises(LearnError) as exc:
+                Condition(0, op, math.nan)
+            assert (exc.value.category, exc.value.message) == ("invalid rule", "condition threshold is NaN")
+        model = RuleListModel((Rule((Condition(0, "le", 0.5),), 1),), 0, 1, RuleConfig())
+        with pytest.raises(ModelIOError) as exc:
+            modelio.loads(modelio.dumps(model).replace(" 0.5", " nan"))
+        assert (exc.value.category, exc.value.message) == ("parse error", "line 2: malformed rule 'R 1 1 0 le nan'")
+
+    def test_gt_reads_not_le_so_a_nan_feature_meets_it(self):
+        # The dispatcher and the rendered source send NaN right at every "x <= t"; a rule reads it the same way.
+        for x, le, gt in [(0.5, True, False), (0.6, False, True), (math.nan, False, True),
+                          (-math.inf, True, False), (math.inf, False, True)]:
+            assert Condition(0, "le", 0.5).holds((x,)) is le, x
+            assert Condition(0, "gt", 0.5).holds((x,)) is gt, x
+        assert Condition(0, "gt", math.inf).holds((math.nan,)) and not Condition(0, "gt", math.inf).holds((math.inf,))
 
     def test_a_condition_feature_outside_the_arity_is_refused(self):
         for feature in (2, 1, -1):

@@ -206,6 +206,14 @@ class TestConfigValidation:
         assert exc.value.category == "invalid config"
         assert f"feature_range spans {hi - 1} cut slots, more than 10000000" in str(exc.value)
 
+    def test_planting_draws_are_capped_across_features(self):
+        # 46,040 features x (31 cut slots + 512 per axis) = 24,999,720 draws fit under 25,000,000; one more does not.
+        assert SynthConfig(n_versions=5, n_datasets=1, feature_arity=46_040, n_regions=4, seed=1).feature_arity == 46_040
+        with pytest.raises(SynthError) as exc:
+            SynthConfig(n_versions=5, n_datasets=1, feature_arity=46_041, n_regions=4, seed=1)
+        assert exc.value.category == "invalid config"
+        assert "46041 features x (31 cut slots + 512) is 25000263 draws, more than 25000000" in str(exc.value)
+
     def test_feature_range_of_ten_million_cut_slots_is_accepted(self):
         config = SynthConfig(n_versions=5, n_datasets=10, feature_arity=2, n_regions=4, seed=1,
                              feature_range=(-5, 10**7 - 5))
