@@ -5,16 +5,17 @@ the acyclic node array of :mod:`mvkit.nodes` (feature <= threshold goes
 left) ending in version-id leaves, the same canonical array a classifier
 tree holds. Decision trees therefore compile as they are. A rule list
 first drops its trailing rules that conclude the default label. Its own
-thresholds then cut the feature space into a grid of cells, each picking
-one version, and a bottom-up search over the grid's sub-boxes finds the
-tree with the fewest comparisons summed over the cells (then the fewest
-branches), with one leaf per version. That tree ships unless it has more
-nodes than the rule chain: one chain of branches per rule, where a
-failure edge of a rule points into the next rule (its shared
-fall-through) and conditions a rule shares with the start of the next
-rule are tested once. A grid of more than ``BOX_BUDGET`` sub-boxes ships
-the chain without a search. :class:`DispatcherSpec` puts either in
-canonical order.
+thresholds then cut the feature space into a grid of cells, each taking
+the version ``predict_rules`` reads at one point inside it, and a
+bottom-up search over the grid's sub-boxes finds the tree with the fewest
+comparisons summed over the cells (then the fewest branches), with one
+leaf per version. That tree ships unless it has more nodes than the rule
+chain: one chain of branches per rule, where a failure edge of a rule
+points into the next rule (its shared fall-through) and conditions a rule
+shares with the start of the next rule are tested once. A grid of more
+than ``BOX_BUDGET`` sub-boxes ships the chain without a search. Both are
+built as canonical node arrays, and only the one that ships becomes a
+:class:`DispatcherSpec`.
 
 The canonical text form (`MVDISPATCH v1`) lists nodes in first-visit
 pre-order from the entry (node 0), one per line, with thresholds at 17
@@ -113,28 +114,29 @@ def _compile_rules(model: RuleListModel) -> DispatcherSpec:
 
     The trailing rules that conclude the default label are dropped first.
     A grid of at most ``BOX_BUDGET`` sub-boxes gets :func:`_grid_tree`,
-    which ships unless it has more nodes than :func:`_rule_chain`.
+    which ships unless it has more nodes than :func:`_rule_chain`; only
+    the one that ships becomes a :class:`DispatcherSpec`.
     """
     rules = list(model.rules)
     while rules and rules[-1].label == model.default_label:
         rules.pop()
-    chain = _rule_chain(model, rules)
+    nodes = _rule_chain(model, rules)
     thresholds: dict[int, set[float]] = {}
     for rule in rules:
         for cond in rule.conditions:
             thresholds.setdefault(cond.feature, set()).add(cond.threshold)
     axes = {f: sorted(thresholds[f]) for f in sorted(thresholds)}
-    if math.prod((len(t) + 1) * (len(t) + 2) // 2 for t in axes.values()) > BOX_BUDGET:
-        return chain
-    tree = _grid_tree(model, rules, axes)
-    return tree if len(tree.nodes) <= len(chain.nodes) else chain
+    if math.prod((len(t) + 1) * (len(t) + 2) // 2 for t in axes.values()) <= BOX_BUDGET:
+        nodes = min(_grid_tree(model, axes), nodes, key=len)  # the tree on a tie
+    return DispatcherSpec(model.arity, nodes)
 
 
-def _grid_tree(model: RuleListModel, rules: list[Rule], axes: dict[int, list[float]]) -> DispatcherSpec:
-    """The tree that picks the rules' version on every cell of the grid that
-    ``axes`` (each tested feature's sorted thresholds) cut, at the fewest
-    comparisons summed over the cells, then the fewest branches, then the
-    lowest (feature, threshold) split; one leaf per version.
+def _grid_tree(model: RuleListModel, axes: dict[int, list[float]]) -> tuple[Node, ...]:
+    """The canonical nodes of the tree that picks ``predict_rules``' version
+    on every cell of the grid that ``axes`` (each tested feature's sorted
+    thresholds) cut, at the fewest comparisons summed over the cells, then
+    the fewest branches, then the lowest (feature, threshold) split; one
+    leaf per version. A cell's version is read at one point inside it.
 
     Two neighbouring slabs of cells that pick the same versions merge into
     one slab that weighs as many cells: a split between them is never the
@@ -145,23 +147,17 @@ def _grid_tree(model: RuleListModel, rules: list[Rule], axes: dict[int, list[flo
     feature sit at two evenly spaced runs of indices. One pass fills every
     box after its parts, by each interval's width.
     """
-    from .learners.rules import LE
+    from .learners.rules import predict_rules
 
-    # Cells, first feature fastest, take the version of the first rule that holds on them.
+    # Cells run first feature fastest. A cell's point has each tested feature at the cell's upper threshold, or at
+    # NaN above the last (NaN fails every `le` and meets every `gt`, as a branch routes it), and 0.0 elsewhere.
     sizes = [len(t) + 1 for t in axes.values()]
     cell_strides = [math.prod(sizes[:k]) for k in range(len(sizes))]
-    labels = [model.default_label] * math.prod(sizes)
-    for rule in reversed(rules):
-        ids = [0]
-        for k, (f, thresholds) in enumerate(axes.items()):
-            lo, hi = 0, sizes[k] - 1
-            for cond in rule.conditions:
-                if cond.feature == f:
-                    j = thresholds.index(cond.threshold)
-                    lo, hi = (lo, min(hi, j)) if cond.op == LE else (max(lo, j + 1), hi)
-            ids = [i + c * cell_strides[k] for i in ids for c in range(lo, hi + 1)]
-        for i in ids:
-            labels[i] = rule.label
+    x, labels = [0.0] * model.arity, []
+    for point in product(*([*axes[f], math.nan] for f in reversed(axes))):
+        for f, v in zip(reversed(axes), point):
+            x[f] = v
+        labels.append(predict_rules(model, x)[0])
     # Per feature that still splits: the thresholds between differing slabs, the stride of its boxes, and per merged
     # slab (its unit box's offset, its first cell's offset, its cells).
     features, cuts, strides, slabs, total = [], [], [], [], 1
@@ -232,15 +228,16 @@ def _grid_tree(model: RuleListModel, rules: list[Rule], axes: dict[int, list[flo
         if parent >= 0:
             node = nodes[parent]
             nodes[parent] = Branch(node.feature, node.threshold, *((index, node.right) if side == 0 else (node.left, index)))
-    return DispatcherSpec(model.arity, tuple(nodes))
+    return tuple(nodes)
 
 
-def _rule_chain(model: RuleListModel, rules: list[Rule]) -> DispatcherSpec:
-    """Each rule becomes a chain of branches ending at its label leaf, built
-    back to front. A rule whose first p conditions equal the next rule's
-    makes that rule's copies of them unreachable: its failure at condition
-    j < p goes where the next rule's failure at j goes, and a later one to
-    the next rule's condition p (or its leaf)."""
+def _rule_chain(model: RuleListModel, rules: list[Rule]) -> tuple[Node, ...]:
+    """The canonical nodes of the chain: each rule becomes a chain of
+    branches ending at its label leaf, built back to front. A rule whose
+    first p conditions equal the next rule's makes that rule's copies of
+    them unreachable: its failure at condition j < p goes where the next
+    rule's failure at j goes, and a later one to the next rule's condition
+    p (or its leaf)."""
     from .learners.rules import LE
 
     nodes: list[Node] = [Leaf(model.default_label)]
@@ -256,7 +253,7 @@ def _rule_chain(model: RuleListModel, rules: list[Rule]) -> DispatcherSpec:
             nodes.append(Branch(cond.feature, cond.threshold, *((at[-1], fail) if cond.op == LE else (fail, at[-1]))))
             at.append(len(nodes) - 1)
         later, at = conds, at[::-1]
-    return DispatcherSpec(model.arity, canonical(nodes, at[0], model.arity, _INVALID)[0])
+    return canonical(nodes, at[0], model.arity, _INVALID)[0]
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -461,7 +458,7 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
     else-block, and the first `return` reached gives the version.
     """
     tokens = re.findall(
-        r"x\[\d+\]|<=|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[(){};]|if|else|return|\w+",
+        r"x\[\d+\]|<=|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf\b|[(){};]|if|else|return|\w+",
         " ".join(rendered.split()),  # one space per gap: deep nesting is mostly indent
     )
     pos = 0

@@ -431,12 +431,18 @@ def test_rule_lists_compile_to_the_cheapest_tree_that_picks_every_cells_version(
     the cheapest tree the recursion over sub-boxes finds, unless that has more nodes than the chain."""
     seen = {"shares a condition": 0, "drops a default tail": 0, "20 rules": 0, "4 conditions": 0, "checked cheapest": 0}
     arities = set()
-    for seed in range(3000):
-        model = repeated_rules(seed)
+    # Thresholds at -inf and inf put cells at -inf, inf and NaN (above inf); feature 2 is tested by one rule only.
+    infinite = RuleListModel((
+        Rule((Condition(0, LE, -math.inf),), 1),
+        Rule((Condition(0, GT, math.inf),), 2),
+        Rule((Condition(2, GT, 0.5), Condition(0, LE, math.inf)), 3),
+        Rule((Condition(0, GT, 1.0),), 4),
+    ), 0, 3, RuleConfig())
+    for seed, model in enumerate([*map(repeated_rules, range(3000)), infinite]):  # seed 3000 is the hand-built list
         assert grid_boxes(model) <= BOX_BUDGET
         spec, chain = compile_dispatcher(model), chain_compile_rules(model)
         rendered = render_template(spec)
-        scope: dict = {}
+        scope: dict = {"inf": math.inf}  # the Python rendering writes an infinite threshold as `inf`
         exec(render_template(spec, PYTHON_TEMPLATE), scope)
         infinities = [(v,) * model.arity for v in (-math.inf, math.inf)]
         for x in cell_points(model) + threshold_grid(model) + infinities:
@@ -481,6 +487,34 @@ def test_quick_start_rule_list_at_noise_0_1_takes_13_nodes_and_212_comparisons(t
     assert sum(eval_dispatcher(spec, d.features)[1] for d in test) == 212
     assert (len(chain.nodes), sum(eval_dispatcher(chain, d.features)[1] for d in test)) == (17, 283)
     assert [eval_dispatcher(spec, d.features)[0] for d in test] == [predict_rules(model, d.features)[0] for d in test]
+
+
+def compile_work(model: RuleListModel, monkeypatch) -> tuple[int, int]:
+    """(``canonical`` walks, ``DispatcherSpec`` constructions) that compiling ``model`` takes."""
+    counts = [0, 0]
+    walk, post_init = canonical, DispatcherSpec.__post_init__
+
+    def counted_walk(*args):
+        counts[0] += 1
+        return walk(*args)
+
+    def counted_post_init(self):
+        counts[1] += 1
+        post_init(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("mvkit.dispatch.canonical", counted_walk)
+        patch.setattr(DispatcherSpec, "__post_init__", counted_post_init)
+        compile_dispatcher(model)
+    return counts[0], counts[1]
+
+
+def test_a_rule_list_becomes_one_dispatcher_whichever_lowering_ships(tmp_path, monkeypatch):
+    # In budget the grid tree is built canonical: the chain's walk and the shipped dispatcher's are the only two.
+    assert compile_work(quick_start_rule_list(tmp_path, monkeypatch), monkeypatch) == (2, 1)
+    over = random_rules(40, 3, 3, seed=40)
+    assert grid_boxes(over) > BOX_BUDGET
+    assert compile_work(over, monkeypatch) == (2, 1)
 
 
 def test_a_nan_feature_gets_the_same_version_from_every_reading(tmp_path, monkeypatch):

@@ -12,20 +12,26 @@ renders must decide as its rendering does on seeded vectors.
 
 A case is replayed from its index alone: `mutate(data, case_rng(case))`.
 Failures name the seed and the case index.
+
+A flag pass gives every numeric flag of `gen`, `select`, `train` and `cv`
+each value of a fixed set, and every `lo,hi` flag of `gen` each pair of
+another, under the same contract.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import math
 import re
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from mvkit import DEFAULT_TEMPLATE, deserialize, eval_dispatcher, interpret_rendered, render_template
-from mvkit.cli import main
+from mvkit.cli import _int_pair, _pair, build_parser, main
 from mvkit.nodes import Branch
 from mvkit.rng import Rng, mix_seed
 
@@ -183,3 +189,51 @@ def test_a_mutated_dispatcher_that_renders_decides_as_its_rendering(corpus, name
                 f"seed {SEED} case {case}: {x}"
             )
     assert rendered_count >= 10
+
+
+# --- flag values ------------------------------------------------------------------
+
+FLAG_VALUES = ("0", "-1", "1", "2", str(2**63), "1e23", "1e308", "inf", "nan", "-0.0", "1_0", "")
+PAIR_VALUES = ("0,0", "nan,nan", "inf,inf", "2,1", "1,1e308", "-1,1", f"1,{2**63}", "1_0,20", "1,", "")
+# Per command, the command lines each flag value is appended to; a later flag overrides an earlier one.
+FLAG_BASES = {
+    "gen": [("gen", "--versions", "4", "--datasets", "40", "--features", "2", "--regions", "3", "--seed", "5",
+             "--feature-range", "1,9", "--test-seed", "6", "--test-datasets", "20", "--out-dir", "out.d")],
+    "select": [("select", "--scenario", "scen", "--max-versions", "3", "--out", "out.rep")],
+    "train": [(*TRAIN, "--algorithm", "tree", "--prune", "--seed", "7", "--out", "out.mv"),
+              (*TRAIN, "--algorithm", "rules", "--out", "out.mv")],
+    "cv": [(*CV, "--algorithm", "tree", "--prune", "--out", "out.rep"), (*CV, "--algorithm", "rules", "--out", "out.rep")],
+}
+
+
+def flags_of(command: str, types) -> list[str]:
+    """The flags of ``command`` whose values ``types`` convert."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in commands.choices[command]._actions if a.type in types]
+
+
+@pytest.mark.parametrize("command", list(FLAG_BASES))
+def test_every_numeric_flag_value_exits_0_or_2_and_a_failure_writes_nothing(corpus, monkeypatch, command):
+    monkeypatch.chdir(corpus)
+    cases = [(flag, value) for flag in flags_of(command, (int, float)) for value in FLAG_VALUES]
+    cases += [(flag, value) for flag in flags_of(command, (_pair, _int_pair)) for value in PAIR_VALUES]
+    assert len(cases) >= 4 * len(FLAG_VALUES)
+    entries = set(corpus.iterdir())
+    failures = []
+    for base in FLAG_BASES[command]:
+        for flag, value in cases:
+            argv = (*base, f"{flag}={value}")  # with `=`, a value that starts with `-` is not read as a flag
+            try:
+                code, err = run_main(argv)
+            except SystemExit as exc:  # argparse refuses a value its type cannot convert
+                code, err = exc.code, ""
+            made = set(corpus.iterdir()) - entries
+            for path in made:
+                if path.is_dir():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink()
+            if code not in (0, 2) or "internal error" in err or (code != 0 and made):
+                written = sorted(p.name for p in made)
+                failures.append(f"{' '.join(argv)}: exit {code}, wrote {written}: {err.strip()}")
+    assert not failures, "\n".join(failures[:5])

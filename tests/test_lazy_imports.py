@@ -118,7 +118,6 @@ class TestPublicApi:
 KEPT_UNUSED = {
     "exhaustive_select": "the brute-force optimum that greedy_select is checked against",
     "objective": "f(S), the sum greedy_select grows, that its picks are checked against",
-    "predict_rules": "the rule-list reading that the compiled dispatcher is checked against",
 }
 
 
