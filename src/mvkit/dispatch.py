@@ -312,6 +312,8 @@ def deserialize(text: str) -> DispatcherSpec:
 FRAGMENT_NAMES = ("BRANCH", "FEAT", "VER", "CMP_LE")
 EMPTY = "EMPTY"  # optional fragment: the statement written into a side left empty, for languages without empty blocks
 DISPATCH_MARK = "{{DISPATCH}}"
+# An infinite threshold as a C99 constant expression that needs no <math.h>: it overflows to ±infinity.
+_INFINITE_LITERALS = {math.inf: "(1e308 * 10)", -math.inf: "(-1e308 * 10)"}
 
 DEFAULT_TEMPLATE = """\
 {{BRANCH cond then else}}
@@ -376,7 +378,8 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
     slots) and place exactly one {{DISPATCH}} marker in its body. A slot value
     that starts on a line blank so far indents its later lines to match.
     An optional EMPTY fragment (no slots) fills every then/else side left
-    empty, for a language with no empty blocks.
+    empty, for a language with no empty blocks. An infinite threshold is
+    written `(1e308 * 10)` or `(-1e308 * 10)`, since C has no `inf`.
 
     One pass over an explicit stack writes a leaf at every branch that
     reaches it, every branch once, and indents each line once. A branch
@@ -438,7 +441,7 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
         if shared - set(waiting[-1:]):
             raise DispatchError("template error", f"node {item} cannot fall out to a shared child")
         feat = fragments["FEAT"].replace("{{i}}", str(node.feature))
-        cond = f"{feat} {fragments['CMP_LE']} {g17(node.threshold)}"
+        cond = f"{feat} {fragments['CMP_LE']} {_INFINITE_LITERALS.get(node.threshold) or g17(node.threshold)}"
         then, other = (fragments.get(EMPTY) if c in shared else c for c in (node.left, node.right))
         push(fragments["BRANCH"], "cond|then|else", {"cond": cond, "then": then, "else": other}, indent)
     return "".join(out) + ("" if body.endswith("\n") else "\n")
@@ -455,12 +458,14 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
     default template produces, where a block runs its statements in order
     and may be empty. One forward pass: a true test enters the then-block,
     a false one skips to the else-block, leaving a then-block skips its
-    else-block, and the first `return` reached gives the version.
+    else-block, and the first `return` reached gives the version. A
+    threshold is a number, `(1e308 * 10)` or `(-1e308 * 10)`; C's `inf` is not.
     """
     tokens = re.findall(
-        r"x\[\d+\]|<=|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf\b|[(){};]|if|else|return|\w+",
+        r"x\[\d+\]|<=|\(-?1e308 \* 10\)|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[(){};]|if|else|return|\w+",
         " ".join(rendered.split()),  # one space per gap: deep nesting is mostly indent
     )
+    infinities = {text: value for value, text in _INFINITE_LITERALS.items()}
     pos = 0
 
     def take(*expected: str) -> str:
@@ -493,7 +498,11 @@ def interpret_rendered(rendered: str, x: Sequence[float]) -> int:
             if not m:
                 raise DispatchError("interpret error", f"expected feature reference, got {feat_tok!r}")
             take("<=")
-            threshold = float(take())
+            literal = take()
+            threshold = infinities.get(literal)
+            if threshold is None and not re.fullmatch(r"[-+]?[\d.]+(?:[eE][-+]?\d+)?", literal):
+                raise DispatchError("interpret error", f"expected a threshold, got {literal!r}")
+            threshold = float(literal) if threshold is None else threshold
             take(")", "{")
             if not x[int(m.group(1))] <= threshold:
                 skip_block()

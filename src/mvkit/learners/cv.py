@@ -1,5 +1,7 @@
 """The learner entry points: train one model, predict with a regressor,
-and deterministic k-fold cross validation for both learner families."""
+and deterministic k-fold cross validation for both learner families.
+Folds are dealt per label, and regressors count as one label, so their
+folds are a plain shuffled deal."""
 
 from __future__ import annotations
 
@@ -17,8 +19,15 @@ from .trees import REGRESSOR, REGTREE_DEFAULTS, TreeConfig, TreeModel, predict_t
 
 FOLDS = 10  # the default fold count of cross_validate and `mvkit cv`
 
+# algorithm -> (trainer, default config). A trainer looks its function up when called,
+# so a wrapper swapped into this module (as bench/tracing.py does) is the one that runs.
+_LEARNERS = {
+    "tree": (lambda samples, config: train_tree_classifier(samples, config), TreeConfig()),
+    "rules": (lambda samples, config: train_rule_list(samples, config), RuleConfig()),
+    "regtree": (lambda samples, config: train_regression_tree(samples, config), REGTREE_DEFAULTS),
+    "linreg": (lambda samples, config: train_linear_regression(samples), None),
+}
 DC_ALGORITHMS = ("tree", "rules")
-PPM_ALGORITHMS = ("regtree", "linreg")
 
 
 @dataclass(frozen=True)
@@ -34,38 +43,25 @@ class LearnerSpec:
     min_precision: float | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in DC_ALGORITHMS + PPM_ALGORITHMS:
-            raise LearnError(
-                "invalid config",
-                f"algorithm must be one of {DC_ALGORITHMS + PPM_ALGORITHMS}, got {self.algorithm!r}",
-            )
+        if self.algorithm not in _LEARNERS:
+            raise LearnError("invalid config", f"algorithm must be one of {tuple(_LEARNERS)}, got {self.algorithm!r}")
 
     @property
     def is_dc(self) -> bool:
         return self.algorithm in DC_ALGORITHMS
 
-    def tree_config(self, seed: int | None) -> TreeConfig:
-        base = TreeConfig() if self.algorithm == "tree" else REGTREE_DEFAULTS
-        return replace(base, **self._set(TreeConfig, seed))
-
-    def rule_config(self, seed: int | None) -> RuleConfig:
-        return RuleConfig(**self._set(RuleConfig, seed))
-
-    def _set(self, config_type: type, seed: int | None) -> dict[str, object]:
-        """``seed`` plus the overrides this spec sets for ``config_type``'s fields."""
-        given = {f.name: getattr(self, f.name, None) for f in fields(config_type)}
-        return {k: v for k, v in given.items() if v is not None} | {"seed": seed}
+    def config(self, seed: int | None) -> TreeConfig | RuleConfig | None:
+        """The algorithm's default config with ``seed`` and this spec's overrides of its fields; None for linreg."""
+        default = _LEARNERS[self.algorithm][1]
+        if default is None:
+            return None
+        given = {f.name: getattr(self, f.name, None) for f in fields(default)}
+        return replace(default, **{k: v for k, v in given.items() if v is not None} | {"seed": seed})
 
 
 def train_model(spec: LearnerSpec, samples: Sequence, seed: int | None = None):
     """Train one model of the requested family on the given samples."""
-    if spec.algorithm == "tree":
-        return train_tree_classifier(samples, spec.tree_config(seed))
-    if spec.algorithm == "rules":
-        return train_rule_list(samples, spec.rule_config(seed))
-    if spec.algorithm == "regtree":
-        return train_regression_tree(samples, spec.tree_config(seed))
-    return train_linear_regression(samples)
+    return _LEARNERS[spec.algorithm][0](samples, spec.config(seed))
 
 
 Regressor = TreeModel | LinearModel
@@ -101,30 +97,21 @@ class CVReport:
     confusion: tuple[tuple[int, int, int], ...]
 
 
-def _stratified_folds(samples: Sequence[LabeledSample], k: int, rng: Rng) -> list[int]:
-    """Per-class seeded shuffle, dealt round-robin with a cursor that runs
-    on across classes, so fold sizes stay within 1 of each other globally
-    and within 1 per class."""
-    by_class: dict[int, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_class.setdefault(s.label, []).append(i)
-    fold_of = [0] * len(samples)
+def _folds(labels: Sequence[int], k: int, rng: Rng) -> list[int]:
+    """Per-label seeded shuffle, dealt round-robin with a cursor that runs
+    on across labels, so fold sizes stay within 1 of each other globally
+    and within 1 per label."""
+    by_label: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    fold_of = [0] * len(labels)
     cursor = 0
-    for label in sorted(by_class):
-        indices = list(by_class[label])
+    for label in sorted(by_label):
+        indices = by_label[label]
         rng.shuffle(indices)
         for i in indices:
             fold_of[i] = cursor % k
             cursor += 1
-    return fold_of
-
-
-def _plain_folds(n: int, k: int, rng: Rng) -> list[int]:
-    order = list(range(n))
-    rng.shuffle(order)
-    fold_of = [0] * n
-    for position, i in enumerate(order):
-        fold_of[i] = position % k
     return fold_of
 
 
@@ -134,20 +121,17 @@ def cross_validate(
     k: int = FOLDS,
     seed: int = 0,
 ) -> CVReport:
-    """k-fold CV: classifiers get stratified folds and error rate,
-    regressors plain shuffled folds and RRSE against each fold's training
-    mean. Identical spec, samples, k, and seed give identical reports."""
+    """k-fold CV: classifiers get folds stratified by label and error rate,
+    regressors count as one class, so a plain shuffled deal, and RRSE
+    against each fold's training mean. Identical spec, samples, k, and
+    seed give identical reports."""
     if k < 2:
         raise LearnError("invalid config", f"k must be >= 2, got {k}")
     if len(samples) < k:
         raise LearnError("not enough data", f"{len(samples)} samples cannot fill {k} folds")
 
-    rng = Rng(mix_seed(seed, 0))
-    if spec.is_dc:
-        fold_of = _stratified_folds(samples, k, rng)
-    else:
-        fold_of = _plain_folds(len(samples), k, rng)
-
+    labels = [s.label for s in samples] if spec.is_dc else [0] * len(samples)
+    fold_of = _folds(labels, k, Rng(mix_seed(seed, 0)))
     per_fold: list[float] = []
     confusion: dict[tuple[int, int], int] = {}
     for fold in range(k):
@@ -167,16 +151,13 @@ def cross_validate(
             train_mean = math.fsum(s.target for s in train) / len(train)
             per_fold.append(rrse(predictions, actual, train_mean))
 
-    sizes = [0] * k
-    for f in fold_of:
-        sizes[f] += 1
     return CVReport(
         k=k,
         seed=seed,
         metric_name="error_rate" if spec.is_dc else "rrse_percent",
         per_fold=tuple(per_fold),
         aggregate=math.fsum(per_fold) / len(per_fold),
-        fold_sizes=tuple(sizes),
+        fold_sizes=tuple(fold_of.count(f) for f in range(k)),
         fold_of_sample=tuple(fold_of),
         confusion=tuple(sorted((a, p, n) for (a, p), n in confusion.items())),
     )

@@ -425,24 +425,26 @@ def repeated_rules(seed: int) -> RuleListModel:
     return RuleListModel(tuple(rules), rng.randint(0, 3), arity, RuleConfig())
 
 
+# Thresholds at -inf and inf put cells at -inf, inf and NaN (above inf); feature 2 is tested by one rule only.
+INFINITE_RULES = RuleListModel((
+    Rule((Condition(0, LE, -math.inf),), 1),
+    Rule((Condition(0, GT, math.inf),), 2),
+    Rule((Condition(2, GT, 0.5), Condition(0, LE, math.inf)), 3),
+    Rule((Condition(0, GT, 1.0),), 4),
+), 0, 3, RuleConfig())
+
+
 def test_rule_lists_compile_to_the_cheapest_tree_that_picks_every_cells_version():
     """Within the budget: every reading picks ``predict_rules``' version on every cell and at every threshold,
     with no more nodes and no more comparisons summed over the cells than the chain; the dispatcher is
     the cheapest tree the recursion over sub-boxes finds, unless that has more nodes than the chain."""
     seen = {"shares a condition": 0, "drops a default tail": 0, "20 rules": 0, "4 conditions": 0, "checked cheapest": 0}
     arities = set()
-    # Thresholds at -inf and inf put cells at -inf, inf and NaN (above inf); feature 2 is tested by one rule only.
-    infinite = RuleListModel((
-        Rule((Condition(0, LE, -math.inf),), 1),
-        Rule((Condition(0, GT, math.inf),), 2),
-        Rule((Condition(2, GT, 0.5), Condition(0, LE, math.inf)), 3),
-        Rule((Condition(0, GT, 1.0),), 4),
-    ), 0, 3, RuleConfig())
-    for seed, model in enumerate([*map(repeated_rules, range(3000)), infinite]):  # seed 3000 is the hand-built list
+    for seed, model in enumerate([*map(repeated_rules, range(3000)), INFINITE_RULES]):  # seed 3000 is the hand-built list
         assert grid_boxes(model) <= BOX_BUDGET
         spec, chain = compile_dispatcher(model), chain_compile_rules(model)
         rendered = render_template(spec)
-        scope: dict = {"inf": math.inf}  # the Python rendering writes an infinite threshold as `inf`
+        scope: dict = {}
         exec(render_template(spec, PYTHON_TEMPLATE), scope)
         infinities = [(v,) * model.arity for v in (-math.inf, math.inf)]
         for x in cell_points(model) + threshold_grid(model) + infinities:
@@ -618,6 +620,17 @@ class TestTemplate:
         assert "return 5;" in rendered
         assert "if" not in rendered.split("select_version")[1]
         assert interpret_rendered(rendered, (0.0,)) == 5
+
+    def test_an_infinite_threshold_renders_as_a_c_constant_expression(self):
+        spec = DispatcherSpec(1, (Branch(0, -math.inf, 1, 2), Leaf(1), Branch(0, math.inf, 3, 4), Leaf(2), Leaf(3)))
+        rendered = render_template(spec)
+        assert "if (x[0] <= (-1e308 * 10)) {" in rendered and "if (x[0] <= (1e308 * 10)) {" in rendered
+        assert "inf" not in rendered
+        assert "\nB 0 -inf 1 2\n" in serialize(spec) and "\nB 0 inf 3 4\n" in serialize(spec)  # MVDISPATCH keeps inf
+        for x, want in [(-math.inf, 1), (-1e308, 2), (math.inf, 2), (math.nan, 3)]:
+            assert interpret_rendered(rendered, (x,)) == want
+        with pytest.raises(DispatchError, match="expected a threshold, got 'inf'"):
+            interpret_rendered(rendered.replace("(1e308 * 10)", "inf"), (0.0,))
 
 
 # --- oracle: the recursive renderer that the one-pass renderer replaced ---------
