@@ -311,6 +311,7 @@ def deserialize(text: str) -> DispatcherSpec:
 
 FRAGMENT_NAMES = ("BRANCH", "FEAT", "VER", "CMP_LE")
 EMPTY = "EMPTY"  # optional fragment: the statement written into a side left empty, for languages without empty blocks
+UNUSED = "UNUSED"  # optional fragment: the statement written before the leaf of a dispatcher without branches
 DISPATCH_MARK = "{{DISPATCH}}"
 # An infinite threshold as a C99 constant expression that needs no <math.h>: it overflows to ±infinity.
 _INFINITE_LITERALS = {math.inf: "(1e308 * 10)", -math.inf: "(-1e308 * 10)"}
@@ -332,6 +333,9 @@ x[{{i}}]
 {{CMP_LE}}
 <=
 {{END}}
+{{UNUSED}}
+(void)x;
+{{END}}
 int select_version(const double *x) {
     {{DISPATCH}}
 }
@@ -342,7 +346,7 @@ def _parse_template(template: str) -> tuple[dict[str, str], str]:
     """Split fragment definition blocks from the surrounding body text.
 
     A block starts at a line `{{NAME ...}}` (NAME one of BRANCH, FEAT,
-    VER, CMP_LE, EMPTY) and runs to the next `{{END}}` line; everything
+    VER, CMP_LE, EMPTY, UNUSED) and runs to the next `{{END}}` line; everything
     else is body. Fragment bodies keep internal newlines, minus one
     trailing one.
     """
@@ -350,7 +354,7 @@ def _parse_template(template: str) -> tuple[dict[str, str], str]:
     body_lines: list[str] = []
     lines = template.splitlines()
     i = 0
-    opener = re.compile(r"\{\{(" + "|".join((*FRAGMENT_NAMES, EMPTY)) + r")(\s[^}]*)?\}\}\s*$")
+    opener = re.compile(r"\{\{(" + "|".join((*FRAGMENT_NAMES, EMPTY, UNUSED)) + r")(\s[^}]*)?\}\}\s*$")
     while i < len(lines):
         m = opener.fullmatch(lines[i].strip()) if lines[i].strip().startswith("{{") else None
         if m:
@@ -378,7 +382,8 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
     slots) and place exactly one {{DISPATCH}} marker in its body. A slot value
     that starts on a line blank so far indents its later lines to match.
     An optional EMPTY fragment (no slots) fills every then/else side left
-    empty, for a language with no empty blocks. An infinite threshold is
+    empty, for a language with no empty blocks; an optional UNUSED one
+    precedes a branchless dispatcher's leaf. An infinite threshold is
     written `(1e308 * 10)` or `(-1e308 * 10)`, since C has no `inf`.
 
     One pass over an explicit stack writes a leaf at every branch that
@@ -431,6 +436,8 @@ def render_template(spec: DispatcherSpec, template: str = DEFAULT_TEMPLATE) -> s
         node = nodes[item]
         if isinstance(node, Leaf):
             push(fragments["VER"], "id", {"id": str(node.value)}, indent)
+            if len(nodes) == 1 and UNUSED in fragments:
+                stack.append((indent, fragments[UNUSED] + "\n", False))
             continue
         shared = {c for c in (node.left, node.right) if parents[c] > 1 and isinstance(nodes[c], Branch)}
         for child in shared:

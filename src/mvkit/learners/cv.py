@@ -1,7 +1,7 @@
 """The learner entry points: train one model, predict with a regressor,
 and deterministic k-fold cross validation for both learner families.
-Folds are dealt per label, and regressors count as one label, so their
-folds are a plain shuffled deal."""
+Folds are dealt per label, and regressors count as one label. Linear regression
+fits ``linear.fit`` on rows of one feature matrix and predicts row by row, as ``predict_linear`` does."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Sequence
 
 from ..dispatch import compile_dispatcher, eval_dispatcher
 from ..rng import Rng, mix_seed
-from .linear import LinearModel, predict_linear, train_linear_regression
+from .linear import LinearModel, fit, predict_linear, train_linear_regression
 from .metrics import error_rate, rrse
 from .rules import RuleConfig, train_rule_list
 from .samples import LabeledSample, LearnError, RegressionSample
@@ -134,7 +134,22 @@ def cross_validate(
     fold_of = _folds(labels, k, Rng(mix_seed(seed, 0)))
     per_fold: list[float] = []
     confusion: dict[tuple[int, int], int] = {}
+    if spec.algorithm == "linreg":
+        import numpy as np
+        train0 = [s for s, f in zip(samples, fold_of) if f]
+        for s in samples:  # mixed arities: fold 0 raises what fitting it, then predicting its first odd sample, raises
+            if len(s.features) != len(train0[0].features):
+                predict_linear(train_linear_regression(train0), s.features)
+        features = np.array([s.features for s in samples], dtype=float)
+        targets = np.array([s.target for s in samples], dtype=float)
+        folds = np.array(fold_of)
     for fold in range(k):
+        if spec.algorithm == "linreg":
+            train, test = np.flatnonzero(folds != fold), np.flatnonzero(folds == fold)
+            model = fit(features[train], targets[train])
+            predictions = [model.intercept + float(model.coefficient_array.dot(row)) for row in features[test]]
+            per_fold.append(rrse(predictions, targets[test].tolist(), math.fsum(targets[train].tolist()) / len(train)))
+            continue
         train = [s for i, s in enumerate(samples) if fold_of[i] != fold]
         test = [s for i, s in enumerate(samples) if fold_of[i] == fold]
         model = train_model(spec, train, seed=mix_seed(seed, fold + 1))

@@ -30,7 +30,7 @@ from mvkit import (
     train_tree_classifier,
 )
 from mvkit.cli import main
-from mvkit.dispatch import _INVALID, BOX_BUDGET, FRAGMENT_NAMES, Branch, Leaf, _parse_template
+from mvkit.dispatch import _INVALID, BOX_BUDGET, FRAGMENT_NAMES, UNUSED, Branch, Leaf, _parse_template
 from mvkit.learners import LabeledSample
 from mvkit.learners.rules import GT, LE, Condition, Rule, RuleListModel
 from mvkit.modelio import loads
@@ -651,7 +651,7 @@ def _substitute(fragment, slots):
 
 
 def recursive_render(spec, template):
-    """Expand every node under each of its parents, one recursion per level."""
+    """Expand every node under each of its parents, one recursion per level; a lone leaf gets UNUSED first."""
     fragments, body = _parse_template(template)
     assert all(name in fragments for name in FRAGMENT_NAMES)
 
@@ -666,7 +666,8 @@ def recursive_render(spec, template):
             {"cond": cond, "then": render_node(node.left), "else": render_node(node.right)},
         )
 
-    return _substitute(body, {"DISPATCH": render_node(0)}) + (
+    lone = fragments[UNUSED] + "\n" if len(spec.nodes) == 1 and UNUSED in fragments else ""
+    return _substitute(body, {"DISPATCH": lone + render_node(0)}) + (
         "" if body.endswith("\n") else "\n"
     )
 
