@@ -138,47 +138,26 @@ def _grid_tree(model: RuleListModel, axes: dict[int, list[float]]) -> tuple[Node
     the fewest branches, then the lowest (feature, threshold) split; one
     leaf per version. A cell's version is read at one point inside it.
 
-    Two neighbouring slabs of cells that pick the same versions merge into
-    one slab that weighs as many cells: a split between them is never the
-    one chosen, since moving its threshold to the next one down (or up)
-    routes one slab like the other at no more cost. A sub-box of the
-    merged grid takes one interval (lo, hi) per feature and is stored at
-    the sum of (hi * n + lo) * stride, so the parts of every split along a
-    feature sit at two evenly spaced runs of indices. One pass fills every
-    box after its parts, by each interval's width.
+    A sub-box takes one interval (lo, hi) of cells per feature and is
+    stored at the sum of (hi * n + lo) * stride, so the parts of every
+    split along a feature sit at two evenly spaced runs of indices. One
+    pass fills every box after its parts, by each interval's width.
     """
     from .learners.rules import predict_rules
 
-    # Cells run first feature fastest. A cell's point has each tested feature at the cell's upper threshold, or at
-    # NaN above the last (NaN fails every `le` and meets every `gt`, as a branch routes it), and 0.0 elsewhere.
-    sizes = [len(t) + 1 for t in axes.values()]
-    cell_strides = [math.prod(sizes[:k]) for k in range(len(sizes))]
-    x, labels = [0.0] * model.arity, []
-    for point in product(*([*axes[f], math.nan] for f in reversed(axes))):
-        for f, v in zip(reversed(axes), point):
-            x[f] = v
-        labels.append(predict_rules(model, x)[0])
-    # Per feature that still splits: the thresholds between differing slabs, the stride of its boxes, and per merged
-    # slab (its unit box's offset, its first cell's offset, its cells).
-    features, cuts, strides, slabs, total = [], [], [], [], 1
-    for k, (f, thresholds) in enumerate(axes.items()):
-        s, n = cell_strides[k], sizes[k]
-        kept = [j for j in range(n - 1) if any(
-            labels[b + j * s:b + j * s + s] != labels[b + j * s + s:b + j * s + 2 * s] for b in range(0, len(labels), s * n))]
-        if kept:
-            starts, m = [0, *(j + 1 for j in kept)], len(kept) + 1
-            features.append(f)
-            cuts.append([thresholds[j] for j in kept])
-            strides.append(total)
-            slabs.append([((c * m + c) * total, lo * s, hi - lo) for c, (lo, hi) in enumerate(zip(starts, [*starts[1:], n]))])
-            total *= m * m
+    # A cell's point has each tested feature at the cell's upper threshold, or at NaN above the last (NaN fails
+    # every `le` and meets every `gt`, as a branch routes it), and 0.0 elsewhere; its unit box is (c, c) on each.
+    features, cuts, strides, total = list(axes), list(axes.values()), [], 1
+    for ts in cuts:
+        strides.append(total)
+        total *= (len(ts) + 1) ** 2
     version: list[int | None] = [None] * total
+    x = [0.0] * model.arity
+    for cell in product(*(range(len(ts) + 1) for ts in cuts)):
+        for f, ts, c in zip(features, cuts, cell):
+            x[f] = ts[c] if c < len(ts) else math.nan
+        version[sum((c * (len(ts) + 1) + c) * s for ts, s, c in zip(cuts, strides, cell))] = predict_rules(model, x)[0]
     cells, key = [1] * total, [0] * total
-    units = [(0, 0, 1)]
-    for per_slab in slabs:
-        units = [(box + b, first + c, weight * w) for b, c, w in per_slab for box, first, weight in units]
-    for box, first, weight in units:
-        version[box], cells[box] = labels[first], weight
     # `order` lists every box after its parts. Aligned with it, `splits[k]` holds per interval of feature k the
     # slices of its split parts: (left start, left step, right step, right stop), as offsets from the box.
     order, splits = [0], []

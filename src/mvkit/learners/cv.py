@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
-from ..dispatch import compile_dispatcher, eval_dispatcher
 from ..rng import Rng, mix_seed
 from .linear import LinearModel, fit, predict_linear, train_linear_regression
 from .metrics import error_rate, rrse
@@ -154,6 +153,7 @@ def cross_validate(
         test = [s for i, s in enumerate(samples) if fold_of[i] == fold]
         model = train_model(spec, train, seed=mix_seed(seed, fold + 1))
         if spec.is_dc:  # scored through the dispatcher `emit` would ship
+            from ..dispatch import compile_dispatcher, eval_dispatcher
             dispatcher = compile_dispatcher(model)
             predictions = [eval_dispatcher(dispatcher, s.features)[0] for s in test]
             actual = [s.label for s in test]

@@ -438,7 +438,7 @@ def test_rule_lists_compile_to_the_cheapest_tree_that_picks_every_cells_version(
     """Within the budget: every reading picks ``predict_rules``' version on every cell and at every threshold,
     with no more nodes and no more comparisons summed over the cells than the chain; the dispatcher is
     the cheapest tree the recursion over sub-boxes finds, unless that has more nodes than the chain."""
-    seen = {"shares a condition": 0, "drops a default tail": 0, "20 rules": 0, "4 conditions": 0, "checked cheapest": 0}
+    seen = {"shares a condition": 0, "drops a default tail": 0, "20 rules": 0, "4 conditions": 0}
     arities = set()
     for seed, model in enumerate([*map(repeated_rules, range(3000)), INFINITE_RULES]):  # seed 3000 is the hand-built list
         assert grid_boxes(model) <= BOX_BUDGET
@@ -454,10 +454,8 @@ def test_rule_lists_compile_to_the_cheapest_tree_that_picks_every_cells_version(
             assert scope["select_version"](x) == want, f"seed {seed} at {x}"
         assert len(spec.nodes) <= len(chain.nodes), f"seed {seed}"
         assert cell_cost(spec, model)[0] <= cell_cost(chain, model)[0], f"seed {seed}"
-        if seed % 5 == 0:
-            tree = cheapest_tree(model)
-            assert serialize(spec) == serialize(tree if len(tree.nodes) <= len(chain.nodes) else chain), f"seed {seed}"
-            seen["checked cheapest"] += 1
+        tree = cheapest_tree(model)
+        assert serialize(spec) == serialize(tree if len(tree.nodes) <= len(chain.nodes) else chain), f"seed {seed}"
         arities.add(model.arity)
         seen["shares a condition"] += opens_like_the_rule_before(model)
         seen["drops a default tail"] += ends_in_the_default(model)
@@ -465,6 +463,17 @@ def test_rule_lists_compile_to_the_cheapest_tree_that_picks_every_cells_version(
         seen["4 conditions"] += any(len(r.conditions) == 4 for r in model.rules)
     assert arities == {1, 2, 3}
     assert min(seen.values()) >= 100, seen
+
+
+def test_a_threshold_that_never_changes_the_pick_is_never_tested():
+    # x0 <= 3 and x1 > 4 conclude what x0 <= 5 and x1 > 2 already do, so the tree tests only 5 and 2.
+    model = RuleListModel((
+        Rule((Condition(0, LE, 3.0),), 1),
+        Rule((Condition(0, LE, 5.0),), 1),
+        Rule((Condition(1, GT, 2.0),), 2),
+        Rule((Condition(1, GT, 4.0),), 2),
+    ), 0, 2, RuleConfig())
+    assert serialize(compile_dispatcher(model)).splitlines()[1:] == ["B 0 5 1 2", "L 1", "B 1 2 3 4", "L 0", "L 2"]
 
 
 QUICK_START_RULES_GEN = [
@@ -491,10 +500,10 @@ def test_quick_start_rule_list_at_noise_0_1_takes_13_nodes_and_212_comparisons(t
     assert [eval_dispatcher(spec, d.features)[0] for d in test] == [predict_rules(model, d.features)[0] for d in test]
 
 
-def compile_work(model: RuleListModel, monkeypatch) -> tuple[int, int]:
-    """(``canonical`` walks, ``DispatcherSpec`` constructions) that compiling ``model`` takes."""
-    counts = [0, 0]
-    walk, post_init = canonical, DispatcherSpec.__post_init__
+def compile_work(model: RuleListModel, monkeypatch) -> tuple[int, int, int]:
+    """(``canonical`` walks, ``DispatcherSpec`` constructions, ``predict_rules`` calls) that compiling ``model`` takes."""
+    counts = [0, 0, 0]
+    walk, post_init, predict = canonical, DispatcherSpec.__post_init__, predict_rules
 
     def counted_walk(*args):
         counts[0] += 1
@@ -504,19 +513,26 @@ def compile_work(model: RuleListModel, monkeypatch) -> tuple[int, int]:
         counts[1] += 1
         post_init(self)
 
+    def counted_predict(*args):
+        counts[2] += 1
+        return predict(*args)
+
     with monkeypatch.context() as patch:
         patch.setattr("mvkit.dispatch.canonical", counted_walk)
         patch.setattr(DispatcherSpec, "__post_init__", counted_post_init)
+        patch.setattr("mvkit.learners.rules.predict_rules", counted_predict)
         compile_dispatcher(model)
-    return counts[0], counts[1]
+    return counts[0], counts[1], counts[2]
 
 
 def test_a_rule_list_becomes_one_dispatcher_whichever_lowering_ships(tmp_path, monkeypatch):
-    # In budget the grid tree is built canonical: the chain's walk and the shipped dispatcher's are the only two.
-    assert compile_work(quick_start_rule_list(tmp_path, monkeypatch), monkeypatch) == (2, 1)
+    # In budget the grid tree is built canonical: the chain's walk and the shipped dispatcher's are the only two,
+    # and the search reads each cell's version once. Past the budget no cell is read.
+    model = quick_start_rule_list(tmp_path, monkeypatch)
+    assert compile_work(model, monkeypatch) == (2, 1, len(cell_points(model)))
     over = random_rules(40, 3, 3, seed=40)
     assert grid_boxes(over) > BOX_BUDGET
-    assert compile_work(over, monkeypatch) == (2, 1)
+    assert compile_work(over, monkeypatch) == (2, 1, 0)
 
 
 def test_a_nan_feature_gets_the_same_version_from_every_reading(tmp_path, monkeypatch):

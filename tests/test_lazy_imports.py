@@ -262,8 +262,8 @@ def test_emit_loads_no_numpy(train, tmp_path):
     assert not loaded & {"numpy", "mvkit.scenario", "mvkit.selection"}
 
 
-def test_train_and_cv_load_no_statistics_module(tmp_path):
-    # statistics pulls in fractions and decimal; cv averages with math.fsum instead.
+def small_selection(tmp_path) -> None:
+    """Write a small scenario to ``scen`` and a selection of it to ``sel.rep``."""
     setup = run_python(
         "-c",
         "from mvkit import cli\n"
@@ -273,6 +273,11 @@ def test_train_and_cv_load_no_statistics_module(tmp_path):
         cwd=tmp_path,
     )
     assert setup.returncode == 0, setup.stderr
+
+
+def test_train_and_cv_load_no_statistics_module(tmp_path):
+    # statistics pulls in fractions and decimal; cv averages with math.fsum instead.
+    small_selection(tmp_path)
     commands = [
         ["train", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", algorithm, "--out", f"{algorithm}.mv"]
         for algorithm in ("tree", "rules", "regtree", "linreg")
@@ -286,3 +291,14 @@ def test_train_and_cv_load_no_statistics_module(tmp_path):
     )
     assert "mvkit.learners.cv" in loaded
     assert not loaded & {"statistics", "fractions", "decimal"}
+
+
+def test_linreg_cv_loads_no_dispatcher(tmp_path):
+    # Only classifier folds are scored through a compiled dispatcher.
+    small_selection(tmp_path)
+    command = ["cv", "--scenario", "scen", "--selection", "sel.rep", "--algorithm", "linreg", "--seed", "7", "--k", "4",
+               "--out", "linreg.rep"]
+    loaded = loaded_after(f"from mvkit import cli\nassert cli.main({command!r}) == 0", tmp_path)
+    assert (tmp_path / "linreg.rep").is_file()
+    assert "mvkit.learners.cv" in loaded
+    assert "mvkit.dispatch" not in loaded

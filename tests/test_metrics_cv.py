@@ -17,7 +17,7 @@ from mvkit import (
     rrse,
     train_model,
 )
-from mvkit.learners import LabeledSample, RegressionSample, cv
+from mvkit.learners import LabeledSample, RegressionSample
 from mvkit.learners.samples import best_versions
 
 
@@ -140,7 +140,7 @@ class TestCvScoresTheDispatcher:
             routed.append(dispatcher)
             return eval_dispatcher(dispatcher, x)
 
-        monkeypatch.setattr(cv, "eval_dispatcher", spy)
+        monkeypatch.setattr("mvkit.dispatch.eval_dispatcher", spy)
         r = cross_validate(spec, classed(30, 3), k=5, seed=4)
         assert len(routed) == 30
         assert len({id(d) for d in routed}) == 5
