@@ -65,7 +65,8 @@ class SynthConfig:
     ``n_regions`` distinct winners, hence n_regions <= n_versions - 1.
     ``feature_range`` is the inclusive integer box features are drawn
     from; the loser range must sit strictly below the winner range so the
-    planted winner really wins.
+    planted winner really wins. Each axis of the :func:`_factor_regions` grid needs
+    pieces - 1 of the ``hi - lo`` cut slots, so every config that builds can be planted.
     """
 
     n_versions: int
@@ -125,13 +126,9 @@ class SynthConfig:
             )
         if self.noise_sigma < 0 or not math.isfinite(self.noise_sigma):
             raise SynthError("invalid config", f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        slots = self.feature_range[1] - self.feature_range[0]
-        capacity = (slots + 1) ** min(self.feature_arity, self.n_regions.bit_length())  # past that, 2**k > n_regions
-        if self.n_regions > capacity:
-            raise SynthError(
-                "invalid config",
-                f"{self.n_regions} regions cannot fit the {capacity}-cell feature box",
-            )
+        cuts = max(_factor_regions(self.n_regions, self.feature_arity)) - 1
+        if cuts > hi - lo:
+            raise SynthError("invalid config", f"{self.n_regions} regions need {cuts} cuts on one axis, the range offers {hi - lo}")
 
     @cached_property
     def _planted(self) -> tuple:
@@ -200,11 +197,6 @@ def _plant(config: SynthConfig) -> tuple[tuple[int, ...], tuple[tuple[float, ...
     lo, hi = config.feature_range
     cuts: list[tuple[float, ...]] = []
     for n_pieces in pieces:
-        if n_pieces - 1 > hi - lo:
-            raise SynthError(
-                "invalid config",
-                f"axis needs {n_pieces - 1} cuts but the feature range offers {hi - lo}",
-            )
         # Of the shuffled cut slots lo .. hi-1, the first n_pieces - 1; the cut after slot s sits at s + 0.5.
         cuts.append(tuple(lo + s + 0.5 for s in sorted(rng.shuffled_prefix(hi - lo, n_pieces - 1))))
     winners = tuple(1 + s for s in rng.shuffled_prefix(config.n_versions - 1, config.n_regions))

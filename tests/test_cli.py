@@ -10,6 +10,7 @@ from mvkit import (
 )
 from mvkit import synthgen
 from mvkit.cli import _config_types, build_parser, main
+from mvkit.rng import Rng
 from mvkit.scenario import DatasetRecord, Scenario, Version
 
 from conftest import (
@@ -161,6 +162,23 @@ class TestGen:
         assert main(["gen", "--versions", "5", "--datasets", "1", "--seed", "1", *flags, "--out-dir", "scen"]) == 2
         assert f"invalid config: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_regions_past_the_cut_slots_exit_2_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # 7 regions over 2 features put 7 pieces on one axis: 6 cuts, where 1,4 offers 3 cut slots.
+        draws = []
+
+        def counted(name):
+            real = getattr(Rng, name)
+            return lambda self, *args: draws.append(name) or real(self, *args)
+
+        for name in ("next_u64", "u64s"):
+            monkeypatch.setattr(Rng, name, counted(name))
+        args = ["gen", "--versions", "8", "--datasets", "10", "--features", "2", "--regions", "7",
+                "--feature-range", "1,4", "--seed", "1", "--out-dir", str(tmp_path / "scen")]
+        assert main(args) == 2
+        assert "invalid config: 7 regions need 6 cuts on one axis, the range offers 3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert draws == []
 
     @pytest.mark.parametrize(
         "flags",

@@ -4,15 +4,18 @@
 its public names is read. The API tests pin every public name and the
 submodule that defines it. The module-load tests each start a fresh
 interpreter and read its ``sys.modules``; none of them measures a time.
-The usage guard keeps a public name only while the pipeline runs it.
+The usage guard keeps a public name only while the pipeline runs it, and
+the bench guard checks that every name the benchmark reaches resolves.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,6 +149,28 @@ def test_every_public_name_is_used_by_the_pipeline():
     bench = "\n".join(p.read_text(encoding="utf-8") for p in bench_dir.glob("*.py"))
     unused = {n for n in names_of(mvkit._NAMES) if n not in used and not re.search(rf"\b{n}\b", bench)}
     assert unused == set(KEPT_UNUSED)
+
+
+def test_every_name_the_benchmark_reaches_resolves(monkeypatch):
+    """The traced layer functions and every mvkit import in bench/*.py exist in src."""
+    bench_dir = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_tracing", bench_dir / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    reached = [(module, function) for module, function, _ in tracing.TARGETS]
+    for path in (bench_dir / "run.py", bench_dir / "tracing.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mvkit":
+                reached += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                reached += [(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "mvkit"]
+    assert {"save_scenario", "save_ground_truth", "train_linear_regression", "interpret_rendered"} <= {
+        function for _, function in reached
+    }
+    for module, function in reached:
+        loaded = importlib.import_module(module)
+        assert function is None or callable(getattr(loaded, function, None)), f"{module}.{function}"
 
 
 def test_submodules_still_import_by_name():

@@ -218,3 +218,22 @@ class TestConfigValidation:
         config = SynthConfig(n_versions=5, n_datasets=10, feature_arity=2, n_regions=4, seed=1,
                              feature_range=(-5, 10**7 - 5))
         assert config.feature_range[1] - config.feature_range[0] == 10**7
+
+    def test_every_config_that_builds_can_be_planted(self):
+        # Regions 1-40 x arity 1-4 x range width 0-10: a layout either fits when the config is built, or the
+        # config is refused there, never later inside generate.
+        built = 0
+        for regions in range(1, 41):
+            for arity in range(1, 5):
+                for width in range(11):
+                    try:
+                        config = SynthConfig(n_versions=regions + 1, n_datasets=1, feature_arity=arity,
+                                             n_regions=regions, seed=regions, feature_range=(1, 1 + width))
+                    except SynthError as exc:
+                        assert exc.category == "invalid config"
+                        continue
+                    built += 1
+                    _, truth = generate(config)
+                    assert len(truth.region_winners) == regions
+                    assert generate_test(config, 7)[1].pieces == truth.pieces
+        assert built == 658
