@@ -449,10 +449,7 @@ def cmd_train(args: argparse.Namespace) -> list[Output]:
     representative = _representative_ids(args)
     matrix = speedups(scenario)
     if spec.is_dc:
-        samples = make_dc_labels(scenario, matrix, representative)
-        if spec.prune and args.seed is None:
-            raise CliError("missing required option --seed (pruning uses a seeded holdout)")
-        model = train_model(spec, samples, seed=args.seed)
+        model = train_model(spec, make_dc_labels(scenario, matrix, representative), seed=args.seed)
     else:
         model = train_ppm_models(spec, scenario, matrix, representative, args.seed)
     return [(args.out, dumps(model))]

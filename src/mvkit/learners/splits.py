@@ -127,7 +127,7 @@ def _sse(targets: Sequence[float]) -> float:
 def _sse_reduction(samples: Sequence[RegressionSample], feature: int, threshold: float) -> float:
     left = [s.target for s in samples if s.features[feature] <= threshold]
     right = [s.target for s in samples if s.features[feature] > threshold]
-    if not left or not right:
+    if not left or not right:  # with a NaN feature the sweep's unsorted order can miscount a side as non-empty
         return 0.0
     return _sse([s.target for s in samples]) - _sse(left) - _sse(right)
 

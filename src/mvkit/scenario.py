@@ -409,9 +409,9 @@ def load_scenario(
       row for every (dataset, version) pair.
 
     Each table is read in one pass, a numeric one by :func:`_bulk`. Raises
-    :class:`ScenarioError` on the first violation, in stable table order
-    (versions, then datasets, then runtimes, each in row order); a fault
-    in a row names the row's physical line in the file.
+    :class:`ScenarioError` on the first parse fault in table order, naming
+    its row's physical line; then on an unknown runtime id, then on the
+    first :func:`validate_scenario` violation. Those two name ids, not lines.
     """
     table = _rows(versions_path)
     _header(versions_path, table, _VERSIONS_HEADER)

@@ -20,7 +20,7 @@ seed always yields byte-identical tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -47,14 +47,6 @@ MAX_PLANT_SLOTS = 25 * 10**6
 # The largest tables one scenario holds: at 10**6 runtime cells (versions x datasets) and 10**6 feature cells
 # (datasets x arity), a two-core Xeon took 6 to 10 s and at most 430 MB of peak memory per scenario.
 MAX_RUNTIME_CELLS = MAX_FEATURE_CELLS = 10**6
-
-
-def _check_cells(n_versions: int, n_datasets: int, arity: int) -> None:
-    """Refuse a scenario past either cap before anything is drawn."""
-    for what, cells, cap in (("runtime cells (versions x datasets)", n_versions * n_datasets, MAX_RUNTIME_CELLS),
-                             ("feature cells (datasets x arity)", n_datasets * arity, MAX_FEATURE_CELLS)):
-        if cells > cap:
-            raise SynthError("invalid config", f"{cells} {what}, more than {cap}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,10 @@ class SynthConfig:
             raise SynthError("invalid config", f"n_datasets must be >= 1, got {self.n_datasets}")
         if self.feature_arity < 1:
             raise SynthError("invalid config", f"feature_arity must be >= 1, got {self.feature_arity}")
-        _check_cells(self.n_versions, self.n_datasets, self.feature_arity)
+        for what, cells, cap in (("runtime cells (versions x datasets)", self.n_versions * self.n_datasets, MAX_RUNTIME_CELLS),
+                                 ("feature cells (datasets x arity)", self.n_datasets * self.feature_arity, MAX_FEATURE_CELLS)):
+            if cells > cap:
+                raise SynthError("invalid config", f"{cells} {what}, more than {cap}")
         if not 1 <= self.n_regions <= self.n_versions - 1:
             raise SynthError(
                 "invalid config",
@@ -226,13 +221,11 @@ def generate_test(
     Keeps the training scenario's versions, cuts, and winners (they come
     from ``config.seed``) while drawing features, runtimes, and noise from
     ``test_seed``. Test dataset ids always follow the training ids, so
-    train/test overlap checks stay meaningful.
+    train/test overlap checks stay meaningful. ``n_datasets`` (default: the
+    training count) is refused as ``SynthConfig`` refuses it, before any draw.
     """
-    n_datasets = config.n_datasets if n_datasets is None else n_datasets
-    if n_datasets < 1:
-        raise SynthError("invalid config", f"n_datasets must be >= 1, got {n_datasets}")
-    _check_cells(config.n_versions, n_datasets, config.feature_arity)
-    return _generate(config, population_seed=test_seed, id_offset=config.n_datasets, n_datasets=n_datasets)
+    sized = config if n_datasets is None else replace(config, n_datasets=n_datasets)
+    return _generate(config, population_seed=test_seed, id_offset=config.n_datasets, n_datasets=sized.n_datasets)
 
 
 def _uniforms(draws: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -523,6 +523,41 @@ class TestTrainCvEmitSimulate:
                       cwd=staged)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--selection", "selection.txt", "--select-ids", "1"), "give either --selection or --select-ids, not both"),
+            ((), "missing required option --selection or --select-ids"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_the_representative_set_comes_from_exactly_one_flag(self, staged, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(staged)
+        out = tmp_path / "m.mv"
+        assert main(["train", "--scenario", "scen", *flags, "--algorithm", "tree", "--out", str(out)]) == 2
+        assert f"mvkit train: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ppm_cv_of_an_empty_representative_set_exits_2(self, staged, monkeypatch, capsys):
+        monkeypatch.chdir(staged)
+        assert main(["cv", "--scenario", "scen", "--select-ids", "", "--algorithm", "linreg", "--seed", "1"]) == 2
+        assert "error: PPM cross-validation needs a non-empty representative set\n" in capsys.readouterr().err
+
+    def test_tree_pruning_without_a_seed_exits_2_and_writes_nothing(self, staged, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(staged)
+        args = ["train", "--scenario", "scen", "--selection", "selection.txt", "--algorithm", "tree", "--prune"]
+        assert main([*args, "--out", str(tmp_path / "m.mv")]) == 2
+        assert "invalid input: invalid config: pruning requires a seed for the holdout split\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rules_ignore_prune_so_it_needs_no_seed(self, staged, tmp_path, monkeypatch):
+        # The rule learner has no holdout; `cv` accepts the same flags.
+        monkeypatch.chdir(staged)
+        args = ["train", "--scenario", "scen", "--selection", "selection.txt", "--algorithm", "rules"]
+        assert main([*args, "--out", str(tmp_path / "plain.mv")]) == 0
+        assert main([*args, "--prune", "--out", str(tmp_path / "pruned.mv")]) == 0
+        assert (tmp_path / "pruned.mv").read_bytes() == (tmp_path / "plain.mv").read_bytes()
+
 
 class TestInputsAndOutputs:
     @pytest.mark.parametrize("command", ["train", "cv"])

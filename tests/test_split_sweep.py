@@ -16,6 +16,7 @@ from mvkit.learners import LabeledSample, RegressionSample, TreeConfig
 from mvkit.learners import rules, trees
 from mvkit.learners.rules import GT, LE, Condition, RuleConfig
 from mvkit.learners.splits import (
+    _cuts,
     best_class_split,
     best_condition,
     best_regression_split,
@@ -194,6 +195,19 @@ def test_overflowing_target_sums_rescore_every_candidate():
     best = best_regression_split(samples)
     assert _bits(best) == _bits(oracle_split(samples, _sse_reduction))
     assert best[1:] == (0, 1.5)
+
+
+def test_a_nan_feature_can_leave_a_rescored_side_empty():
+    # A NaN upsets the sort, so the sweep counts 2 of 5 samples at or below the overflowed -inf midpoint of
+    # the two huge negatives, where "<=" finds none: the rescore must score that side 0.0, not divide by
+    # its size. The candidates follow set order, so each NaN's id; most NaNs make the -inf candidate.
+    nans = [float("nan") for _ in range(64)]
+    emptied = 0
+    for nan in nans:
+        samples = [RegressionSample((f,), 0.25 * i) for i, f in enumerate((0.0, nan, -1.7e308, 1.0, -1.6e308))]
+        assert math.isfinite(best_regression_split(samples)[0])
+        emptied += (-math.inf, 2) in _cuts([s.features[0] for s in samples])[1]
+    assert emptied
 
 
 def test_majority_breaks_ties_to_the_smaller_label():

@@ -15,6 +15,7 @@ from mvkit import (
     speedups,
     validate_scenario,
 )
+from mvkit.rng import Rng
 
 CFG = SynthConfig(
     n_versions=5, n_datasets=100, feature_arity=2, n_regions=4, seed=42, feature_range=(1, 16)
@@ -152,6 +153,30 @@ class TestHeldOutGeneration:
             generate_test(CFG, 9001, n_datasets)
         assert exc.value.category == "invalid config"
         assert f"n_datasets must be >= 1, got {n_datasets}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "n_versions, arity, n_datasets, message",
+        [
+            (5, 2, 0, "n_datasets must be >= 1, got 0"),
+            (5, 2, -1, "n_datasets must be >= 1, got -1"),
+            (5, 2, 200_001, "1000005 runtime cells (versions x datasets), more than 1000000"),
+            (2, 4, 250_001, "1000004 feature cells (datasets x arity), more than 1000000"),
+        ],
+        ids=["zero", "negative", "runtime-cap", "feature-cap"],
+    )
+    def test_refuses_what_the_config_refuses_before_any_draw(self, monkeypatch, n_versions, arity, n_datasets, message):
+        shape = dict(n_versions=n_versions, feature_arity=arity, n_regions=1, seed=5)
+        with pytest.raises(SynthError) as refused:
+            SynthConfig(**shape, n_datasets=n_datasets)
+        config = SynthConfig(**shape, n_datasets=10)
+        draws = []
+        for name in ("next_u64", "u64s"):
+            monkeypatch.setattr(Rng, name, lambda self, *args, name=name: draws.append(name))
+        with pytest.raises(SynthError) as exc:
+            generate_test(config, 9001, n_datasets)
+        assert (exc.value.category, exc.value.message) == (refused.value.category, refused.value.message)
+        assert (exc.value.category, exc.value.message) == ("invalid config", message)
+        assert draws == []
 
 
 class TestConfigValidation:
