@@ -1,6 +1,6 @@
 """The learner entry points: train one model, predict with a regressor,
 and deterministic k-fold cross validation for both learner families.
-Folds are dealt per label, and regressors count as one label. Linear regression
+Folds are dealt per label, and regressors count as one label. Linear regression on samples of one arity
 fits ``linear.fit`` on rows of one feature matrix and predicts row by row, as ``predict_linear`` does."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from ..rng import Rng, mix_seed
 from .linear import LinearModel, fit, predict_linear, train_linear_regression
 from .metrics import error_rate, rrse
 from .rules import RuleConfig, train_rule_list
-from .samples import LabeledSample, LearnError, RegressionSample
+from .samples import LabeledSample, LearnError, RegressionSample, check_samples
 from .trees import REGRESSOR, REGTREE_DEFAULTS, TreeConfig, TreeModel, predict_tree, train_regression_tree, train_tree_classifier
 
 FOLDS = 10  # the default fold count of cross_validate and `mvkit cv`
@@ -133,17 +133,15 @@ def cross_validate(
     fold_of = _folds(labels, k, Rng(mix_seed(seed, 0)))
     per_fold: list[float] = []
     confusion: dict[tuple[int, int], int] = {}
-    if spec.algorithm == "linreg":
+    matrix = spec.algorithm == "linreg" and len({len(s.features) for s in samples}) == 1  # else fold 0 fails below
+    if matrix:
         import numpy as np
-        train0 = [s for s, f in zip(samples, fold_of) if f]
-        for s in samples:  # mixed arities: fold 0 raises what fitting it, then predicting its first odd sample, raises
-            if len(s.features) != len(train0[0].features):
-                predict_linear(train_linear_regression(train0), s.features)
+        check_samples(samples)  # samples with no features are refused here, as in training
         features = np.array([s.features for s in samples], dtype=float)
         targets = np.array([s.target for s in samples], dtype=float)
         folds = np.array(fold_of)
     for fold in range(k):
-        if spec.algorithm == "linreg":
+        if matrix:
             train, test = np.flatnonzero(folds != fold), np.flatnonzero(folds == fold)
             model = fit(features[train], targets[train])
             predictions = [model.intercept + float(model.coefficient_array.dot(row)) for row in features[test]]

@@ -37,10 +37,12 @@ class RegressionSample:
 
 
 def check_samples(samples: Sequence[LabeledSample] | Sequence[RegressionSample]) -> int:
-    """Feature arity of a non-empty training set whose samples all share it."""
+    """Feature arity (at least 1) of a non-empty training set whose samples all share it."""
     if not samples:
         raise LearnError("no training data", "need at least one sample")
     arity = len(samples[0].features)
+    if arity < 1:
+        raise LearnError("feature arity", "samples have no features")
     for s in samples:
         if len(s.features) != arity:
             raise LearnError("feature arity", f"expected arity {arity}, got {len(s.features)}")

@@ -44,9 +44,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 
 
-def midpoints(values: Sequence[float]) -> list[float]:
-    """Split candidates: midpoints of consecutive distinct sorted values."""
-    distinct = sorted(set(values))
+def midpoints(distinct: Sequence[float]) -> list[float]:
+    """Split candidates: midpoints of consecutive values of a sorted list of distinct values."""
     return [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
 
 
@@ -63,7 +62,8 @@ def _cuts(values: Sequence[float]) -> tuple[list[int], list[tuple[float, int]]]:
     """
     order = sorted(range(len(values)), key=values.__getitem__)
     ordered = [values[i] for i in order]
-    return order, [(thr, bisect_right(ordered, thr)) for thr in midpoints(values)]
+    distinct = ordered[:1] + [b for a, b in zip(ordered, ordered[1:]) if b != a]  # of equal values, the first sample's
+    return order, [(thr, bisect_right(ordered, thr)) for thr in midpoints(distinct)]
 
 
 def _side_entropies(labels: Sequence[int], order: Sequence[int], sizes: Sequence[int]) -> list[float]:
@@ -90,7 +90,7 @@ def _side_entropies(labels: Sequence[int], order: Sequence[int], sizes: Sequence
         if reranked:
             ranked = sorted(counts, key=first.__getitem__)
         h = 0.0
-        for lab in ranked:
+        for lab in ranked if size else ():  # a NaN's unsorted order can reach size 0 after a sweep; it scores 0.0 anyway
             p = counts[lab] / size
             h -= p * math.log2(p)
         out.append(h)

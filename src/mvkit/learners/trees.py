@@ -152,20 +152,18 @@ def _grow(
             continue
         _, feature, threshold = best
         nodes.append(Branch(feature, threshold, index + 1, -1))
-        # The right side goes on first, so the left one is popped next as node index + 1.
-        stack.append((
-            [s for s in here if s.features[feature] > threshold],
-            [s for s in held if s.features[feature] > threshold],
-            depth + 1,
-            index,
-        ))
-        stack.append((
-            [s for s in here if s.features[feature] <= threshold],
-            [s for s in held if s.features[feature] <= threshold],
-            depth + 1,
-            -1,
-        ))
+        left, right = zip(_sides(here, feature, threshold), _sides(held, feature, threshold))  # (grow, holdout) each
+        stack.append((*right, depth + 1, index))  # on first, so the left side is popped next as node index + 1
+        stack.append((*left, depth + 1, -1))
     return nodes, leaves, errors
+
+
+def _sides(samples: list, feature: int, threshold: float) -> tuple[list, list]:
+    """``samples`` split in one pass as :func:`mvkit.nodes.route` sends them: ``<=`` left, all else (NaN too) right."""
+    left, right = [], []
+    for s in samples:
+        (left if s.features[feature] <= threshold else right).append(s)
+    return left, right
 
 
 # --- classifier ---------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from mvkit import (
     LearnError,
     TreeConfig,
+    compile_dispatcher,
+    eval_dispatcher,
     predict_tree,
     train_regression_tree,
     train_tree_classifier,
@@ -72,6 +74,21 @@ class TestClassifier:
             train_tree_classifier([])
         with pytest.raises(LearnError):
             train_tree_classifier([LabeledSample((1.0,), 1), LabeledSample((1.0, 2.0), 1)])
+
+    def test_a_nan_feature_goes_right_in_training_as_in_dispatch(self):
+        nan = float("nan")
+        samples = [LabeledSample((0.0,), 1), LabeledSample((0.0,), 1), LabeledSample((1.0,), 2)]
+        model = train_tree_classifier(samples + [LabeledSample((nan,), 3), LabeledSample((nan,), 3)])
+        assert model.nodes == (Branch(0, 0.5, 1, 2), Leaf(1), Leaf(3))
+        assert eval_dispatcher(compile_dispatcher(model), (nan,))[0] == 3
+
+    def test_a_nan_feature_trains_one_tree_whatever_the_nan_object(self):
+        # The NaN leaves the feature unsorted, so the right side's sweep falls back to size 0 after counting a sample.
+        models = set()
+        for nan in [float("nan") for _ in range(256)]:
+            samples = [LabeledSample((f,), label) for f, label in zip((nan, 2.0, 1.0, 0.0), (1, 2, 2, 1))]
+            models.add(train_tree_classifier(samples).nodes)
+        assert models == {(Branch(0, 0.5, 1, 2), Leaf(1), Branch(0, 1.5, 3, 4), Leaf(2), Leaf(1))}
 
     def test_predict_checks_arity(self):
         model = train_tree_classifier(FOUR)

@@ -17,7 +17,7 @@ from mvkit import (
     rrse,
     train_model,
 )
-from mvkit.learners import LabeledSample, RegressionSample
+from mvkit.learners import LabeledSample, RegressionSample, cv
 from mvkit.learners.samples import best_versions
 
 
@@ -172,6 +172,20 @@ class TestCvRegression:
         samples = [RegressionSample((float(i),), 3.0 * i + 1.0) for i in range(40)]
         r = cross_validate(LearnerSpec("linreg"), samples, k=5, seed=2)
         assert r.aggregate == pytest.approx(0.0, abs=1e-6)
+
+    def test_mixed_arity_linreg_fails_in_its_first_trained_fold(self, monkeypatch):
+        calls = []
+
+        def counting_train_model(*args, **kwargs):
+            calls.append(args)
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "train_model", counting_train_model)
+        samples = self.regression_samples() + [RegressionSample((1.0, 2.0), 0.5)]
+        with pytest.raises(LearnError) as exc:
+            cross_validate(LearnerSpec("linreg"), samples, k=5, seed=2)
+        assert exc.value.category == "feature arity"
+        assert len(calls) == 1
 
     def test_regtree_cv_runs(self):
         r = cross_validate(LearnerSpec("regtree"), self.regression_samples(), k=4, seed=3)

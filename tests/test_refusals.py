@@ -13,6 +13,7 @@ from mvkit import (
     DispatchError,
     LabeledSample,
     LearnError,
+    LearnerSpec,
     LinearModel,
     ModelIOError,
     RegressionSample,
@@ -22,6 +23,7 @@ from mvkit import (
     ScenarioError,
     SpeedupMatrix,
     compile_dispatcher,
+    cross_validate,
     deserialize,
     dumps,
     interpret_rendered,
@@ -33,6 +35,7 @@ from mvkit import (
     render_template,
     rrse,
     speedups,
+    train_model,
     train_regression_tree,
     train_tree_classifier,
 )
@@ -138,6 +141,28 @@ def test_samples_from_a_matrix_of_other_datasets_are_refused(make_samples, versi
     other = speedups(Scenario(toy.versions, toy.datasets[:2], toy.runtimes[:2]))
     assert _refusal(LearnError, make_samples, toy, other, version) == (
         "dataset mismatch", "matrix and scenario list different datasets",
+    )
+
+
+NO_FEATURES = {
+    "tree": LabeledSample((), 1),
+    "rules": LabeledSample((), 2),
+    "regtree": RegressionSample((), 0.5),
+    "linreg": RegressionSample((), 0.25),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(NO_FEATURES))
+def test_samples_with_no_features_are_refused_by_training(algorithm):
+    assert _refusal(LearnError, train_model, LearnerSpec(algorithm), [NO_FEATURES[algorithm]] * 2) == (
+        "feature arity", "samples have no features",
+    )
+
+
+@pytest.mark.parametrize("algorithm", sorted(NO_FEATURES))
+def test_samples_with_no_features_are_refused_by_cross_validation(algorithm):
+    assert _refusal(LearnError, cross_validate, LearnerSpec(algorithm), [NO_FEATURES[algorithm]] * 4, 2) == (
+        "feature arity", "samples have no features",
     )
 
 

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from mvkit.learners import LabeledSample, RegressionSample, TreeConfig
-from mvkit.learners import rules, trees
+from mvkit.learners import rules, splits, trees
 from mvkit.learners.rules import GT, LE, Condition, RuleConfig
 from mvkit.learners.splits import (
     _cuts,
@@ -208,6 +208,32 @@ def test_a_nan_feature_can_leave_a_rescored_side_empty():
         assert math.isfinite(best_regression_split(samples)[0])
         emptied += (-math.inf, 2) in _cuts([s.features[0] for s in samples])[1]
     assert emptied
+
+
+def test_cuts_sorts_a_feature_once(monkeypatch):
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(splits, "sorted", counting_sorted, raising=False)
+    assert _cuts([2.0, 0.0, 2.0, -1.0]) == ([3, 1, 0, 2], [(-0.5, 1), (1.0, 2)])
+    assert len(calls) == 1
+
+
+def test_a_nan_feature_gives_the_same_candidates_and_tree_whatever_the_nan_object():
+    # All 256 NaNs stay alive, so each has its own id; the candidates come from the sort, not from set order.
+    nans = [float("nan") for _ in range(256)]
+    candidates, models = set(), set()
+    for nan in nans:
+        features = (0.0, nan, -1.7e308, 1.0, -1.6e308)
+        order, cuts = _cuts(features)
+        candidates.add((tuple(order), tuple((thr.hex(), nl) for thr, nl in cuts)))
+        samples = [RegressionSample((f,), 0.25 * i) for i, f in enumerate(features)]
+        models.add(repr(trees.train_regression_tree(samples, TreeConfig(min_split=2)).nodes))
+    assert len(candidates) == 1
+    assert len(models) == 1
 
 
 def test_majority_breaks_ties_to_the_smaller_label():
